@@ -17,7 +17,8 @@
 #                (append + recovery-replay) and wire-codec
 #                micro-benchmarks, recorded to BENCH_sched.json; fails if
 #                any dispatch-decision or wire encode/decode benchmark —
-#                including the fsync=off journaled twin —
+#                including the fsync=off journaled twin
+#                (BenchmarkJournaledDispatchDecision) —
 #                reports a nonzero allocs/op. Then the whole-simulation
 #                replication suite (ladder engine vs the pre-ladder heap
 #                baseline, each engine in its own process so GC pacing
@@ -38,11 +39,15 @@
 #                relief, not wall-clock speedup; the "cpus" metric
 #                records what parallelism the numbers were measured at
 #                (see DESIGN.md "Sharded dispatch" and "Wire protocol")
+#   make benchmark  the repository benchmark (BENCHMARK.json): seven
+#                end-to-end workloads over the simulator and the dispatch
+#                plane in one process; see bench/README.md for sizes,
+#                -trace 1 and -compare
 #   make check   everything the CI gate runs
 
 GO ?= go
 
-.PHONY: all build test race vet lint escape-gate bench bench-serve check clean
+.PHONY: all build test race vet lint escape-gate bench bench-serve benchmark check clean
 
 all: check
 
@@ -67,10 +72,10 @@ escape-gate:
 bench:
 	@{ $(GO) test -bench BenchmarkDispatchDecision -benchmem -run '^$$' ./internal/core/ && \
 	   $(GO) test -bench 'BenchmarkEventLoop|BenchmarkScheduleCancel' -benchmem -run '^$$' ./internal/des/ && \
-	   $(GO) test -bench 'BenchmarkDispatchDecision|BenchmarkJournalAppend|BenchmarkRecoveryReplay' -benchmem -run '^$$' ./internal/journal/ && \
+	   $(GO) test -bench 'BenchmarkJournaledDispatchDecision|BenchmarkJournalAppend|BenchmarkRecoveryReplay' -benchmem -run '^$$' ./internal/journal/ && \
 	   $(GO) test -bench 'BenchmarkWireEncode|BenchmarkWireDecode' -benchmem -run '^$$' ./internal/wire/ ; } \
 	 | tee bench.out
-	$(GO) run ./cmd/benchjson -require-zero-allocs '^(BenchmarkDispatchDecision|BenchmarkWireEncode|BenchmarkWireDecode)' < bench.out > BENCH_sched.json
+	$(GO) run ./cmd/benchjson -require-zero-allocs '^(BenchmarkDispatchDecision|BenchmarkJournaledDispatchDecision|BenchmarkWireEncode|BenchmarkWireDecode)' < bench.out > BENCH_sched.json
 	@rm -f bench.out
 	@echo "wrote BENCH_sched.json"
 	@{ $(GO) test -bench '^BenchmarkReplication$$' -benchmem -benchtime 1x -count 3 -timeout 60m -run '^$$' ./internal/core/ && \
@@ -94,6 +99,9 @@ bench-serve:
 	$(GO) run ./cmd/benchjson < benchserve.out > BENCH_serve.json
 	@rm -f benchserve.out
 	@echo "wrote BENCH_serve.json"
+
+benchmark:
+	bash bench/run.sh
 
 check: build vet lint test race
 

@@ -481,7 +481,7 @@ func hammer(ctx context.Context, o options, w io.Writer) error {
 			bases = append(bases, "http://"+a)
 		}
 	}
-	cc := serve.NewClusterClient(bases)
+	cc := serve.NewClient(bases...)
 
 	// Submit with retries: a submit whose response was lost mid-failover
 	// may have landed, so a retry can duplicate the bag — the final wait

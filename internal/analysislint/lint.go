@@ -100,11 +100,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the botgrid configuration: the simulation clock's
-// packages are deterministic; the journal's durability APIs, the
-// replication layer's log-transfer APIs and the binary wire transport are
-// error-strict (a dropped send or ack error can silently stall a quorum,
-// a dropped wire flush strands a client mid-batch, just as a dropped
-// fsync error can silently lose acknowledged data); and the binary wire
+// packages are deterministic; the frame codec's writer, the journal's
+// durability APIs, the replication layer's log-transfer APIs and the
+// binary wire transport are error-strict (a dropped send or ack error can
+// silently stall a quorum, a dropped wire flush strands a client
+// mid-batch, a dropped frame write leaves the peer waiting on a message
+// that never left, just as a dropped fsync error can silently lose
+// acknowledged data); and the binary wire
 // protocol is held message-for-message and field-for-field parallel to
 // internal/serve's JSON protocol.
 func DefaultConfig(modPath string) Config {
@@ -123,6 +125,7 @@ func DefaultConfig(modPath string) Config {
 			modPath + "/internal/experiment",
 		},
 		StrictErrorPkgs: []string{
+			modPath + "/internal/frame",
 			modPath + "/internal/journal",
 			modPath + "/internal/replicate",
 			wirePkg,

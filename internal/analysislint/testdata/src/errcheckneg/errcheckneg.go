@@ -36,3 +36,8 @@ func Disconnect() error {
 	}
 	return errstrict.CloseConn()
 }
+
+// Handshake returns the frame codec's write error to its caller.
+func Handshake() error {
+	return errstrict.Write(1, nil)
+}

@@ -34,3 +34,10 @@ func Disconnect() {
 	_ = errstrict.CloseConn()     // want errcheck
 	defer errstrict.FlushFrames() // want errcheck
 }
+
+// Handshake drops the frame codec's write error: the hello never reached
+// the socket and the session waits on an answer that cannot come.
+func Handshake() {
+	errstrict.Write(1, nil)     // want errcheck
+	_ = errstrict.Write(1, nil) // want errcheck
+}

@@ -25,6 +25,11 @@ func FlushFrames() error { return nil }
 // close error leaks the descriptor silently).
 func CloseConn() error { return nil }
 
+// Write sends one typed frame (internal/frame's cold-path writer, the
+// bare strict name: a dropped error leaves the peer waiting on a
+// handshake or error frame that never left).
+func Write(typ byte, payload []byte) error { _, _ = typ, payload; return nil }
+
 // Lookup is not part of the durability surface (no strict name fragment);
 // its error may be discarded without a finding.
 func Lookup() error { return nil }

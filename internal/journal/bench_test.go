@@ -44,12 +44,12 @@ func benchScheduler(b *testing.B, p core.Policy, j *Journal) *core.Scheduler {
 	return s
 }
 
-// BenchmarkDispatchDecision is the journaled twin of the core package's
-// benchmark of the same name: per-free-machine bag selection cost with a
-// fsync=off journal attached to the scheduler's mutation stream. The bench
-// harness asserts 0 allocs/op for both — journaling must not put
-// allocations on the dispatch decision path.
-func BenchmarkDispatchDecision(b *testing.B) {
+// BenchmarkJournaledDispatchDecision is the journaled twin of the core
+// package's BenchmarkDispatchDecision: per-free-machine bag selection cost
+// with a fsync=off journal attached to the scheduler's mutation stream.
+// The bench harness asserts 0 allocs/op for both — journaling must not
+// put allocations on the dispatch decision path.
+func BenchmarkJournaledDispatchDecision(b *testing.B) {
 	for _, k := range core.Kinds {
 		b.Run(k.String(), func(b *testing.B) {
 			j, _, err := Open(Options{Dir: b.TempDir(), Fsync: FsyncOff})

@@ -1,0 +1,69 @@
+package journal
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestParentGolden holds the on-disk formats to bytes written before the
+// framing moved into internal/frame: testdata/golden is script() as a
+// segment, and the state it replays to as a snapshot at LSN 8, both
+// produced by the pre-move code. Encoding must still produce exactly
+// those bytes, and a data directory made of them must still recover.
+func TestParentGolden(t *testing.T) {
+	golden := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	seg, snap := golden(segName(1)), golden(snapName(8))
+
+	img := segmentHeader(1)
+	st := NewState()
+	for _, r := range script() {
+		img = EncodeRecordFramed(img, &r)
+		if err := st.Apply(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Time = 8
+	if !bytes.Equal(img, seg) {
+		t.Fatalf("segment encoding moved:\n got %x\nwant %x", img, seg)
+	}
+	if got, err := EncodeSnapshot(8, st); err != nil || !bytes.Equal(got, snap) {
+		t.Fatalf("snapshot encoding moved (%v):\n got %x\nwant %x", err, got, snap)
+	}
+
+	// Log only: full replay. Snapshot + log: zero replay. Same state.
+	for _, tc := range []struct {
+		name    string
+		files   map[string][]byte
+		records int
+	}{
+		{"segment", map[string][]byte{segName(1): seg}, 8},
+		{"snapshot", map[string][]byte{segName(1): seg, snapName(8): snap}, 0},
+	} {
+		dir := t.TempDir()
+		for name, b := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, rec, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rec.LastLSN != 8 || rec.Records != tc.records || rec.TornBytes != 0 {
+			t.Fatalf("%s: recovered LSN %d, %d records, %d torn bytes", tc.name, rec.LastLSN, rec.Records, rec.TornBytes)
+		}
+		checkScriptState(t, rec.State)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"botgrid/internal/frame"
 )
 
 // FsyncMode selects the durability/latency trade-off of the append path.
@@ -364,11 +366,11 @@ func (j *Journal) Append(r *Record) (uint64, error) {
 func EncodeRecordFramed(dst []byte, r *Record) []byte {
 	// Encode into the tail of dst past a reserved frame header, then fill
 	// the header in — one pass, no scratch buffer.
+	var hdr [frame.HeaderSize]byte
 	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = append(dst, hdr[:]...)
 	dst = EncodeRecord(dst, r)
-	payload := dst[base+frameHeader:]
-	frameFill(dst[base:base+frameHeader], payload)
+	frame.Fill(dst[base:base+frame.HeaderSize], dst[base+frame.HeaderSize:])
 	return dst
 }
 

@@ -3,18 +3,19 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"botgrid/internal/frame"
 )
 
 // Segment file layout:
 //
 //	header:  8-byte magic "BGWAL01\n" + uint64 LE first-LSN
-//	frames:  repeated [uint32 LE payload length][uint32 LE CRC32-IEEE][payload]
+//	frames:  repeated untyped internal/frame frames, one record each
 //
 // Record N of a segment has LSN firstLSN+N. Frames carry no LSN of their
 // own: the log is strictly sequential, so position defines identity. A
@@ -24,15 +25,9 @@ import (
 // and recovery refuses to proceed.
 
 const (
-	segMagic    = "BGWAL01\n"
-	segHeader   = len(segMagic) + 8
-	frameHeader = 8
-	// maxFramePayload bounds a single record frame; anything larger is
-	// treated as a corrupt length prefix rather than allocated.
-	maxFramePayload = 1 << 26
+	segMagic  = "BGWAL01\n"
+	segHeader = len(segMagic) + 8
 )
-
-var crcTable = crc32.IEEETable
 
 // segName formats a segment filename from its first LSN.
 func segName(firstLSN uint64) string {
@@ -68,20 +63,6 @@ func listSegments(dir string) ([]uint64, error) {
 	return firsts, nil
 }
 
-// appendFrame wraps payload into a frame and appends it to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
-}
-
-// frameFill writes the frame header (length + CRC) for payload into hdr,
-// which must be frameHeader bytes.
-func frameFill(hdr, payload []byte) {
-	binary.LittleEndian.PutUint32(hdr, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-}
-
 // segmentHeader renders the 16-byte segment file header.
 func segmentHeader(firstLSN uint64) []byte {
 	h := make([]byte, 0, segHeader)
@@ -113,19 +94,10 @@ func scanSegment(path string, fn func(lsn uint64, payload []byte) error) (scanRe
 	}
 	res.firstLSN = binary.LittleEndian.Uint64(data[len(segMagic):])
 	res.nextLSN = res.firstLSN
-	off := int64(segHeader)
-	total := int64(len(data))
-	for off < total {
-		if total-off < frameHeader {
-			break
-		}
-		length := int64(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxFramePayload || total-off-frameHeader < length {
-			break
-		}
-		payload := data[off+frameHeader : off+frameHeader+length]
-		if crc32.Checksum(payload, crcTable) != sum {
+	rest := data[segHeader:]
+	for len(rest) > 0 {
+		payload, next, err := frame.Next(rest)
+		if err != nil {
 			break
 		}
 		if fn != nil {
@@ -135,9 +107,9 @@ func scanSegment(path string, fn func(lsn uint64, payload []byte) error) (scanRe
 		}
 		res.nextLSN++
 		res.records++
-		off += frameHeader + length
+		rest = next
 	}
-	res.goodSize = off
-	res.torn = total - off
+	res.torn = int64(len(rest))
+	res.goodSize = int64(len(data)) - res.torn
 	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,16 +12,20 @@ import (
 	"time"
 
 	"botgrid/internal/checkpoint"
+	"botgrid/internal/frame"
 )
 
 // Snapshot file layout: 8-byte magic "BGSNAP1\n", uint64 LE LSN (the last
-// journal record the snapshot covers, echoing the filename), uint32 LE
-// payload length, uint32 LE CRC32-IEEE, then the JSON payload — a State.
+// journal record the snapshot covers, echoing the filename), then one
+// untyped internal/frame frame whose payload is the JSON of a State.
 // Snapshots are written to a temp file, fsynced and renamed into place, so
 // a crash mid-snapshot leaves either the old set or a complete new file;
 // a torn temp file never carries the .snap name.
 
-const snapMagic = "BGSNAP1\n"
+const (
+	snapMagic  = "BGSNAP1\n"
+	snapHeader = len(snapMagic) + 8 // magic + LSN; the payload frame follows
+)
 
 func snapName(lsn uint64) string {
 	return fmt.Sprintf("%020d.snap", lsn)
@@ -61,12 +64,10 @@ func encodeSnapshot(lsn uint64, st *State) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: marshal snapshot: %w", err)
 	}
-	buf := make([]byte, 0, len(snapMagic)+16+len(payload))
+	buf := make([]byte, 0, snapHeader+frame.HeaderSize+len(payload))
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...), nil
+	return frame.Append(buf, payload), nil
 }
 
 // EncodeSnapshot renders st as a complete snapshot file image covering
@@ -79,19 +80,16 @@ func EncodeSnapshot(lsn uint64, st *State) ([]byte, error) {
 // DecodeSnapshot validates a snapshot image (the full file contents,
 // header included) and returns the LSN it covers and the decoded state.
 func DecodeSnapshot(data []byte) (uint64, *State, error) {
-	hdr := len(snapMagic) + 16
-	if len(data) < hdr || string(data[:len(snapMagic)]) != snapMagic {
+	if len(data) < snapHeader || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, nil, fmt.Errorf("journal: bad snapshot header")
 	}
 	lsn := binary.LittleEndian.Uint64(data[len(snapMagic):])
-	length := int(binary.LittleEndian.Uint32(data[len(snapMagic)+8:]))
-	sum := binary.LittleEndian.Uint32(data[len(snapMagic)+12:])
-	if len(data)-hdr != length {
-		return 0, nil, fmt.Errorf("journal: snapshot payload %d bytes, header says %d", len(data)-hdr, length)
+	payload, rest, err := frame.Next(data[snapHeader:])
+	if err != nil {
+		return 0, nil, fmt.Errorf("journal: snapshot: %w", err)
 	}
-	payload := data[hdr:]
-	if crc32.Checksum(payload, crcTable) != sum {
-		return 0, nil, fmt.Errorf("journal: snapshot checksum mismatch")
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("journal: snapshot: %d bytes after the payload", len(rest))
 	}
 	st := NewState()
 	if err := json.Unmarshal(payload, st); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"botgrid/internal/frame"
 	"botgrid/internal/journal"
 )
 
@@ -15,10 +16,10 @@ import (
 // identity — is the contract; the wire codec is shared with the WAL, so a
 // violation here would also be a recovery bug).
 func FuzzReplicateWire(f *testing.F) {
-	f.Add(appendFrame(nil, msgHeartbeat, []byte(`{"term":3,"commit":17}`)))
-	f.Add(appendFrame(nil, msgAck, []byte(`{"lsn":42}`)))
+	f.Add(frame.AppendTyped(nil, msgHeartbeat, []byte(`{"term":3,"commit":17}`)))
+	f.Add(frame.AppendTyped(nil, msgAck, []byte(`{"lsn":42}`)))
 	rec := journal.Record{Kind: journal.KindBagSubmitted, Time: 1.5, Bag: 1, Granularity: 10, Works: []float64{5, 7}}
-	f.Add(appendFrame(nil, msgEntry, appendEntryPayload(nil, 2, 9, &rec)))
+	f.Add(frame.AppendTyped(nil, msgEntry, appendEntryPayload(nil, 2, 9, &rec)))
 	f.Add([]byte{msgHello, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
 
@@ -26,7 +27,7 @@ func FuzzReplicateWire(f *testing.F) {
 		r := bytes.NewReader(data)
 		var buf []byte
 		for {
-			typ, payload, nbuf, err := readFrame(r, buf)
+			typ, payload, nbuf, err := frame.Read(r, buf, msgMax)
 			if err != nil {
 				return
 			}

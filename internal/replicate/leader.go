@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"botgrid/internal/frame"
 	"botgrid/internal/journal"
 )
 
@@ -151,8 +152,7 @@ func (r *Replica) Append(rec *journal.Record) (uint64, error) {
 		r.mu.Unlock()
 		return 0, err
 	}
-	frame := appendFrame(nil, msgEntry, appendEntryPayload(nil, r.term, lsn, rec))
-	r.tail = append(r.tail, frame)
+	r.tail = append(r.tail, frame.AppendTyped(nil, msgEntry, appendEntryPayload(nil, r.term, lsn, rec)))
 	r.lastLSN = lsn
 	r.mu.Unlock()
 	kick(r.localKick)
@@ -412,7 +412,7 @@ func (r *Replica) runSession(fs *followerState) error {
 	if err := conn.SetReadDeadline(time.Now().Add(r.hb * 8)); err != nil {
 		return err
 	}
-	typ, payload, buf, err := readFrame(conn, nil)
+	typ, payload, buf, err := frame.Read(conn, nil, msgMax)
 	if err != nil {
 		return err
 	}
@@ -447,7 +447,7 @@ func (r *Replica) runSession(fs *followerState) error {
 	snap := r.snapBuf
 	next := r.snapLSN + 1
 	r.mu.Unlock()
-	if err := writeFrame(bw, msgSnapshot, snap); err != nil {
+	if err := frame.Write(bw, msgSnapshot, snap); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -489,8 +489,8 @@ func (r *Replica) runSession(fs *followerState) error {
 		r.mu.Unlock()
 
 		if len(batch) > 0 {
-			for _, frame := range batch {
-				if _, err := bw.Write(frame); err != nil {
+			for _, entry := range batch {
+				if _, err := bw.Write(entry); err != nil {
 					return err
 				}
 			}
@@ -522,7 +522,7 @@ func (r *Replica) runSession(fs *followerState) error {
 func (r *Replica) readAcks(conn net.Conn, fs *followerState, buf []byte) error {
 	br := bufio.NewReader(conn)
 	for {
-		typ, payload, nbuf, err := readFrame(br, buf)
+		typ, payload, nbuf, err := frame.Read(br, buf, msgMax)
 		if err != nil {
 			return err
 		}

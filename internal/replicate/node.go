@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"botgrid/internal/frame"
 	"botgrid/internal/journal"
 )
 
@@ -269,7 +270,7 @@ func (n *Node) handleConn(conn net.Conn) {
 	if err := conn.SetReadDeadline(time.Now().Add(n.cfg.Lease * 2)); err != nil {
 		return
 	}
-	typ, payload, buf, err := readFrame(conn, nil)
+	typ, payload, buf, err := frame.Read(conn, nil, msgMax)
 	if err != nil {
 		return
 	}
@@ -446,7 +447,7 @@ func askVote(p Peer, req voteReqMsg, lease time.Duration) (voteRespMsg, error) {
 	if err := sendJSON(conn, msgVoteReq, req); err != nil {
 		return resp, err
 	}
-	typ, payload, _, err := readFrame(conn, nil)
+	typ, payload, _, err := frame.Read(conn, nil, msgMax)
 	if err != nil {
 		return resp, err
 	}
@@ -684,7 +685,7 @@ func (n *Node) runFollowerSession(conn net.Conn, hello helloMsg, buf []byte) {
 
 	br := bufio.NewReader(conn)
 	for {
-		typ, payload, nbuf, err := readFrame(br, buf)
+		typ, payload, nbuf, err := frame.Read(br, buf, msgMax)
 		if err != nil {
 			return
 		}

@@ -1,12 +1,9 @@
 package replicate
 
 // The log-transfer wire protocol. One TCP connection per leader→follower
-// session carries every message as a typed frame:
-//
-//	[1B type][uint32 LE payload length][uint32 LE CRC32-IEEE][payload]
-//
-// — the journal's segment framing with a type byte in front, so a frame
-// that survives the checksum is exactly as trustworthy as a log record read
+// session carries every message as a typed internal/frame frame — the
+// journal's segment framing with a type byte in front, so a frame that
+// survives the checksum is exactly as trustworthy as a log record read
 // back from disk. Payloads are either JSON control messages (handshake,
 // heartbeat, ack, votes) or binary log entries:
 //
@@ -28,9 +25,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"botgrid/internal/frame"
 	"botgrid/internal/journal"
 )
 
@@ -45,70 +42,15 @@ const (
 	msgVoteReq   byte = 7 // candidate → peer: request a vote       (voteReqMsg)
 	msgVoteResp  byte = 8 // peer → candidate: the vote             (voteRespMsg)
 	msgReject    byte = 9 // either → either: stale term, go away   (rejectMsg)
+
+	msgMax = msgReject
 )
-
-// maxFramePayload bounds one frame; snapshots are the only large payloads
-// and share the journal's segment frame ceiling.
-const maxFramePayload = 1 << 26
-
-const frameHeader = 9
 
 // ErrBadFrame reports an undecodable or corrupt wire frame.
 var ErrBadFrame = errors.New("replicate: bad frame")
 
 func badFrame(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadFrame, fmt.Sprintf(format, args...))
-}
-
-// appendFrame renders a complete frame into dst.
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
-
-// writeFrame sends one frame. Callers own buffering (a bufio.Writer per
-// connection) and flushing.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [frameHeader]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads and validates one frame, reusing buf when it is large
-// enough. The returned payload aliases the (possibly grown) buffer.
-func readFrame(r io.Reader, buf []byte) (byte, []byte, []byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, buf, err
-	}
-	typ := hdr[0]
-	if typ < msgHello || typ > msgReject {
-		return 0, nil, buf, badFrame("unknown type %d", typ)
-	}
-	length := binary.LittleEndian.Uint32(hdr[1:])
-	sum := binary.LittleEndian.Uint32(hdr[5:])
-	if length > maxFramePayload {
-		return 0, nil, buf, badFrame("payload of %d bytes", length)
-	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
-	}
-	payload := buf[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, buf, badFrame("checksum mismatch on type %d", typ)
-	}
-	return typ, payload, buf, nil
 }
 
 // entryHeader is the fixed prefix of an entry payload: term + LSN.
@@ -191,7 +133,7 @@ func sendJSON(w io.Writer, typ byte, v any) error {
 	if err != nil {
 		return err
 	}
-	return writeFrame(w, typ, payload)
+	return frame.Write(w, typ, payload)
 }
 
 // decodeJSON unmarshals a control payload, rejecting trailing garbage the

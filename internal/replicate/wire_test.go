@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"botgrid/internal/frame"
 	"botgrid/internal/journal"
 )
 
@@ -14,7 +15,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	for _, p := range payloads {
 		for typ := msgHello; typ <= msgReject; typ++ {
-			if err := writeFrame(&buf, typ, p); err != nil {
+			if err := frame.Write(&buf, typ, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -22,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var scratch []byte
 	for _, p := range payloads {
 		for typ := msgHello; typ <= msgReject; typ++ {
-			got, payload, nbuf, err := readFrame(&buf, scratch)
+			got, payload, nbuf, err := frame.Read(&buf, scratch, msgMax)
 			if err != nil {
 				t.Fatalf("type %d: %v", typ, err)
 			}
@@ -33,7 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, err := readFrame(&buf, scratch); !errors.Is(err, io.EOF) {
+	if _, _, _, err := frame.Read(&buf, scratch, msgMax); !errors.Is(err, io.EOF) {
 		t.Fatalf("drained stream: want EOF, got %v", err)
 	}
 }
@@ -41,28 +42,28 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameAppendMatchesWrite(t *testing.T) {
 	payload := []byte("identical encodings")
 	var w bytes.Buffer
-	if err := writeFrame(&w, msgEntry, payload); err != nil {
+	if err := frame.Write(&w, msgEntry, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got := appendFrame(nil, msgEntry, payload); !bytes.Equal(got, w.Bytes()) {
-		t.Fatalf("appendFrame and writeFrame disagree:\n%x\n%x", got, w.Bytes())
+	if got := frame.AppendTyped(nil, msgEntry, payload); !bytes.Equal(got, w.Bytes()) {
+		t.Fatalf("AppendTyped and Write disagree:\n%x\n%x", got, w.Bytes())
 	}
 }
 
 func TestFrameCorruption(t *testing.T) {
-	frame := appendFrame(nil, msgAck, []byte(`{"lsn":42}`))
+	ack := frame.AppendTyped(nil, msgAck, []byte(`{"lsn":42}`))
 	cases := map[string]func([]byte) []byte{
 		"bad type":     func(b []byte) []byte { b[0] = 0; return b },
 		"unknown type": func(b []byte) []byte { b[0] = msgReject + 1; return b },
-		"flipped byte": func(b []byte) []byte { b[frameHeader] ^= 0x80; return b },
+		"flipped byte": func(b []byte) []byte { b[frame.TypedHeaderSize] ^= 0x80; return b },
 		"flipped crc":  func(b []byte) []byte { b[5] ^= 1; return b },
 		"huge length":  func(b []byte) []byte { b[3] = 0xFF; b[4] = 0xFF; return b },
 		"truncated":    func(b []byte) []byte { return b[:len(b)-1] },
-		"header only":  func(b []byte) []byte { return b[:frameHeader-2] },
+		"header only":  func(b []byte) []byte { return b[:frame.TypedHeaderSize-2] },
 	}
 	for name, corrupt := range cases {
-		b := corrupt(bytes.Clone(frame))
-		_, _, _, err := readFrame(bytes.NewReader(b), nil)
+		b := corrupt(bytes.Clone(ack))
+		_, _, _, err := frame.Read(bytes.NewReader(b), nil, msgMax)
 		if err == nil {
 			t.Errorf("%s: corrupt frame decoded cleanly", name)
 		}
@@ -103,9 +104,9 @@ func TestControlMessages(t *testing.T) {
 	if err := sendJSON(&buf, msgHello, in); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, _, err := readFrame(&buf, nil)
+	typ, payload, _, err := frame.Read(&buf, nil, msgMax)
 	if err != nil || typ != msgHello {
-		t.Fatalf("readFrame: type %d, %v", typ, err)
+		t.Fatalf("frame.Read: type %d, %v", typ, err)
 	}
 	var out helloMsg
 	if err := decodeJSON(payload, &out); err != nil {

@@ -9,22 +9,29 @@ import (
 	"time"
 )
 
-// Client speaks the work-dispatch protocol. It is safe for concurrent use
-// (many SimWorkers share one Client and its connection pool).
+// Client speaks the work-dispatch protocol to one server or to a
+// replicated cluster. It remembers the last address that answered and
+// tries the others when that one stops: a follower redirects mutating
+// requests to the leader with a 307 (the HTTP client replays the body
+// there transparently), a node that is down or mid-election rotates the
+// client to the next address. With a single address it is a plain
+// client. Safe for concurrent use (many SimWorkers share one Client and
+// its connection pool).
 type Client struct {
-	base string
-	hc   *http.Client
+	bases []string
+	hc    *http.Client
+	cur   atomic.Int32
 }
 
-// NewClient returns a client for a server at base (e.g.
-// "http://127.0.0.1:8431"). The connection pool is sized for hundreds of
-// concurrent workers.
-func NewClient(base string) *Client {
+// NewClient returns a client for the server — or the cluster nodes — at
+// the given base URLs (e.g. "http://127.0.0.1:8431"). The connection pool
+// is sized for hundreds of concurrent workers.
+func NewClient(bases ...string) *Client {
 	tr := &http.Transport{
 		MaxIdleConns:        512,
 		MaxIdleConnsPerHost: 512,
 	}
-	return &Client{base: base, hc: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
+	return &Client{bases: bases, hc: &http.Client{Transport: tr, Timeout: 30 * time.Second}}
 }
 
 // post sends a JSON request and decodes the JSON response into out.
@@ -33,21 +40,52 @@ func (c *Client) post(path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Post(c.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeResponse(resp, path, out)
+	return c.do(path, body, out)
 }
 
-func (c *Client) get(path string, out any) error {
-	resp, err := c.hc.Get(c.base + path)
-	if err != nil {
+func (c *Client) get(path string, out any) error { return c.do(path, nil, out) }
+
+// do runs one request (a POST of body, or a GET when body is nil),
+// rotating past unreachable or leaderless (503) addresses. Other
+// application-level failures (4xx, 500) are returned without rotating:
+// they came from a live leader and retrying elsewhere cannot change the
+// answer.
+func (c *Client) do(path string, body []byte, out any) error {
+	var lastErr error
+	start := int(c.cur.Load())
+	for i := range c.bases {
+		idx := (start + i) % len(c.bases)
+		status, err := c.try(c.bases[idx], path, body, out)
+		if status == 0 || status == http.StatusServiceUnavailable {
+			lastErr = err
+			continue
+		}
+		if err == nil && idx != start {
+			c.cur.Store(int32(idx))
+		}
 		return err
 	}
+	if lastErr == nil {
+		lastErr = fmt.Errorf("serve: %s: no server addresses", path)
+	}
+	return lastErr
+}
+
+// try runs one request against one address and returns the HTTP status
+// it answered with, 0 when it did not answer.
+func (c *Client) try(base, path string, body []byte, out any) (int, error) {
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = c.hc.Get(base + path)
+	} else {
+		resp, err = c.hc.Post(base+path, "application/json", bytes.NewReader(body))
+	}
+	if err != nil {
+		return 0, err
+	}
 	defer resp.Body.Close()
-	return decodeResponse(resp, path, out)
+	return resp.StatusCode, decodeResponse(resp, path, out)
 }
 
 func decodeResponse(resp *http.Response, path string, out any) error {
@@ -61,135 +99,13 @@ func decodeResponse(resp *http.Response, path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// ClusterClient speaks the dispatch protocol to a replicated cluster. It
-// remembers the last node that answered and tries the others when that one
-// stops: a follower redirects mutating requests to the leader with a 307
-// (the HTTP client replays the body there transparently), a node that is
-// down or mid-election rotates the client to the next address. Safe for
-// concurrent use.
-type ClusterClient struct {
-	bases []string
-	hc    *http.Client
-	cur   atomic.Int32
-}
-
-// NewClusterClient returns a client for a cluster reachable at the given
-// base URLs (e.g. "http://127.0.0.1:8431").
-func NewClusterClient(bases []string) *ClusterClient {
-	tr := &http.Transport{
-		MaxIdleConns:        512,
-		MaxIdleConnsPerHost: 512,
-	}
-	return &ClusterClient{
-		bases: bases,
-		hc:    &http.Client{Transport: tr, Timeout: 30 * time.Second},
-	}
-}
-
-// do runs one request against the cluster, rotating past unreachable or
-// leaderless nodes. Application-level failures (4xx) are returned without
-// rotating: they came from a live leader and retrying elsewhere cannot
-// change the answer.
-func (cc *ClusterClient) do(method, path string, in, out any) error {
-	var body []byte
-	if method != http.MethodGet {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
-	var lastErr error
-	start := int(cc.cur.Load())
-	for i := 0; i < len(cc.bases); i++ {
-		idx := (start + i) % len(cc.bases)
-		base := cc.bases[idx]
-		var resp *http.Response
-		var err error
-		if method == http.MethodGet {
-			resp, err = cc.hc.Get(base + path)
-		} else {
-			resp, err = cc.hc.Post(base+path, "application/json", bytes.NewReader(body))
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			resp.Body.Close()
-			lastErr = fmt.Errorf("serve: %s: %s has no leader", path, base)
-			continue
-		}
-		err = decodeResponse(resp, path, out)
-		resp.Body.Close()
-		if err == nil {
-			cc.cur.Store(int32(idx))
-		}
-		return err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("serve: %s: no cluster addresses", path)
-	}
-	return lastErr
-}
-
-// Submit enters a bag and returns its ID.
-func (cc *ClusterClient) Submit(granularity float64, works []float64) (int, error) {
-	var resp SubmitResponse
-	err := cc.do(http.MethodPost, "/v1/bags", SubmitRequest{Granularity: granularity, Works: works}, &resp)
-	return resp.Bag, err
-}
-
-// Bag returns a bag's status.
-func (cc *ClusterClient) Bag(id int) (BagStatus, error) {
-	var st BagStatus
-	err := cc.do(http.MethodGet, fmt.Sprintf("/v1/bags/%d", id), nil, &st)
-	return st, err
-}
-
-// Fetch requests worker id's current assignment.
-func (cc *ClusterClient) Fetch(worker string, power float64) (FetchResponse, error) {
-	var resp FetchResponse
-	err := cc.do(http.MethodPost, "/v1/workers/"+worker+"/fetch", FetchRequest{Power: power}, &resp)
-	return resp, err
-}
-
-// Report reports an assignment outcome (StatusDone or StatusFailed).
-func (cc *ClusterClient) Report(worker string, replica uint64, status string) (string, error) {
-	var resp ReportResponse
-	err := cc.do(http.MethodPost, "/v1/workers/"+worker+"/report",
-		ReportRequest{Replica: replica, Status: status}, &resp)
-	return resp.Ack, err
-}
-
-// Heartbeat renews worker id's lease mid-computation.
-func (cc *ClusterClient) Heartbeat(worker string, replica uint64) (string, error) {
-	var resp HeartbeatResponse
-	err := cc.do(http.MethodPost, "/v1/workers/"+worker+"/heartbeat", HeartbeatRequest{Replica: replica}, &resp)
-	return resp.Ack, err
-}
-
-// Stats returns the scheduler snapshot from whichever node answers first;
-// a follower's answer carries only the Replication field.
-func (cc *ClusterClient) Stats() (StatsResponse, error) {
-	var st StatsResponse
-	err := cc.do(http.MethodGet, "/v1/stats", nil, &st)
-	return st, err
-}
-
-// LeaderStats polls every node and returns the leader's scheduler
+// LeaderStats polls every address and returns the leader's scheduler
 // snapshot, or an error when no node currently leads.
-func (cc *ClusterClient) LeaderStats() (StatsResponse, error) {
+func (c *Client) LeaderStats() (StatsResponse, error) {
 	var lastErr error
-	for _, base := range cc.bases {
-		resp, err := cc.hc.Get(base + "/v1/stats")
-		if err != nil {
-			lastErr = err
-			continue
-		}
+	for _, base := range c.bases {
 		var st StatsResponse
-		err = decodeResponse(resp, "/v1/stats", &st)
-		resp.Body.Close()
-		if err != nil {
+		if _, err := c.try(base, "/v1/stats", nil, &st); err != nil {
 			lastErr = err
 			continue
 		}
@@ -242,7 +158,8 @@ func (c *Client) Heartbeat(worker string, replica uint64) (string, error) {
 	return resp.Ack, err
 }
 
-// Stats returns the scheduler snapshot.
+// Stats returns the scheduler snapshot from whichever address answers
+// first; a cluster follower's answer carries only the Replication field.
 func (c *Client) Stats() (StatsResponse, error) {
 	var st StatsResponse
 	err := c.get("/v1/stats", &st)

@@ -56,9 +56,9 @@ func reserveAddrs(t *testing.T, n int) []string {
 }
 
 // clusterWorker is resilientWorker's cluster twin: it rides out leader
-// redirects, elections, and failovers through the ClusterClient, counting
+// redirects, elections, and failovers through the rotating Client, counting
 // results the cluster acknowledged as quorum-durable.
-func clusterWorker(ctx context.Context, cc *ClusterClient, id string, power float64, tr *ackTracker) {
+func clusterWorker(ctx context.Context, cc *Client, id string, power float64, tr *ackTracker) {
 	for ctx.Err() == nil {
 		resp, err := cc.Fetch(id, power)
 		if err != nil {
@@ -84,7 +84,7 @@ func clusterWorker(ctx context.Context, cc *ClusterClient, id string, power floa
 }
 
 // waitLeaderStats polls the cluster until the leader's stats satisfy ok.
-func waitLeaderStats(t *testing.T, cc *ClusterClient, timeout time.Duration, what string, ok func(StatsResponse) bool) StatsResponse {
+func waitLeaderStats(t *testing.T, cc *Client, timeout time.Duration, what string, ok func(StatsResponse) bool) StatsResponse {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	var last StatsResponse
@@ -165,7 +165,7 @@ func TestClusterReplicationInProcess(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	cc := NewClusterClient(bases)
+	cc := NewClient(bases...)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tr := &ackTracker{}
@@ -183,7 +183,7 @@ func TestClusterReplicationInProcess(t *testing.T) {
 	// Submit through a follower: the 307 redirect must land it on the
 	// leader transparently.
 	follower := (leaderIdx + 1) % n
-	fc := NewClusterClient([]string{bases[follower]})
+	fc := NewClient(bases[follower])
 	if _, err := fc.Submit(2000, []float64{10, 10, 10, 10}); err != nil {
 		t.Fatalf("submit via follower redirect: %v", err)
 	}
@@ -346,7 +346,7 @@ func failoverRun(t *testing.T, k core.PolicyKind) float64 {
 		}
 	}()
 
-	cc := NewClusterClient(bases)
+	cc := NewClient(bases...)
 	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 	defer cancel()
 

@@ -40,6 +40,7 @@ import (
 	"botgrid/internal/replicate"
 	"botgrid/internal/rng"
 	ring "botgrid/internal/shard"
+	"botgrid/internal/wire"
 )
 
 // Config tunes the work-dispatch server.
@@ -552,28 +553,9 @@ func (s *Server) ExpireLeases() int {
 	return n
 }
 
-// routeWorker picks the shard serving worker id: the pinned shard while
-// one exists, else the ring target. On a fetch (allowMove) a worker whose
-// ring target drifted from its pin is handed off — but only when it holds
-// no replica on the old shard, so in-flight work always completes where
-// it started (the lease protocol needs no cross-shard state).
-func (s *Server) routeWorker(id string, allowMove bool) *shard {
-	target := s.ring.Load().Lookup(id)
-	v, ok := s.pins.Load(id)
-	if !ok {
-		return s.shards[target]
-	}
-	cur := v.(int)
-	if cur == target || !allowMove {
-		return s.shards[cur]
-	}
-	if s.shards[cur].releaseIfIdle(id) {
-		s.pins.Store(id, target)
-		s.moves.Add(1)
-		return s.shards[target]
-	}
-	return s.shards[cur]
-}
+// The four worker handlers are JSON adapters over the operation layer
+// (ops.go): decode, run the operation, flush its durability obligation,
+// encode.
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
@@ -581,29 +563,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Works) == 0 {
-		httpError(w, http.StatusBadRequest, "empty bag")
+	res, wait, err := s.submit(req.Granularity, req.Works)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	for _, wk := range req.Works {
-		if wk <= 0 {
-			httpError(w, http.StatusBadRequest, "task work must be positive")
-			return
-		}
-	}
-	// Bags stripe round-robin: submission k lands on shard k mod n, which
-	// issues local ID k div n — dense global IDs, deterministic placement.
-	sh := s.shards[int(s.nextSubmit.Add(1)-1)%len(s.shards)]
-	start := time.Now()
-	resp, wait := sh.submit(req.Granularity, req.Works)
-	sh.decLat.Observe(time.Since(start))
-	// An accepted submission must survive a crash: block until the journal
-	// record is on disk (a no-op without journaling or with fsync=off).
-	if err := sh.waitDurable(wait); err != nil {
+	if err := s.flush([]wire.Pending{wait}); err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, SubmitResponse(res))
 }
 
 func (s *Server) handleBag(w http.ResponseWriter, r *http.Request) {
@@ -627,17 +596,14 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	id := r.PathValue("id")
-	sh := s.routeWorker(id, true)
-	start := time.Now()
-	resp, err := sh.fetch(id, req.Power)
-	sh.decLat.Observe(time.Since(start))
+	res, err := s.fetch(r.PathValue("id"), req.Power)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	if v, ok := s.pins.Load(id); !ok || v.(int) != sh.idx {
-		s.pins.Store(id, sh.idx)
+	resp := FetchResponse{Assigned: res.Assigned, RetryMs: res.RetryMs}
+	if res.Assigned {
+		resp.Assignment = &Assignment{Replica: res.Replica, Bag: res.Bag, Task: res.Task, Work: res.Work}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -652,24 +618,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "status must be done or failed")
 		return
 	}
-	id := r.PathValue("id")
-	sh := s.routeWorker(id, false)
-	start := time.Now()
-	ack, wait, found := sh.report(id, req)
-	sh.decLat.Observe(time.Since(start))
-	if !found {
+	ack, wait := s.report(r.PathValue("id"), req.Replica, req.Status == StatusFailed)
+	if ack == wire.AckUnknown {
 		httpError(w, http.StatusNotFound, "unknown worker")
 		return
 	}
-	if ack == AckOK {
-		// An acked result must survive a crash — the worker will discard
-		// its copy on AckOK. Stale reports changed nothing; don't wait.
-		if err := sh.waitDurable(wait); err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+	if err := s.flush([]wire.Pending{wait}); err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, ReportResponse{Ack: ack})
+	writeJSON(w, http.StatusOK, ReportResponse{Ack: ack.String()})
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -678,14 +636,12 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	id := r.PathValue("id")
-	sh := s.routeWorker(id, false)
-	ack, found := sh.heartbeat(id, req.Replica)
-	if !found {
+	ack := s.heartbeat(r.PathValue("id"), req.Replica)
+	if ack == wire.AckUnknown {
 		httpError(w, http.StatusNotFound, "unknown worker")
 		return
 	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Ack: ack})
+	writeJSON(w, http.StatusOK, HeartbeatResponse{Ack: ack.String()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	"botgrid/internal/grid"
 	"botgrid/internal/journal"
 	ring "botgrid/internal/shard"
+	"botgrid/internal/wire"
 )
 
 // workerState tracks one registered worker.
@@ -79,17 +80,17 @@ type shard struct {
 // globalBag translates a shard-local bag ID to the global ID on the wire.
 func (sh *shard) globalBag(local int) int { return ring.GlobalBag(local, sh.idx, sh.n) }
 
-// submit enters a bag and returns the response (global ID) plus the LSN
-// the caller must wait durable on before acknowledging.
-func (sh *shard) submit(granularity float64, works []float64) (SubmitResponse, uint64) {
+// submit enters a bag and returns its global ID and task count plus the
+// durability obligation the caller must flush before acknowledging.
+func (sh *shard) submit(granularity float64, works []float64) (wire.SubmitResult, wire.Pending) {
 	sh.mu.Lock()
 	b := sh.sched.Submit(granularity, works)
 	sh.bags[b.ID] = b
 	sh.bagIDs = append(sh.bagIDs, b.ID)
 	sh.met.Submits++
-	wait := sh.lastLSN
+	wait := wire.Pending{Shard: sh.idx, LSN: sh.lastLSN}
 	sh.mu.Unlock()
-	return SubmitResponse{Bag: sh.globalBag(b.ID), Tasks: len(b.Tasks)}, wait
+	return wire.SubmitResult{Bag: sh.globalBag(b.ID), Tasks: len(b.Tasks)}, wait
 }
 
 // worker returns the registered worker, creating it on first contact
@@ -133,12 +134,12 @@ func (sh *shard) revive(w *workerState) {
 
 // fetch serves one worker poll: lease renewal, registration on first
 // contact, and the scheduler's two-step dispatch.
-func (sh *shard) fetch(id string, power float64) (FetchResponse, error) {
+func (sh *shard) fetch(id string, power float64) (wire.FetchResult, error) {
 	sh.mu.Lock()
 	ws, err := sh.worker(id)
 	if err != nil {
 		sh.mu.Unlock()
-		return FetchResponse{}, err
+		return wire.FetchResult{}, err
 	}
 	if power > 0 && power != ws.power {
 		ws.power = power
@@ -146,36 +147,38 @@ func (sh *shard) fetch(id string, power float64) (FetchResponse, error) {
 	}
 	sh.touch(ws)
 	sh.revive(ws)
-	rep := sh.sched.ReplicaOn(ws.m)
-	var resp FetchResponse
-	if rep != nil {
-		resp = FetchResponse{Assigned: true, Assignment: &Assignment{
-			Replica: rep.Seq,
-			Bag:     sh.globalBag(rep.Task.Bag.ID),
-			Task:    rep.Task.ID,
-			Work:    rep.Task.Work,
-		}}
+	var res wire.FetchResult
+	if rep := sh.sched.ReplicaOn(ws.m); rep != nil {
+		res = wire.FetchResult{
+			Assigned: true,
+			Replica:  rep.Seq,
+			Bag:      sh.globalBag(rep.Task.Bag.ID),
+			Task:     rep.Task.ID,
+			Work:     rep.Task.Work,
+		}
 		sh.met.Assigned++
 	} else {
-		resp = FetchResponse{RetryMs: sh.cfg.RetryMs}
+		res = wire.FetchResult{RetryMs: sh.cfg.RetryMs}
 		sh.met.NoWork++
 	}
 	sh.met.Fetches++
 	sh.mu.Unlock()
-	return resp, nil
+	return res, nil
 }
 
-// report applies a done/failed report. found is false for an unknown
-// worker (404); wait is the LSN an AckOK must wait durable on.
-func (sh *shard) report(id string, req ReportRequest) (ack string, wait uint64, found bool) {
+// report applies a done/failed report: AckUnknown for a worker never
+// registered here, else AckOK or AckStale. Only an AckOK carries a
+// durability obligation — the worker discards its copy of the result on
+// OK, so the record must be durable first; stale reports changed nothing.
+func (sh *shard) report(id string, replica uint64, failed bool) (wire.Ack, wire.Pending) {
 	sh.mu.Lock()
 	ws, ok := sh.workers[id]
 	if !ok {
 		sh.mu.Unlock()
-		return "", 0, false
+		return wire.AckUnknown, wire.Pending{}
 	}
 	now := sh.touch(ws)
-	ack = AckStale
+	ack, wait := wire.AckStale, wire.Pending{}
 	if ws.released {
 		// The worker was handed to another shard; whatever it reports here
 		// was superseded by the move. Do not revive the abandoned slot.
@@ -183,47 +186,45 @@ func (sh *shard) report(id string, req ReportRequest) (ack string, wait uint64, 
 		// The lease expired mid-computation: the replica is already
 		// dead and the task resubmitted. Rejoin the pool empty-handed.
 		sh.revive(ws)
-	} else if rep := sh.sched.ReplicaOn(ws.m); rep != nil && rep.Seq == req.Replica {
-		ack = AckOK
-		switch req.Status {
-		case StatusDone:
-			sh.sched.CompleteReplica(rep)
-			sh.met.ReportsDone++
-		case StatusFailed:
+	} else if rep := sh.sched.ReplicaOn(ws.m); rep != nil && rep.Seq == replica {
+		if failed {
 			// A worker-reported failure gets the paper's machine-failure
 			// treatment (kill + resubmit), then the slot rejoins the pool.
 			ws.m.ForceFail(now)
 			sh.sched.MachineFailed(ws.m)
 			sh.revive(ws)
 			sh.met.ReportsFailed++
+		} else {
+			sh.sched.CompleteReplica(rep)
+			sh.met.ReportsDone++
 		}
+		ack, wait = wire.AckOK, wire.Pending{Shard: sh.idx, LSN: sh.lastLSN}
 	}
-	if ack == AckStale {
+	if ack == wire.AckStale {
 		sh.met.StaleReports++
 	}
-	wait = sh.lastLSN
 	sh.mu.Unlock()
-	return ack, wait, true
+	return ack, wait
 }
 
 // heartbeat renews the worker's lease and validates its replica token.
-func (sh *shard) heartbeat(id string, replica uint64) (ack string, found bool) {
+func (sh *shard) heartbeat(id string, replica uint64) wire.Ack {
 	sh.mu.Lock()
 	ws, ok := sh.workers[id]
 	if !ok {
 		sh.mu.Unlock()
-		return "", false
+		return wire.AckUnknown
 	}
 	sh.touch(ws)
-	ack = AckStale
+	ack := wire.AckStale
 	if !ws.released && ws.m.Up() {
 		if rep := sh.sched.ReplicaOn(ws.m); rep != nil && rep.Seq == replica {
-			ack = AckOK
+			ack = wire.AckOK
 		}
 	}
 	sh.met.Heartbeats++
 	sh.mu.Unlock()
-	return ack, true
+	return ack
 }
 
 // bagStatusLocal returns the status of the bag with the given local ID.

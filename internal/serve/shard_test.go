@@ -9,6 +9,7 @@ import (
 
 	"botgrid/internal/core"
 	"botgrid/internal/journal"
+	"botgrid/internal/wire"
 )
 
 // workerOnShard finds a worker ID the current ring maps to the given
@@ -182,12 +183,12 @@ func TestShardedRecoveryRoundTrip(t *testing.T) {
 			t.Fatalf("fetch %s on shard %d: %+v, %v", id, i, resp, err)
 		}
 		if i == 2 {
-			doneReplica = resp.Assignment.Replica
+			doneReplica = resp.Replica
 		}
 	}
 	clk.advance(1)
-	if ack, _, ok := s1.shards[2].report(workers[2], ReportRequest{Replica: doneReplica, Status: StatusDone}); !ok || ack != AckOK {
-		t.Fatalf("report on shard 2: ack=%q ok=%v", ack, ok)
+	if ack, _ := s1.shards[2].report(workers[2], doneReplica, false); ack != wire.AckOK {
+		t.Fatalf("report on shard 2: ack=%v", ack)
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -225,9 +226,8 @@ func TestShardedRecoveryRoundTrip(t *testing.T) {
 	if s2.routeWorker(workers[2], false) != s2.shards[2] {
 		t.Fatalf("worker %s lost its shard-2 pin", workers[2])
 	}
-	ack, _, ok := s2.shards[2].report(workers[2], ReportRequest{Replica: doneReplica, Status: StatusDone})
-	if !ok || ack != AckStale {
-		t.Fatalf("pre-restart token after recovery: ack=%q ok=%v", ack, ok)
+	if ack, _ := s2.shards[2].report(workers[2], doneReplica, false); ack != wire.AckStale {
+		t.Fatalf("pre-restart token after recovery: ack=%v", ack)
 	}
 	// New submissions continue the dense global numbering.
 	resp, _ := s2.shards[(6)%4].submit(100, []float64{40})
@@ -301,8 +301,8 @@ func TestReshardRoundTrip(t *testing.T) {
 		t.Fatalf("fetch: %+v %v", r0, err)
 	}
 	clk.advance(2)
-	if ack, _, _ := s.shards[0].report(w0, ReportRequest{Replica: r0.Assignment.Replica, Status: StatusDone}); ack != AckOK {
-		t.Fatalf("report ack %q", ack)
+	if ack, _ := s.shards[0].report(w0, r0.Replica, false); ack != wire.AckOK {
+		t.Fatalf("report ack %v", ack)
 	}
 	w1 := workerOnShard(t, s, 1)
 	if r1, err := s.shards[1].fetch(w1, 0); err != nil || !r1.Assigned {
@@ -431,10 +431,9 @@ func digestServer(t *testing.T, k core.PolicyKind) string {
 				s.pins.Store(id, sh.idx)
 			}
 			if resp.Assigned {
-				a := resp.Assignment
-				fmt.Fprintf(h, "r%d %s@%d bag %d task %d rep %d\n", round, id, sh.idx, a.Bag, a.Task, a.Replica)
+				fmt.Fprintf(h, "r%d %s@%d bag %d task %d rep %d\n", round, id, sh.idx, resp.Bag, resp.Task, resp.Replica)
 				clk.advance(1)
-				ack, _, _ := sh.report(id, ReportRequest{Replica: a.Replica, Status: StatusDone})
+				ack, _ := sh.report(id, resp.Replica, false)
 				fmt.Fprintf(h, "r%d %s ack %s\n", round, id, ack)
 			} else {
 				fmt.Fprintf(h, "r%d %s@%d idle\n", round, id, sh.idx)

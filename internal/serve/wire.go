@@ -1,27 +1,13 @@
 package serve
 
 // The binary transport's backend: WireHandler adapts the Server to
-// internal/wire's Handler/Session seam. Each connection gets its own
-// session — per-connection worker-ID interning keeps the hot path
-// allocation-free, and Flush coalesces a burst's durability obligations
-// to one group-committed wait per touched shard. Every operation routes
-// through the exact same shard methods as its HTTP twin, so both
-// transports produce identical scheduler state from identical traffic
-// (wire_diff_test.go holds them to it).
+// internal/wire's Handler/Session seam. A session is per-connection
+// worker-ID interning in front of the operation layer (ops.go) — the same
+// five functions the HTTP handlers call, so both transports produce
+// identical scheduler state from identical traffic (wire_diff_test.go
+// holds them to it).
 
-import (
-	"errors"
-	"time"
-
-	"botgrid/internal/wire"
-)
-
-// Static in-band errors, matching the HTTP handlers' 400 messages.
-var (
-	errEmptyBag    = errors.New("empty bag")
-	errBadWork     = errors.New("task work must be positive")
-	errEmptyWorker = errors.New("empty worker id")
-)
+import "botgrid/internal/wire"
 
 // WireHandler returns the binary transport's hook into this server: pass
 // it to wire.NewServer to serve the binary protocol next to HTTP.
@@ -30,11 +16,7 @@ func (s *Server) WireHandler() wire.Handler { return wireHandler{s} }
 type wireHandler struct{ s *Server }
 
 func (h wireHandler) NewSession() wire.Session {
-	return &wireSession{
-		s:      h.s,
-		intern: make(map[string]string),
-		lsns:   make([]uint64, len(h.s.shards)),
-	}
+	return &wireSession{s: h.s, intern: make(map[string]string)}
 }
 
 // wireSession is one connection's state. It is used from a single
@@ -43,148 +25,56 @@ func (h wireHandler) NewSession() wire.Session {
 type wireSession struct {
 	s *Server
 	// intern maps decoded worker IDs (views into the connection's read
-	// buffer) to stable strings. The map lookup with a string(bytes) key
-	// compiles to an allocation-free probe, so a known worker costs
-	// nothing; only first contact allocates its ID.
+	// buffer) to the stable strings of workers this connection has
+	// registered. The map lookup with a string(bytes) key compiles to an
+	// allocation-free probe, so a known worker costs nothing. Only a
+	// successful Fetch adds an entry, so the map is bounded by the
+	// server's worker table however many IDs a peer cycles through.
 	intern map[string]string
-	// lsns is Flush's per-shard max-LSN scratch.
-	lsns []uint64
 }
 
-// id resolves a decoded worker ID to its interned string.
+// id resolves a decoded worker ID: the interned string of a worker this
+// session registered, else a fresh copy nothing here retains.
 //
 //botlint:hotpath
-func (ws *wireSession) id(worker []byte) string {
+func (ws *wireSession) id(worker []byte) (id string, known bool) {
 	if id, ok := ws.intern[string(worker)]; ok {
-		return id
+		return id, true
 	}
-	//botlint:ignore escape -- first contact only: the interned ID must outlive the connection's read buffer; every later call is an allocation-free map probe
-	id := string(worker)
-	ws.intern[id] = id
-	return id
+	//botlint:ignore escape -- unknown to this session only: first contact, a reconnected worker before its next fetch, or a refused ID; every call after a successful Fetch is an allocation-free map probe
+	return string(worker), false
 }
 
-// Submit implements wire.Session, mirroring handleSubmit: same
-// validation, same round-robin bag striping, and the returned Pending is
-// the durability obligation handleSubmit pays with waitDurable.
+// Submit implements wire.Session.
 func (ws *wireSession) Submit(granularity float64, works []float64) (wire.SubmitResult, wire.Pending, error) {
-	if len(works) == 0 {
-		return wire.SubmitResult{}, wire.Pending{}, errEmptyBag
-	}
-	for _, w := range works {
-		if w <= 0 {
-			return wire.SubmitResult{}, wire.Pending{}, errBadWork
-		}
-	}
-	s := ws.s
-	sh := s.shards[int(s.nextSubmit.Add(1)-1)%len(s.shards)]
-	start := time.Now()
-	resp, wait := sh.submit(granularity, works)
-	sh.decLat.Observe(time.Since(start))
-	return wire.SubmitResult{Bag: resp.Bag, Tasks: resp.Tasks},
-		wire.Pending{Shard: sh.idx, LSN: wait}, nil
+	return ws.s.submit(granularity, works)
 }
 
-// Fetch implements wire.Session, mirroring handleFetch: route (handoff
-// allowed), dispatch, pin update.
+// Fetch implements wire.Session. A successful fetch registered the worker
+// (the shard's table now holds this very string), so it is interned here.
 func (ws *wireSession) Fetch(worker []byte, power float64) (wire.FetchResult, error) {
-	if len(worker) == 0 {
-		return wire.FetchResult{}, errEmptyWorker
+	id, known := ws.id(worker)
+	res, err := ws.s.fetch(id, power)
+	if err == nil && !known {
+		ws.intern[id] = id
 	}
-	id := ws.id(worker)
-	s := ws.s
-	sh := s.routeWorker(id, true)
-	start := time.Now()
-	resp, err := sh.fetch(id, power)
-	sh.decLat.Observe(time.Since(start))
-	if err != nil {
-		return wire.FetchResult{}, err
-	}
-	if v, ok := s.pins.Load(id); !ok || v.(int) != sh.idx {
-		s.pins.Store(id, sh.idx)
-	}
-	res := wire.FetchResult{RetryMs: resp.RetryMs}
-	if resp.Assigned {
-		res.Assigned = true
-		res.Replica = resp.Assignment.Replica
-		res.Bag = resp.Assignment.Bag
-		res.Task = resp.Assignment.Task
-		res.Work = resp.Assignment.Work
-	}
-	return res, nil
+	return res, err
 }
 
-// Report implements wire.Session, mirroring handleReport. Only an AckOK
-// carries a durability obligation: the worker discards its copy of the
-// result on OK, so the record must be on disk first — stale reports
-// changed nothing.
+// Report implements wire.Session.
 func (ws *wireSession) Report(worker []byte, replica uint64, failed bool) (wire.Ack, wire.Pending) {
-	if len(worker) == 0 {
-		return wire.AckUnknown, wire.Pending{}
-	}
-	id := ws.id(worker)
-	sh := ws.s.routeWorker(id, false)
-	status := StatusDone
-	if failed {
-		status = StatusFailed
-	}
-	start := time.Now()
-	ack, wait, found := sh.report(id, ReportRequest{Replica: replica, Status: status})
-	sh.decLat.Observe(time.Since(start))
-	switch {
-	case !found:
-		return wire.AckUnknown, wire.Pending{}
-	case ack == AckOK:
-		return wire.AckOK, wire.Pending{Shard: sh.idx, LSN: wait}
-	default:
-		return wire.AckStale, wire.Pending{}
-	}
+	id, _ := ws.id(worker)
+	return ws.s.report(id, replica, failed)
 }
 
-// Heartbeat implements wire.Session, mirroring handleHeartbeat.
+// Heartbeat implements wire.Session.
 func (ws *wireSession) Heartbeat(worker []byte, replica uint64) wire.Ack {
-	if len(worker) == 0 {
-		return wire.AckUnknown
-	}
-	id := ws.id(worker)
-	sh := ws.s.routeWorker(id, false)
-	ack, found := sh.heartbeat(id, replica)
-	switch {
-	case !found:
-		return wire.AckUnknown
-	case ack == AckOK:
-		return wire.AckOK
-	default:
-		return wire.AckStale
-	}
+	id, _ := ws.id(worker)
+	return ws.s.heartbeat(id, replica)
 }
 
-// Flush implements wire.Session: reduce the burst's obligations to one
-// max LSN per touched shard and wait once each. WaitDurable rides the
-// journal's group commit, so a whole batch of submits and reports is
-// typically acknowledged by a single fsync.
-func (ws *wireSession) Flush(pending []wire.Pending) error {
-	if len(pending) == 0 {
-		return nil
-	}
-	for i := range ws.lsns {
-		ws.lsns[i] = 0
-	}
-	for _, p := range pending {
-		if p.LSN > ws.lsns[p.Shard] {
-			ws.lsns[p.Shard] = p.LSN
-		}
-	}
-	for i, lsn := range ws.lsns {
-		if lsn == 0 {
-			continue
-		}
-		if err := ws.s.shards[i].waitDurable(lsn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Flush implements wire.Session.
+func (ws *wireSession) Flush(pending []wire.Pending) error { return ws.s.flush(pending) }
 
 // Close implements wire.Session. Worker registrations outlive their
 // connection on purpose — a wire worker that reconnects is the same

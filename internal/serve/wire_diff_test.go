@@ -2,10 +2,11 @@ package serve
 
 // The differential transport test: one seeded worker trace replayed
 // through the JSON/HTTP front end and through the binary wire protocol,
-// each against a fresh journaled server. Both transports route through
-// the same shard methods, so the final scheduler summaries and the
+// each against a fresh journaled server. Both transports run the same
+// dispatch operations (ops.go), so the final scheduler summaries and the
 // per-shard journal record streams must match exactly — any divergence
-// means one transport mutated state the other didn't.
+// means one transport mutated state the other didn't — and every in-band
+// failure must reach the client with the same text.
 
 import (
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,10 +182,43 @@ func normalizeStats(st StatsResponse) StatsResponse {
 	return st
 }
 
-// runTransportTrace replays the seeded trace over the given transport
-// against a fresh two-shard journaled server and returns the normalized
-// final stats and the journal record streams.
-func runTransportTrace(t *testing.T, useWire bool) (StatsResponse, map[int][]journal.Record) {
+// errorPaths drives every in-band failure once and returns what the client
+// saw for each: the error text, or the ack when the call succeeded. It
+// runs after the trace, on a server with 8 of its 16 worker slots taken.
+func errorPaths(t *testing.T, drv transportDriver) []string {
+	t.Helper()
+	var out []string
+	saw := func(ack string, err error) {
+		if err != nil {
+			ack = err.Error()
+		}
+		out = append(out, ack)
+	}
+	_, err := drv.submit(100, nil)
+	saw("", err)
+	_, err = drv.submit(100, []float64{5, 0})
+	saw("", err)
+	// Fill the worker table, then ask for one slot more.
+	extra := make([]string, 8)
+	for i := range extra {
+		extra[i] = fmt.Sprintf("x%02d", i)
+	}
+	if _, err := drv.fetchAll(extra); err != nil {
+		t.Fatalf("filling the worker table: %v", err)
+	}
+	_, err = drv.fetchAll([]string{"overflow"})
+	saw("", err)
+	acks, err := drv.reportAll([]traceReport{{worker: "ghost", replica: 1}})
+	saw(strings.Join(acks, ","), err)
+	saw(drv.heartbeat("ghost", 1))
+	return out
+}
+
+// runTransportTrace replays the seeded trace, then the error paths, over
+// the given transport against a fresh two-shard journaled server and
+// returns the normalized final stats, the journal record streams and the
+// error-path outcomes.
+func runTransportTrace(t *testing.T, useWire bool) (StatsResponse, map[int][]journal.Record, []string) {
 	t.Helper()
 	dir := t.TempDir()
 	clk := &fakeClock{}
@@ -288,6 +323,7 @@ func runTransportTrace(t *testing.T, useWire bool) (StatsResponse, map[int][]jou
 		}
 		clk.advance(1.5)
 	}
+	failures := errorPaths(t, drv)
 
 	// Final stats come over HTTP on both runs: the compatibility front
 	// end reads whatever state the driving transport built.
@@ -297,15 +333,38 @@ func runTransportTrace(t *testing.T, useWire bool) (StatsResponse, map[int][]jou
 	if err != nil {
 		t.Fatal(err)
 	}
-	return normalizeStats(st), scanRecords(t, s, dir)
+	return normalizeStats(st), scanRecords(t, s, dir), failures
 }
 
 // TestWireHTTPDifferential is the transport equivalence proof: identical
 // traffic through HTTP and through the binary wire protocol must produce
-// bit-identical scheduler summaries and journal record streams.
+// bit-identical scheduler summaries and journal record streams, and the
+// same answer to every request the server refuses.
 func TestWireHTTPDifferential(t *testing.T) {
-	httpStats, httpRecs := runTransportTrace(t, false)
-	wireStats, wireRecs := runTransportTrace(t, true)
+	httpStats, httpRecs, httpFails := runTransportTrace(t, false)
+	wireStats, wireRecs, wireFails := runTransportTrace(t, true)
+
+	// The refusals: one text per failure whichever transport carried it
+	// (HTTP adds its status code; an unknown worker is 404 there and the
+	// "unknown" ack on the wire).
+	wantFails := []struct{ what, http, wire string }{
+		{"empty bag", "serve: /v1/bags: status 400: empty bag", "wire: submit: empty bag"},
+		{"non-positive work", "serve: /v1/bags: status 400: task work must be positive", "wire: submit: task work must be positive"},
+		{"capacity exhausted", "serve: /v1/workers/overflow/fetch: status 503: worker capacity 16 exhausted", "batched fetch: worker capacity 16 exhausted"},
+		{"report from an unknown worker", "serve: /v1/workers/ghost/report: status 404: unknown worker", "unknown"},
+		{"heartbeat from an unknown worker", "serve: /v1/workers/ghost/heartbeat: status 404: unknown worker", "unknown"},
+	}
+	if len(httpFails) != len(wantFails) || len(wireFails) != len(wantFails) {
+		t.Fatalf("error paths: http saw %q, wire saw %q", httpFails, wireFails)
+	}
+	for i, w := range wantFails {
+		if httpFails[i] != w.http {
+			t.Errorf("%s over HTTP: %q, want %q", w.what, httpFails[i], w.http)
+		}
+		if wireFails[i] != w.wire {
+			t.Errorf("%s over wire: %q, want %q", w.what, wireFails[i], w.wire)
+		}
+	}
 
 	// Guard against a vacuous pass: the trace must have exercised real
 	// scheduling and journaling on every shard.
@@ -336,5 +395,41 @@ func TestWireHTTPDifferential(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestWireSessionInternBounded pins the session's memory bound: a peer
+// cycling through worker IDs the server never registers — reports and
+// heartbeats from strangers, fetches refused for capacity — leaves
+// nothing behind, in the session's intern map or the router's pins.
+func TestWireSessionInternBounded(t *testing.T) {
+	const registered = 4
+	s, err := NewServer(Config{MaxWorkers: registered, Lease: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sess := s.WireHandler().NewSession().(*wireSession)
+	for i := 0; i < registered; i++ {
+		if _, err := sess.Fetch([]byte(fmt.Sprintf("w%d", i)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		id := []byte(fmt.Sprintf("stranger-%d", i))
+		if ack, _ := sess.Report(id, 1, false); ack != wire.AckUnknown {
+			t.Fatalf("report from %s: %v", id, ack)
+		}
+		if ack := sess.Heartbeat(id, 1); ack != wire.AckUnknown {
+			t.Fatalf("heartbeat from %s: %v", id, ack)
+		}
+		if _, err := sess.Fetch(id, 0); err == nil {
+			t.Fatalf("fetch for %s succeeded past MaxWorkers", id)
+		}
+	}
+	pins := 0
+	s.pins.Range(func(any, any) bool { pins++; return true })
+	if len(sess.intern) != registered || pins != registered {
+		t.Fatalf("%d interned IDs and %d pins for %d registered workers", len(sess.intern), pins, registered)
 	}
 }

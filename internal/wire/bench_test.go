@@ -7,6 +7,8 @@ package wire
 
 import (
 	"testing"
+
+	"botgrid/internal/frame"
 )
 
 func BenchmarkWireEncode(b *testing.B) {
@@ -40,7 +42,7 @@ func BenchmarkWireEncode(b *testing.B) {
 		var dst []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = appendFrame(dst[:0], msgFetch, payload)
+			dst = frame.AppendTyped(dst[:0], msgBatch, payload)
 		}
 	})
 }

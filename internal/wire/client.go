@@ -1,8 +1,8 @@
 package wire
 
-// The client side: one persistent connection, single-shot operations
-// mirroring the HTTP client, and the Batch builder that packs any mix of
-// operations for any number of worker identities into one round-trip.
+// The client side: one persistent connection and the Batch builder that
+// packs any mix of operations for any number of worker identities into
+// one round-trip. The single-shot operations are batches of one.
 
 import (
 	"bufio"
@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"botgrid/internal/frame"
 )
 
 // Client speaks the binary dispatch protocol over one persistent TCP
@@ -81,16 +83,16 @@ func (c *Client) Close() error {
 // Err returns the sticky fatal error, nil while the client is healthy.
 func (c *Client) Err() error { return c.err }
 
-// send writes one frame and flushes it. The frame is staged through
-// appendFrame into a reusable buffer — handing writeFrame's header array
-// to the bufio.Writer would heap-allocate it on every request.
+// send writes one frame and flushes it. The frame is staged into a
+// reusable buffer — handing frame.Write's header array to the
+// bufio.Writer would heap-allocate it on every request.
 //
 //botlint:hotpath
 func (c *Client) send(typ byte, payload []byte) error {
 	if c.err != nil {
 		return c.err
 	}
-	c.fbuf = appendFrame(c.fbuf[:0], typ, payload)
+	c.fbuf = frame.AppendTyped(c.fbuf[:0], typ, payload)
 	if _, err := c.bw.Write(c.fbuf); err != nil {
 		c.err = err
 		return err
@@ -108,7 +110,7 @@ func (c *Client) recv(want byte) ([]byte, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	typ, payload, buf, err := readFrame(c.br, c.rbuf)
+	typ, payload, buf, err := frame.Read(c.br, c.rbuf, msgMax)
 	c.rbuf = buf
 	if err != nil {
 		c.err = err
@@ -125,93 +127,54 @@ func (c *Client) recv(want byte) ([]byte, error) {
 	return payload, nil
 }
 
-// roundTrip sends the staged payload as one frame and reads the paired
-// response.
-func (c *Client) roundTrip(req, resp byte) ([]byte, error) {
-	if err := c.send(req, c.pbuf); err != nil {
-		return nil, err
+// one runs a single-operation batch and returns its only result.
+func (b *Batch) one() (BatchResult, error) {
+	res, err := b.Do()
+	if err != nil {
+		return BatchResult{}, err
 	}
-	return c.recv(resp)
+	return res[0], nil
 }
 
 // Submit enters a bag and returns its global ID and task count.
 func (c *Client) Submit(granularity float64, works []float64) (SubmitResult, error) {
-	c.pbuf = appendSubmit(c.pbuf[:0], granularity, works)
-	payload, err := c.roundTrip(msgSubmit, msgSubmitResp)
-	if err != nil {
-		return SubmitResult{}, err
+	b := c.NewBatch()
+	b.Submit(granularity, works)
+	res, err := b.one()
+	if err == nil && res.Err != "" {
+		err = fmt.Errorf("wire: submit: %s", res.Err)
 	}
-	r := reader{data: payload}
-	res, msg, err := decodeSubmitResp(&r)
-	if err == nil {
-		err = r.done()
-	}
-	if err != nil {
-		c.err = err
-		return SubmitResult{}, err
-	}
-	if msg != nil {
-		return SubmitResult{}, fmt.Errorf("wire: submit: %s", msg)
-	}
-	return res, nil
+	return res.Submit, err
 }
 
 // Fetch requests worker's current assignment, registering it on first
 // contact (power 0 keeps the server's default).
 func (c *Client) Fetch(worker string, power float64) (FetchResult, error) {
-	c.pbuf = appendFetch(c.pbuf[:0], worker, power)
-	payload, err := c.roundTrip(msgFetch, msgFetchResp)
-	if err != nil {
-		return FetchResult{}, err
+	b := c.NewBatch()
+	b.Fetch(worker, power)
+	res, err := b.one()
+	if err == nil && res.Err != "" {
+		err = fmt.Errorf("wire: fetch: %s", res.Err)
 	}
-	r := reader{data: payload}
-	res, msg, err := decodeFetchResp(&r)
-	if err == nil {
-		err = r.done()
-	}
-	if err != nil {
-		c.err = err
-		return FetchResult{}, err
-	}
-	if msg != nil {
-		return FetchResult{}, fmt.Errorf("wire: fetch: %s", msg)
-	}
-	return res, nil
+	return res.Fetch, err
 }
 
 // Report reports an assignment outcome; failed requests the paper's
 // machine-failure treatment (kill + resubmit). Reports renew the lease:
 // no separate heartbeat is needed around one.
 func (c *Client) Report(worker string, replica uint64, failed bool) (Ack, error) {
-	c.pbuf = appendReport(c.pbuf[:0], worker, replica, failed)
-	payload, err := c.roundTrip(msgReport, msgReportResp)
-	if err != nil {
-		return 0, err
-	}
-	return c.finishAck(payload)
+	b := c.NewBatch()
+	b.Report(worker, replica, failed)
+	res, err := b.one()
+	return res.Ack, err
 }
 
 // Heartbeat renews worker's lease mid-computation.
 func (c *Client) Heartbeat(worker string, replica uint64) (Ack, error) {
-	c.pbuf = appendHeartbeat(c.pbuf[:0], worker, replica)
-	payload, err := c.roundTrip(msgHeartbeat, msgHeartbeatResp)
-	if err != nil {
-		return 0, err
-	}
-	return c.finishAck(payload)
-}
-
-func (c *Client) finishAck(payload []byte) (Ack, error) {
-	r := reader{data: payload}
-	ack, err := decodeAckResp(&r)
-	if err == nil {
-		err = r.done()
-	}
-	if err != nil {
-		c.err = err
-		return 0, err
-	}
-	return ack, nil
+	b := c.NewBatch()
+	b.Heartbeat(worker, replica)
+	res, err := b.one()
+	return res.Ack, err
 }
 
 // BatchResult is one sub-operation's outcome, in submission order. Which
@@ -236,7 +199,8 @@ type Batch struct {
 }
 
 // NewBatch returns the client's reusable batch builder, reset. Only one
-// batch per client may be in flight (the client is serial anyway).
+// batch per client may be under construction or in flight (the client is
+// serial anyway); the single-shot operations use the same builder.
 func (c *Client) NewBatch() *Batch {
 	b := &c.batch
 	b.c = c

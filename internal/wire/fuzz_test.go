@@ -11,16 +11,18 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"botgrid/internal/frame"
 )
 
 func FuzzWireCodec(f *testing.F) {
-	f.Add([]byte{}, byte(msgFetch))
-	f.Add(appendFetch(nil, "worker", 10), byte(msgFetch))
-	f.Add(appendSubmit(nil, 100, []float64{1, 2, 3}), byte(msgSubmit))
-	f.Add(appendReport(nil, "w", 7, true), byte(msgReport))
-	f.Add(appendHeartbeat(nil, "w", 7), byte(msgHeartbeat))
-	f.Add(appendFetchResp(nil, FetchResult{Assigned: true, Replica: 3, Work: 5}, ""), byte(msgFetchResp))
-	f.Add(appendSubmitResp(nil, SubmitResult{Bag: 1, Tasks: 2}, ""), byte(msgSubmitResp))
+	f.Add([]byte{}, msgBatch)
+	f.Add(appendFetch(nil, "worker", 10), msgBatch)
+	f.Add(appendSubmit(nil, 100, []float64{1, 2, 3}), msgBatch)
+	f.Add(appendReport(nil, "w", 7, true), msgBatch)
+	f.Add(appendHeartbeat(nil, "w", 7), msgBatch)
+	f.Add(appendFetchResp(nil, FetchResult{Assigned: true, Replica: 3, Work: 5}, ""), msgBatch)
+	f.Add(appendSubmitResp(nil, SubmitResult{Bag: 1, Tasks: 2}, ""), msgBatch)
 
 	f.Fuzz(func(t *testing.T, data []byte, kind byte) {
 		r := reader{data: data}
@@ -95,26 +97,26 @@ func FuzzWireCodec(f *testing.F) {
 		// single-byte payload corruption must error, never hang or panic.
 		if kind >= 1 && kind <= msgMax && len(data) < 1<<16 {
 			var buf bytes.Buffer
-			if err := writeFrame(&buf, kind, data); err != nil {
+			if err := frame.Write(&buf, kind, data); err != nil {
 				t.Fatal(err)
 			}
 			raw := buf.Bytes()
-			typ, payload, _, err := readFrame(bytes.NewReader(raw), nil)
+			typ, payload, _, err := frame.Read(bytes.NewReader(raw), nil, msgMax)
 			if err != nil || typ != kind || !bytes.Equal(payload, data) {
 				t.Fatalf("frame round-trip: type %d err %v", typ, err)
 			}
-			for _, cut := range []int{0, 1, frameHeader - 1, len(raw) - 1} {
+			for _, cut := range []int{0, 1, frame.TypedHeaderSize - 1, len(raw) - 1} {
 				if cut >= len(raw) {
 					continue
 				}
-				if _, _, _, err := readFrame(bytes.NewReader(raw[:cut]), nil); err == nil {
+				if _, _, _, err := frame.Read(bytes.NewReader(raw[:cut]), nil, msgMax); err == nil {
 					t.Fatalf("truncated frame (%d of %d bytes) decoded", cut, len(raw))
 				}
 			}
 			if len(data) > 0 {
 				bad := append([]byte(nil), raw...)
-				bad[frameHeader+int(kind)%len(data)] ^= 0x55
-				if _, _, _, err := readFrame(bytes.NewReader(bad), nil); !errors.Is(err, errChecksum) {
+				bad[frame.TypedHeaderSize+int(kind)%len(data)] ^= 0x55
+				if _, _, _, err := frame.Read(bytes.NewReader(bad), nil, msgMax); !errors.Is(err, frame.ErrChecksum) {
 					t.Fatalf("corrupted frame: %v", err)
 				}
 			}

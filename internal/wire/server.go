@@ -11,9 +11,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
+
+	"botgrid/internal/frame"
 )
 
 // Pending is a durability obligation produced by an operation: record LSN
@@ -170,7 +171,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 	// Handshake: the very first frame must be hello with the right magic,
 	// so a stray client speaking another protocol is refused immediately.
-	typ, payload, buf, err := readFrame(br, nil)
+	typ, payload, buf, err := frame.Read(br, nil, msgMax)
 	if err != nil || typ != msgHello {
 		return
 	}
@@ -181,7 +182,7 @@ func (s *Server) serveConn(c net.Conn) {
 		sendError(bw, fmt.Errorf("wire: protocol version %d not supported (server speaks %d)", v, protoVersion))
 		return
 	}
-	if err := writeFrame(bw, msgHelloResp, []byte{protoVersion}); err != nil {
+	if err := frame.Write(bw, msgHelloResp, []byte{protoVersion}); err != nil {
 		return
 	}
 	if err := bw.Flush(); err != nil {
@@ -190,7 +191,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 	cs := &connState{}
 	for {
-		typ, payload, buf, err = readFrame(br, buf)
+		typ, payload, buf, err = frame.Read(br, buf, msgMax)
 		if err != nil {
 			return // io.EOF: clean close; anything else: drop the conn
 		}
@@ -220,82 +221,47 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// handleFrame decodes and executes one request frame, staging its
-// response frame in cs.out. A returned error is connection-fatal (corrupt
-// or out-of-protocol frame).
+// handleFrame decodes and executes one request frame — always a batch —
+// staging its response frame in cs.out. A returned error is
+// connection-fatal (corrupt or out-of-protocol frame).
 func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []byte) error {
-	r := reader{data: payload}
-	cs.scratch = cs.scratch[:0]
-	switch typ {
-	case msgSubmit:
-		if err := s.execSubmit(sess, cs, &r); err != nil {
-			return err
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		cs.out = appendFrame(cs.out, msgSubmitResp, cs.scratch)
-	case msgFetch:
-		if err := s.execFetch(sess, cs, &r); err != nil {
-			return err
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		cs.out = appendFrame(cs.out, msgFetchResp, cs.scratch)
-	case msgReport:
-		if err := s.execReport(sess, cs, &r); err != nil {
-			return err
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		cs.out = appendFrame(cs.out, msgReportResp, cs.scratch)
-	case msgHeartbeat:
-		if err := s.execHeartbeat(sess, cs, &r); err != nil {
-			return err
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		cs.out = appendFrame(cs.out, msgHeartbeatResp, cs.scratch)
-	case msgBatch:
-		n := r.uint()
-		if r.err != nil {
-			return r.err
-		}
-		if n > maxBatchOps {
-			return errRange
-		}
-		cs.scratch = binary.AppendUvarint(cs.scratch, uint64(n))
-		for i := 0; i < n; i++ {
-			var err error
-			switch op := r.u8(); op {
-			case opSubmit:
-				err = s.execSubmit(sess, cs, &r)
-			case opFetch:
-				err = s.execFetch(sess, cs, &r)
-			case opReport:
-				err = s.execReport(sess, cs, &r)
-			case opHeartbeat:
-				err = s.execHeartbeat(sess, cs, &r)
-			default:
-				if r.err != nil {
-					return r.err
-				}
-				err = errRange
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if err := r.done(); err != nil {
-			return err
-		}
-		cs.out = appendFrame(cs.out, msgBatchResp, cs.scratch)
-	default:
+	if typ != msgBatch {
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, typ)
 	}
+	r := reader{data: payload}
+	n := r.uint()
+	if r.err != nil {
+		return r.err
+	}
+	if n > maxBatchOps {
+		return errRange
+	}
+	cs.scratch = binary.AppendUvarint(cs.scratch[:0], uint64(n))
+	for i := 0; i < n; i++ {
+		var err error
+		switch op := r.u8(); op {
+		case opSubmit:
+			err = s.execSubmit(sess, cs, &r)
+		case opFetch:
+			err = s.execFetch(sess, cs, &r)
+		case opReport:
+			err = s.execReport(sess, cs, &r)
+		case opHeartbeat:
+			err = s.execHeartbeat(sess, cs, &r)
+		default:
+			if r.err != nil {
+				return r.err
+			}
+			err = errRange
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := r.done(); err != nil {
+		return err
+	}
+	cs.out = frame.AppendTyped(cs.out, msgBatchResp, cs.scratch)
 	return nil
 }
 
@@ -353,7 +319,7 @@ func errString(err error) string {
 // sendError best-effort ships a fatal error to the peer before the
 // connection closes.
 func sendError(bw flusher, err error) {
-	if werr := writeFrame(bw, msgError, []byte(err.Error())); werr == nil {
+	if werr := frame.Write(bw, msgError, []byte(err.Error())); werr == nil {
 		//botlint:ignore errcheck -- best-effort delivery: the connection is being torn down for err already
 		bw.Flush()
 	}
@@ -362,17 +328,6 @@ func sendError(bw flusher, err error) {
 type flusher interface {
 	Write([]byte) (int, error)
 	Flush() error
-}
-
-// appendFrame renders a complete frame into dst (the staging buffer).
-//
-//botlint:hotpath
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	dst = append(dst, payload...)
-	return dst
 }
 
 // connBufSize sizes each connection's read and write buffers: large

@@ -3,28 +3,25 @@
 // connections, replacing one JSON-over-HTTP round-trip per worker poll
 // with typed binary messages and batched traffic.
 //
-// Framing is the journal's segment discipline byte-for-byte — a length
-// prefix and a CRC32-IEEE checksum guarding every payload — with a type
-// byte in front, exactly as the replication layer's log-transfer protocol
-// frames its messages:
+// Every message is a typed internal/frame frame — the journal's segment
+// framing with a type byte in front, exactly as the replication layer's
+// log-transfer protocol frames its messages — so a frame that survives
+// the checksum is as trustworthy as a journal record read back from disk.
+// Payload encodings reuse the journal record codec's conventions
+// (uvarints for counts and IDs, IEEE-754 bits for times and works), so
+// where message shapes overlap — a submitted bag's granularity + works
+// vector is the journal's KindBagSubmitted payload sans bag ID — the
+// bytes match.
 //
-//	[1B type][uint32 LE payload length][uint32 LE CRC32-IEEE][payload]
-//
-// A frame that survives the checksum is as trustworthy as a journal
-// record read back from disk. Payload encodings reuse the journal record
-// codec's conventions (uvarints for counts and IDs, IEEE-754 bits for
-// times and works), so where message shapes overlap — a submitted bag's
-// granularity + works vector is the journal's KindBagSubmitted payload
-// sans bag ID — the bytes match.
-//
-// The message set mirrors internal/serve's HTTP protocol one endpoint to
-// one frame type (submit, fetch, report, heartbeat), plus the batch form:
-// one msgBatch frame carries any mix of sub-operations for any number of
-// worker identities and is answered by one msgBatchResp, so a driver
-// multiplexing N workers fetches N tasks in a single round-trip. Every
-// fetch and report renews the owning worker's lease exactly like its HTTP
-// twin — a report IS a heartbeat, piggybacked; separate heartbeat frames
-// exist only for workers mid-computation between reports.
+// After the hello handshake the protocol has one request shape: a
+// msgBatch frame carrying any mix of the four sub-operations (submit,
+// fetch, report, heartbeat — internal/serve's HTTP endpoints, one op code
+// each) for any number of worker identities, answered by one
+// msgBatchResp, so a driver multiplexing N workers fetches N tasks in a
+// single round-trip. A single operation is a batch of one. Every fetch
+// and report renews the owning worker's lease — a report IS a heartbeat,
+// piggybacked; heartbeat ops exist only for workers mid-computation
+// between reports.
 //
 // Durability acks coalesce: the server executes every operation of a
 // batch (and of any further frames already buffered on the connection),
@@ -39,34 +36,23 @@
 // buffer) and annotated //botlint:hotpath.
 package wire
 
-import (
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
-	"io"
-)
+import "errors"
 
-// Frame types. Requests and responses pair up; hello opens a connection.
+// Frame types. Numbers 3–10 were protocol version 1's standalone
+// submit/fetch/report/heartbeat frames; they stay unassigned so hello,
+// helloResp and error mean the same thing to every version and a
+// mismatched peer fails its handshake with a readable error.
 const (
-	msgHello         byte = 1  // client → server: magic + proto version
-	msgHelloResp     byte = 2  // server → client: version + retry hint
-	msgSubmit        byte = 3  // client → server: one bag        (opSubmit payload)
-	msgSubmitResp    byte = 4  // server → client: bag ID + tasks
-	msgFetch         byte = 5  // client → server: one worker poll (opFetch payload)
-	msgFetchResp     byte = 6  // server → client: assignment or retry hint
-	msgReport        byte = 7  // client → server: done/failed    (opReport payload)
-	msgReportResp    byte = 8  // server → client: ack
-	msgHeartbeat     byte = 9  // client → server: lease renewal  (opHeartbeat payload)
-	msgHeartbeatResp byte = 10 // server → client: ack
-	msgBatch         byte = 11 // client → server: count + mixed sub-ops
-	msgBatchResp     byte = 12 // server → client: count + sub-responses
-	msgError         byte = 13 // server → client: fatal error, connection closes
+	msgHello     byte = 1  // client → server: magic + proto version
+	msgHelloResp byte = 2  // server → client: version
+	msgBatch     byte = 11 // client → server: count + mixed sub-ops
+	msgBatchResp byte = 12 // server → client: count + sub-responses
+	msgError     byte = 13 // server → client: fatal error, connection closes
 
 	msgMax = msgError
 )
 
-// Sub-operation codes inside a msgBatch payload; standalone request frames
-// carry the same payload encodings without the op byte.
+// Sub-operation codes inside a msgBatch payload.
 const (
 	opSubmit    byte = 1
 	opFetch     byte = 2
@@ -80,85 +66,19 @@ const (
 const protoMagic = "BGWIRE1\n"
 
 // protoVersion is the codec version exchanged in the hello handshake.
-const protoVersion = 1
+// Version 2 dropped the standalone request frames: every request is a
+// batch.
+const protoVersion = 2
 
 // Decode limits: payloads claiming more are rejected as corrupt before
 // any allocation is sized from network input. maxWorks and maxWorkerID
 // match the journal record codec's limits.
 const (
-	maxFramePayload = 1 << 26
-	maxWorks        = 1 << 24
-	maxWorkerID     = 4096
-	maxBatchOps     = 1 << 16
+	maxWorks    = 1 << 24
+	maxWorkerID = 4096
+	maxBatchOps = 1 << 16
 )
-
-const frameHeader = 9
 
 // ErrBadFrame reports an undecodable or corrupt wire frame; the
 // connection it arrived on is beyond recovery and must be closed.
 var ErrBadFrame = errors.New("wire: bad frame")
-
-// Static frame errors: the codec path is hot, so errors carry no
-// formatted context (the frame type and connection are logged by the
-// caller, outside the hot path).
-var (
-	errUnknownType = errors.New("wire: bad frame: unknown type")
-	errOversized   = errors.New("wire: bad frame: oversized payload")
-	errChecksum    = errors.New("wire: bad frame: checksum mismatch")
-)
-
-// writeFrame sends one frame. Callers own buffering (a bufio.Writer per
-// connection) and flushing. It is cold-path only — the handshake and the
-// error teardown; request traffic stages frames with appendFrame into
-// reusable buffers instead, because the header array's address escaping
-// into the io.Writer would put an allocation on every send.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [frameHeader]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads and validates one frame, reusing buf when it is large
-// enough. The returned payload aliases the (possibly grown) buffer. The
-// header is read into the front of buf — its fields are extracted before
-// the payload read overwrites them — so the steady state touches no fresh
-// memory.
-//
-//botlint:hotpath
-func readFrame(r io.Reader, buf []byte) (byte, []byte, []byte, error) {
-	if cap(buf) < frameHeader {
-		//botlint:ignore escape -- connection's first read: the reusable frame buffer is born here and returned for every later call
-		buf = make([]byte, frameHeader)
-	}
-	hdr := buf[:frameHeader]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, buf, err
-	}
-	typ := hdr[0]
-	if typ < msgHello || typ > msgMax {
-		return 0, nil, buf, errUnknownType
-	}
-	length := binary.LittleEndian.Uint32(hdr[1:])
-	sum := binary.LittleEndian.Uint32(hdr[5:])
-	if length > maxFramePayload {
-		return 0, nil, buf, errOversized
-	}
-	if cap(buf) < int(length) {
-		//botlint:ignore escape -- payload growth to the burst's high-water mark; the grown buffer is returned and reused
-		buf = make([]byte, length)
-	}
-	payload := buf[:length]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, buf, errChecksum
-	}
-	return typ, payload, buf, nil
-}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+
+	"botgrid/internal/frame"
 )
 
 // --- Codec round-trips ---
@@ -166,41 +169,41 @@ func nanFloat() float64 {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frame")
-	if err := writeFrame(&buf, msgFetch, payload); err != nil {
+	if err := frame.Write(&buf, msgBatch, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, _, err := readFrame(&buf, nil)
+	typ, got, _, err := frame.Read(&buf, nil, msgMax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != msgFetch || !bytes.Equal(got, payload) {
+	if typ != msgBatch || !bytes.Equal(got, payload) {
 		t.Fatalf("got type %d payload %q", typ, got)
 	}
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgFetch, []byte("payload")); err != nil {
+	if err := frame.Write(&buf, msgBatch, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	// Flip one payload byte: checksum must catch it.
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)-1] ^= 0xff
-	if _, _, _, err := readFrame(bytes.NewReader(flipped), nil); !errors.Is(err, errChecksum) {
+	if _, _, _, err := frame.Read(bytes.NewReader(flipped), nil, msgMax); !errors.Is(err, frame.ErrChecksum) {
 		t.Fatalf("flipped byte: %v", err)
 	}
 	// Unknown type byte.
 	bad := append([]byte(nil), raw...)
 	bad[0] = 200
-	if _, _, _, err := readFrame(bytes.NewReader(bad), nil); !errors.Is(err, errUnknownType) {
+	if _, _, _, err := frame.Read(bytes.NewReader(bad), nil, msgMax); !errors.Is(err, frame.ErrType) {
 		t.Fatalf("unknown type: %v", err)
 	}
 	// Truncated stream.
-	if _, _, _, err := readFrame(bytes.NewReader(raw[:5]), nil); err == nil {
+	if _, _, _, err := frame.Read(bytes.NewReader(raw[:5]), nil, msgMax); err == nil {
 		t.Fatal("truncated header decoded")
 	}
-	if _, _, _, err := readFrame(bytes.NewReader(raw[:len(raw)-2]), nil); err == nil {
+	if _, _, _, err := frame.Read(bytes.NewReader(raw[:len(raw)-2]), nil, msgMax); err == nil {
 		t.Fatal("truncated payload decoded")
 	}
 }
@@ -406,22 +409,28 @@ func TestHandshakeRejectsStrangers(t *testing.T) {
 		t.Fatalf("stray HTTP client got %d response bytes, want a dropped connection", n)
 	}
 
-	// A wire client with a future protocol version gets an explicit error.
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	hello := append([]byte(protoMagic), 99)
-	if err := writeFrame(conn2, msgHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, _, err := readFrame(conn2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != msgError || !bytes.Contains(payload, []byte("version")) {
-		t.Fatalf("version mismatch answer: type %d %q", typ, payload)
+	// A wire client with another protocol version — the retired v1 or a
+	// future one — gets an explicit error frame, then the connection closes.
+	for _, version := range []byte{1, 99} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := append([]byte(protoMagic), version)
+		if err := frame.Write(conn, msgHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, _, err := frame.Read(conn, nil, msgMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != msgError || !bytes.Contains(payload, []byte("version")) {
+			t.Fatalf("version %d answer: type %d %q", version, typ, payload)
+		}
+		if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("version %d: connection not closed after the error frame: %v", version, err)
+		}
 	}
 }
 
@@ -435,9 +444,9 @@ func TestServerDropsCorruptFrames(t *testing.T) {
 	defer c.Close()
 	// Corrupt a frame on the raw connection: flip payload bytes under the
 	// checksum. The server must drop the connection.
-	payload := appendFetch(nil, "w", 1)
-	payload[0] ^= 0xff // length byte of the worker string: now nonsense
-	if err := writeFrame(c.conn, msgFetch, payload); err != nil {
+	payload := appendFetch([]byte{1, opFetch}, "w", 1)
+	payload[2] ^= 0xff // length byte of the worker string: now nonsense
+	if err := frame.Write(c.conn, msgBatch, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Fetch("w", 1); err == nil {
