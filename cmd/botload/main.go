@@ -1,23 +1,15 @@
 // Command botload is the load generator for botserved: it spins up a
 // fleet of simulated HTTP workers (with configurable failure and latency
 // injection) against a live work-dispatch server, submits a batch of
-// Bags-of-Tasks, drives them to completion and reports sustained dispatch
-// throughput, fetch round-trip percentiles and the server's own
-// scheduling-decision latency percentiles.
+// Bags-of-Tasks, drives them to completion and reports dispatch
+// throughput, replica overhead, fetch round-trip percentiles and the
+// server's own scheduling-decision latency percentiles.
 //
 //	botload -addr 127.0.0.1:8431 -workers 50 -bags 8 -tasks 100
 //
 // With -addr "" botload starts an in-process server on a loopback port,
-// so a single invocation benchmarks the whole dispatch path; -shards runs
+// so a single invocation drives the whole dispatch path; -shards runs
 // that server's dispatch plane sharded.
-//
-// With -duration set, botload switches from drain-a-batch to sustained
-// mode: a feeder keeps the queue topped up, -drivers goroutines multiplex
-// the -workers simulated worker identities (so 100k+ workers need only a
-// few hundred goroutines), and after a warmup the sustained dispatch rate
-// and fetch-RTT percentiles are measured over the window. -bench
-// additionally emits the result as a `go test -bench`-format line, which
-// `make bench-serve` pipes through benchjson into BENCH_serve.json.
 package main
 
 import (
@@ -31,7 +23,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,7 +32,6 @@ import (
 	"botgrid/internal/core"
 	"botgrid/internal/rng"
 	"botgrid/internal/serve"
-	"botgrid/internal/wire"
 )
 
 type options struct {
@@ -61,10 +51,6 @@ type options struct {
 	timeout   time.Duration
 	seed      uint64
 	shards    int
-	duration  time.Duration
-	drivers   int
-	bench     bool
-	wire      bool
 }
 
 func main() {
@@ -86,10 +72,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall run timeout")
 	flag.Uint64Var(&o.seed, "seed", 7, "seed for workload and failure injection")
 	flag.IntVar(&o.shards, "shards", 1, "scheduler shards for the in-process server")
-	flag.DurationVar(&o.duration, "duration", 0, "sustained mode: measure steady-state throughput over this window instead of draining -bags")
-	flag.IntVar(&o.drivers, "drivers", 64, "sustained mode: goroutines multiplexing the -workers identities")
-	flag.BoolVar(&o.bench, "bench", false, "sustained mode: also print a go-bench-format result line for benchjson")
-	flag.BoolVar(&o.wire, "wire", false, "sustained mode: drive dispatch over the binary wire protocol (batched fetch/report) instead of HTTP")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -108,11 +90,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 		return hammer(ctx, o, w)
 	}
 
-	if o.wire && (o.addr != "" || o.duration <= 0) {
-		return errors.New("-wire requires sustained mode against the in-process server (-addr \"\" -duration > 0)")
-	}
 	addr := o.addr
-	wireAddr := ""
 	if addr == "" {
 		k, err := core.ParsePolicy(o.policy)
 		if err != nil {
@@ -139,23 +117,9 @@ func run(ctx context.Context, o options, w io.Writer) error {
 		go hs.Serve(ln)
 		defer hs.Close()
 		addr = ln.Addr().String()
-		if o.wire {
-			wln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			ws := wire.NewServer(srv.WireHandler())
-			go ws.Serve(wln)
-			//botlint:ignore errcheck -- best-effort teardown of the load generator's in-process listener on exit
-			defer ws.Close()
-			wireAddr = wln.Addr().String()
-		}
 		fmt.Fprintf(w, "in-process server: policy %s, %d shards, on %s\n", k, o.shards, addr)
 	}
 	c := serve.NewClient("http://" + addr)
-	if o.duration > 0 {
-		return sustain(ctx, o, w, c, wireAddr)
-	}
 
 	// Submit the workload: o.bags bags of o.tasks tasks with the paper's
 	// U[0.5X, 1.5X] durations.
@@ -173,8 +137,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 	// Launch the fleet; every worker feeds one shared RTT recorder.
 	rtt := serve.NewLatencyRecorder(1 << 16)
 	var wg sync.WaitGroup
-	workers := make([]*serve.SimWorker, o.workers)
-	for i := range workers {
+	for i := 0; i < o.workers; i++ {
 		sw := serve.NewSimWorker(c, serve.WorkerConfig{
 			ID:             fmt.Sprintf("load-%03d", i),
 			Power:          o.power,
@@ -184,7 +147,6 @@ func run(ctx context.Context, o options, w io.Writer) error {
 			Poll:           time.Millisecond,
 		}, rng.Root(o.seed, fmt.Sprintf("botload-worker-%d", i)))
 		sw.RTT = rtt
-		workers[i] = sw
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -216,251 +178,6 @@ func run(ctx context.Context, o options, w io.Writer) error {
 
 	report(w, o, st, rtt.Summary(), elapsed)
 	return nil
-}
-
-// sustain is botload's steady-state mode: the queue is kept topped up by
-// a feeder, the fleet never drains it, and throughput is measured over a
-// fixed window after a warmup. Worker identities are multiplexed over
-// o.drivers goroutines, so the worker count scales to 100k+ without 100k
-// goroutines: each driver walks its stride of the identity space issuing
-// fetch -> (scaled compute) -> report, which is exactly the paper's pull
-// cycle with the think time removed.
-//
-// With wireAddr set (-wire), each driver holds one persistent binary
-// connection and walks its stride in batches: up to wireGroup fetches —
-// plus the previous group's reports — per round-trip, so the fetch-RTT
-// metric measures the batch round-trip a multiplexed worker actually
-// waits for. Submits and stats stay on HTTP either way.
-func sustain(ctx context.Context, o options, w io.Writer, c *serve.Client, wireAddr string) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	str := rng.Root(o.seed, "botload-works")
-	var submitMu sync.Mutex
-	submit := func() error {
-		submitMu.Lock()
-		works := make([]float64, o.tasks)
-		for j := range works {
-			works[j] = str.Uniform(0.5*o.work, 1.5*o.work)
-		}
-		submitMu.Unlock()
-		_, err := c.Submit(o.work, works)
-		return err
-	}
-	target := o.bags * o.tasks // queue depth the feeder maintains
-	for i := 0; i < o.bags; i++ {
-		if err := submit(); err != nil {
-			return fmt.Errorf("priming submit: %w", err)
-		}
-	}
-
-	rtt := serve.NewLatencyRecorder(1 << 16)
-	var dispatched atomic.Int64
-	drivers := o.drivers
-	if drivers <= 0 {
-		drivers = 64
-	}
-	if drivers > o.workers {
-		drivers = o.workers
-	}
-	var wg sync.WaitGroup
-	for d := 0; d < drivers; d++ {
-		wg.Add(1)
-		if wireAddr != "" {
-			go func(d int) {
-				defer wg.Done()
-				wireDriver(ctx, o, d, drivers, wireAddr, rtt, &dispatched)
-			}(d)
-			continue
-		}
-		go func(d int) {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				for i := d; i < o.workers; i += drivers {
-					if ctx.Err() != nil {
-						return
-					}
-					id := fmt.Sprintf("load-%06d", i)
-					t0 := time.Now()
-					fr, err := c.Fetch(id, o.power)
-					if err != nil {
-						continue
-					}
-					rtt.Observe(time.Since(t0))
-					if !fr.Assigned {
-						continue
-					}
-					dispatched.Add(1)
-					if o.timeScale > 0 {
-						time.Sleep(time.Duration(fr.Assignment.Work / o.power * o.timeScale * float64(time.Second)))
-					}
-					c.Report(id, fr.Assignment.Replica, serve.StatusDone)
-				}
-			}
-		}(d)
-	}
-	// The feeder tops the queue back up to the priming depth so the fleet
-	// never idles on an empty queue mid-window.
-	go func() {
-		t := time.NewTicker(10 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-			}
-			st, err := c.Stats()
-			if err != nil {
-				continue
-			}
-			for pending := st.PendingTasks + st.RunningReplicas; pending < target; pending += o.tasks {
-				if err := submit(); err != nil {
-					break
-				}
-			}
-		}
-	}()
-
-	// Warm up (registrations, connection pools, first rebalances), then
-	// measure the sustained window.
-	warm := o.duration / 5
-	if warm > 2*time.Second {
-		warm = 2 * time.Second
-	}
-	if err := sleepCtx(ctx, warm); err != nil {
-		return err
-	}
-	d0 := dispatched.Load()
-	st0, err := c.Stats()
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	if err := sleepCtx(ctx, o.duration); err != nil {
-		return err
-	}
-	d1 := dispatched.Load()
-	st1, err := c.Stats()
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(t0).Seconds()
-	cancel()
-	wg.Wait()
-
-	rate := float64(d1-d0) / elapsed
-	sum := rtt.Summary()
-	transport := "http"
-	if wireAddr != "" {
-		transport = "wire"
-	}
-	fmt.Fprintf(w, "\nsustained %s window, %d workers over %d drivers, %d shards, policy %s, transport %s\n",
-		o.duration, o.workers, drivers, o.shards, st1.Policy, transport)
-	fmt.Fprintf(w, "dispatch: %.0f/s sustained (%d assignments in window), completions %.0f/s\n",
-		rate, d1-d0, float64(st1.TasksCompleted-st0.TasksCompleted)/elapsed)
-	fmt.Fprintf(w, "fetch RTT (n=%d): p50 %s  p95 %s  p99 %s  max %s\n",
-		sum.Count, ms(sum.P50), ms(sum.P95), ms(sum.P99), ms(sum.Max))
-	d := st1.DecisionLatency
-	fmt.Fprintf(w, "decision latency (n=%d): p50 %s  p95 %s  p99 %s\n", d.Count, ms(d.P50), ms(d.P95), ms(d.P99))
-	if st1.ShardCount > 1 {
-		fmt.Fprintf(w, "shards: %d, %d rebalances, %d worker moves\n", st1.ShardCount, st1.Rebalances, st1.WorkerMoves)
-	}
-	if o.bench {
-		// One go-bench-format line so `botload ... -bench | benchjson`
-		// lands in the same JSON shape as `go test -bench` suites. The
-		// dispatch rate and the p99 fetch RTT are the tracked metrics;
-		// cpus records the host parallelism the number was measured at.
-		iters := d1 - d0
-		if iters < 1 {
-			iters = 1
-		}
-		fmt.Fprintf(w, "goos: %s\ngoarch: %s\n", runtime.GOOS, runtime.GOARCH)
-		fmt.Fprintf(w, "BenchmarkServeSustained/policy=%s/shards=%d/transport=%s-%d \t%d\t%.0f ns/op\t%.1f dispatch/s\t%.4f fetch-p99-ms\t%d cpus\n",
-			st1.Policy, o.shards, transport, runtime.GOMAXPROCS(0), iters, elapsed*1e9/float64(iters), rate, sum.P99*1e3, runtime.NumCPU())
-	}
-	return nil
-}
-
-// wireGroup is how many of a driver's worker identities share one batch
-// round-trip in -wire mode.
-const wireGroup = 64
-
-// wireDriver is one driver goroutine's loop over the binary transport:
-// walk the stride in groups, one batch per group carrying the previous
-// group's done-reports plus this group's fetches. A transport error
-// poisons the client (its assignments are re-fetched after redial —
-// fetch is idempotent, exactly the HTTP retry story).
-func wireDriver(ctx context.Context, o options, d, drivers int, wireAddr string,
-	rtt *serve.LatencyRecorder, dispatched *atomic.Int64) {
-	ids := make([]string, 0, (o.workers+drivers-1)/drivers)
-	for i := d; i < o.workers; i += drivers {
-		ids = append(ids, fmt.Sprintf("load-%06d", i))
-	}
-	var wc *wire.Client
-	defer func() {
-		if wc != nil {
-			//botlint:ignore errcheck -- driver teardown: the connection's fate no longer matters once the load window ends
-			wc.Close()
-		}
-	}()
-	repW := make([]string, 0, wireGroup) // workers awaiting a done-report
-	repR := make([]uint64, 0, wireGroup) // their replica tokens
-	for ctx.Err() == nil {
-		if wc == nil {
-			var err error
-			if wc, err = wire.Dial(wireAddr); err != nil {
-				if sleepCtx(ctx, 10*time.Millisecond) != nil {
-					return
-				}
-				continue
-			}
-			repW, repR = repW[:0], repR[:0]
-		}
-		for start := 0; start < len(ids) && ctx.Err() == nil; start += wireGroup {
-			group := ids[start:min(start+wireGroup, len(ids))]
-			b := wc.NewBatch()
-			for k := range repW {
-				b.Report(repW[k], repR[k], false)
-			}
-			nrep := len(repW)
-			for _, id := range group {
-				b.Fetch(id, o.power)
-			}
-			t0 := time.Now()
-			res, err := b.Do()
-			if err != nil {
-				//botlint:ignore errcheck -- the batch already failed; this close is cleanup before the redial
-				wc.Close()
-				wc = nil
-				break
-			}
-			rtt.Observe(time.Since(t0))
-			repW, repR = repW[:0], repR[:0]
-			for k, id := range group {
-				f := res[nrep+k].Fetch
-				if !f.Assigned {
-					continue
-				}
-				dispatched.Add(1)
-				if o.timeScale > 0 {
-					time.Sleep(time.Duration(f.Work / o.power * o.timeScale * float64(time.Second)))
-				}
-				repW = append(repW, id)
-				repR = append(repR, f.Replica)
-			}
-		}
-	}
-}
-
-// sleepCtx sleeps d or returns early with the context's error.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(d):
-		return nil
-	}
 }
 
 // hammer drives a replicated cluster through failovers: submits are
@@ -591,6 +308,8 @@ func report(w io.Writer, o options, st serve.StatsResponse, rtt serve.LatencySum
 		o.workers, o.bags, o.tasks, st.Policy, sec)
 	fmt.Fprintf(w, "throughput: %.0f completions/s, %.0f dispatches/s sustained\n",
 		float64(st.TasksCompleted)/sec, float64(st.ReplicasStarted)/sec)
+	fmt.Fprintf(w, "replica overhead: %.3f replicas started per completed task\n",
+		float64(st.ReplicasStarted)/float64(st.TasksCompleted))
 	d := st.DecisionLatency
 	fmt.Fprintf(w, "decision latency (n=%d): p50 %s  p95 %s  p99 %s  max %s\n",
 		d.Count, ms(d.P50), ms(d.P95), ms(d.P99), ms(d.Max))

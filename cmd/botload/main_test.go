@@ -2,14 +2,15 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestRunInProcess drives a small campaign end to end against an
-// in-process server and checks the report covers throughput, both
-// latency distributions and the failure counters.
+// in-process server and checks the report covers throughput, replica
+// overhead, both latency distributions and the failure counters.
 func TestRunInProcess(t *testing.T) {
 	o := options{
 		policy:   "LongIdle",
@@ -39,6 +40,14 @@ func TestRunInProcess(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+	// Every completed task was started at least once, so the overhead
+	// (replicas started per completed task) can never read below 1.
+	var overhead float64
+	if _, after, ok := strings.Cut(out, "replica overhead: "); !ok {
+		t.Errorf("report missing the replica overhead line:\n%s", out)
+	} else if _, err := fmt.Sscanf(after, "%g", &overhead); err != nil || overhead < 1 {
+		t.Errorf("replica overhead %v (%v), want >= 1:\n%s", overhead, err, out)
 	}
 }
 

@@ -10,15 +10,17 @@
 //	sweep -figure F2c -chart          # ASCII bar chart instead of a table
 //
 // The -cpuprofile, -memprofile and -trace flags capture pprof/trace data
-// for the whole sweep, written when the run exits cleanly:
+// for the whole sweep, written when the run finishes without error:
 //
 //	sweep -figure F1a -quick -cpuprofile cpu.out
 //	go tool pprof cpu.out
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,46 +34,48 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the requested figures and ablations, and writes
+// every rendered result to stdout; progress notes go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		figureID = flag.String("figure", "", "figure ID (F1a..F2d, FMa..FMd), comma list, or 'all'")
-		ablation = flag.String("ablation", "", "ablation study: threshold|dynrep|ckpt|machsel|taskorder|servercap|taskdist|diurnal|suspend|arch|mixed|all")
-		quick    = flag.Bool("quick", false, "10×-scaled quick mode (small grid, loose CIs)")
-		chart    = flag.Bool("chart", false, "render ASCII bar charts instead of tables")
-		format   = flag.String("format", "", "output format: table|chart|csv|json (overrides -chart)")
-		svgDir   = flag.String("svg", "", "also write one SVG figure per panel into this directory")
-		summary  = flag.Bool("summary", false, "also print per-granularity winners")
-		signif   = flag.Bool("significance", false, "also print pairwise Welch t-test matrices")
-		outFile  = flag.String("out", "", "save figure results to this JSON file")
-		loadFile = flag.String("load", "", "render previously saved results instead of running")
-		score    = flag.Bool("scoreboard", false, "also print the cross-figure wins scoreboard")
-		seed     = flag.Uint64("seed", 42, "base random seed")
-		bots     = flag.Int("bots", 0, "override BoT arrivals per replication")
-		warmup   = flag.Int("warmup", -1, "override warmup completions to discard")
-		minReps  = flag.Int("minreps", 0, "override minimum replications per cell")
-		maxReps  = flag.Int("maxreps", 0, "override maximum replications per cell")
-		relErr   = flag.Float64("relerr", 0, "override CI relative-error target")
-		scale    = flag.Float64("scale", 0, "override grid/application scale factor (0,1]")
-		policies = flag.String("policies", "", "comma list of policies (default: the paper's five)")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations (default GOMAXPROCS)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on clean exit")
-		traceOut = flag.String("trace", "", "write a runtime execution trace to this file")
+		figureID = fs.String("figure", "", "figure ID (F1a..F2d, FMa..FMd), comma list, or 'all'")
+		ablation = fs.String("ablation", "", "ablation study: threshold|dynrep|ckpt|machsel|taskorder|servercap|taskdist|diurnal|suspend|arch|mixed|all")
+		quick    = fs.Bool("quick", false, "10×-scaled quick mode (small grid, loose CIs)")
+		chart    = fs.Bool("chart", false, "render ASCII bar charts instead of tables")
+		format   = fs.String("format", "", "output format: table|chart|csv|json (overrides -chart)")
+		svgDir   = fs.String("svg", "", "also write one SVG figure per panel into this directory")
+		summary  = fs.Bool("summary", false, "also print per-granularity winners")
+		signif   = fs.Bool("significance", false, "also print pairwise Welch t-test matrices")
+		outFile  = fs.String("out", "", "save figure results to this JSON file")
+		loadFile = fs.String("load", "", "render previously saved results instead of running")
+		score    = fs.Bool("scoreboard", false, "also print the cross-figure wins scoreboard")
+		seed     = fs.Uint64("seed", 42, "base random seed")
+		bots     = fs.Int("bots", 0, "override BoT arrivals per replication")
+		warmup   = fs.Int("warmup", -1, "override warmup completions to discard")
+		minReps  = fs.Int("minreps", 0, "override minimum replications per cell")
+		maxReps  = fs.Int("maxreps", 0, "override maximum replications per cell")
+		relErr   = fs.Float64("relerr", 0, "override CI relative-error target")
+		scale    = fs.Float64("scale", 0, "override grid/application scale factor (0,1]")
+		policies = fs.String("policies", "", "comma list of policies (default: the paper's five)")
+		parallel = fs.Int("parallel", 0, "max concurrent simulations (default GOMAXPROCS)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this file on clean exit")
+		traceOut = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *figureID == "" && *ablation == "" && *loadFile == "" {
-		fmt.Fprintln(os.Stderr, "sweep: specify -figure, -ablation or -load (see -h)")
-		os.Exit(2)
+		return errors.New("specify -figure, -ablation or -load (see -h)")
 	}
-
-	// Profiling stops (and the files land) only on a clean exit: fatal()
-	// paths exit immediately, leaving truncated profiles behind rather
-	// than masking the error.
-	stopProfiles, err := startProfiles(*cpuProf, *memProf, *traceOut)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProfiles()
 
 	opts := experiment.DefaultOptions(*seed)
 	if *quick {
@@ -103,7 +107,7 @@ func main() {
 		for _, name := range strings.Split(*policies, ",") {
 			k, err := core.ParsePolicy(strings.TrimSpace(name))
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			opts.Policies = append(opts.Policies, k)
 		}
@@ -117,67 +121,109 @@ func main() {
 			outFormat = "table"
 		}
 	}
-	switch outFormat {
-	case "table", "chart", "csv", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q (table|chart|csv|json)", outFormat))
+	write, ok := formats[outFormat]
+	if !ok {
+		return fmt.Errorf("unknown format %q (table|chart|csv|json)", outFormat)
+	}
+	r := renderer{w: stdout, text: outFormat == "table" || outFormat == "chart",
+		writes: []figureWriter{write}, svgDir: *svgDir}
+	if *summary {
+		r.writes = append(r.writes, (*experiment.FigureResult).WriteSummary)
+	}
+	if *signif {
+		r.writes = append(r.writes, (*experiment.FigureResult).WriteSignificance)
+	}
+
+	// Profiling stops (and the files land) only on a clean return: an
+	// error returns early, leaving truncated profiles behind rather than
+	// masking the error.
+	stopProfiles, err := startProfiles(*cpuProf, *memProf, *traceOut)
+	if err != nil {
+		return err
 	}
 
 	if *loadFile != "" {
-		results := loadResults(*loadFile)
+		results, err := loadResults(*loadFile)
+		if err != nil {
+			return err
+		}
 		for _, id := range experiment.SortedIDs(results) {
-			renderFigure(results[id], outFormat, *summary, *signif, *svgDir)
+			if err := r.figure(results[id]); err != nil {
+				return err
+			}
 		}
 		if *score {
-			printScoreboard(results)
+			if err := experiment.WriteScoreboard(stdout, experiment.Scoreboard(results)); err != nil {
+				return err
+			}
 		}
 	}
 	if *figureID != "" {
-		results := runFigures(*figureID, opts, outFormat, *summary, *signif, *svgDir)
+		results, err := r.runFigures(*figureID, opts)
+		if err != nil {
+			return err
+		}
 		if *outFile != "" {
-			saveResults(*outFile, results)
+			if err := saveResults(*outFile, results); err != nil {
+				return err
+			}
 		}
 		if *score {
-			printScoreboard(results)
+			if err := experiment.WriteScoreboard(stdout, experiment.Scoreboard(results)); err != nil {
+				return err
+			}
 		}
 	}
 	if *ablation != "" {
-		runAblations(*ablation, opts)
+		if err := runAblations(stdout, *ablation, opts); err != nil {
+			return err
+		}
 	}
+	stopProfiles()
+	return nil
 }
 
-func printScoreboard(results map[string]*experiment.FigureResult) {
-	if err := experiment.WriteScoreboard(os.Stdout, experiment.Scoreboard(results)); err != nil {
-		fatal(err)
-	}
-}
-
-func loadResults(path string) map[string]*experiment.FigureResult {
+func loadResults(path string) (map[string]*experiment.FigureResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	results, err := experiment.LoadResults(f)
-	if err != nil {
-		fatal(err)
-	}
-	return results
+	return experiment.LoadResults(f)
 }
 
-func saveResults(path string, results map[string]*experiment.FigureResult) {
+func saveResults(path string, results map[string]*experiment.FigureResult) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := experiment.SaveResults(f, results); err != nil {
-		fatal(err)
+	if err := errors.Join(experiment.SaveResults(f, results), f.Close()); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "saved %d figure results to %s\n", len(results), path)
+	return nil
 }
 
-func runFigures(spec string, opts experiment.Options, format string, summary, signif bool, svgDir string) map[string]*experiment.FigureResult {
+type figureWriter func(*experiment.FigureResult, io.Writer) error
+
+// formats maps each -format to its figure writer.
+var formats = map[string]figureWriter{
+	"table": (*experiment.FigureResult).WriteTable,
+	"chart": (*experiment.FigureResult).WriteChart,
+	"csv":   (*experiment.FigureResult).WriteCSV,
+	"json":  (*experiment.FigureResult).WriteJSON,
+}
+
+// renderer writes each figure result through writes (the -format writer,
+// then the extras the flags ask for) and optionally as an SVG file.
+type renderer struct {
+	w      io.Writer
+	text   bool // table or chart: blank-line separated, with a timing note
+	writes []figureWriter
+	svgDir string
+}
+
+func (r renderer) runFigures(spec string, opts experiment.Options) (map[string]*experiment.FigureResult, error) {
 	var figs []experiment.Figure
 	if spec == "all" {
 		figs = experiment.Figures
@@ -185,7 +231,7 @@ func runFigures(spec string, opts experiment.Options, format string, summary, si
 		for _, id := range strings.Split(spec, ",") {
 			f, err := experiment.FigureByID(strings.TrimSpace(id))
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			figs = append(figs, f)
 		}
@@ -196,55 +242,37 @@ func runFigures(spec string, opts experiment.Options, format string, summary, si
 	start := time.Now()
 	results, err := experiment.RunFigures(figs, opts)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	elapsed := time.Since(start).Seconds()
 	for _, f := range figs {
-		renderFigure(results[f.ID], format, summary, signif, svgDir)
-		if format == "table" || format == "chart" {
-			fmt.Println()
+		if err := r.figure(results[f.ID]); err != nil {
+			return nil, err
+		}
+		if r.text {
+			fmt.Fprintln(r.w)
 		}
 	}
-	if format == "table" || format == "chart" {
+	if r.text {
 		par := opts.Parallelism
 		if par <= 0 {
 			par = runtime.GOMAXPROCS(0)
 		}
-		fmt.Printf("(%d figure(s) in %.1fs, parallel=%d)\n\n", len(figs), elapsed, par)
+		fmt.Fprintf(r.w, "(%d figure(s) in %.1fs, parallel=%d)\n\n", len(figs), elapsed, par)
 	}
-	return results
+	return results, nil
 }
 
-func renderFigure(fr *experiment.FigureResult, format string, summary, signif bool, svgDir string) {
-	var err error
-	switch format {
-	case "chart":
-		err = fr.WriteChart(os.Stdout)
-	case "csv":
-		err = fr.WriteCSV(os.Stdout)
-	case "json":
-		err = fr.WriteJSON(os.Stdout)
-	default:
-		err = fr.WriteTable(os.Stdout)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if summary {
-		if err := fr.WriteSummary(os.Stdout); err != nil {
-			fatal(err)
+func (r renderer) figure(fr *experiment.FigureResult) error {
+	for _, write := range r.writes {
+		if err := write(fr, r.w); err != nil {
+			return err
 		}
 	}
-	if signif {
-		if err := fr.WriteSignificance(os.Stdout); err != nil {
-			fatal(err)
-		}
+	if r.svgDir != "" {
+		return writeSVG(r.svgDir, fr.Figure.ID, fr)
 	}
-	if svgDir != "" {
-		if err := writeSVG(svgDir, fr.Figure.ID, fr); err != nil {
-			fatal(err)
-		}
-	}
+	return nil
 }
 
 func writeSVG(dir, id string, fr *experiment.FigureResult) error {
@@ -264,7 +292,7 @@ func writeSVG(dir, id string, fr *experiment.FigureResult) error {
 	return nil
 }
 
-func runAblations(spec string, opts experiment.Options) {
+func runAblations(w io.Writer, spec string, opts experiment.Options) error {
 	type study struct {
 		name string
 		run  func(experiment.Options) (*experiment.AblationResult, error)
@@ -293,27 +321,28 @@ func runAblations(spec string, opts experiment.Options) {
 		ran = true
 		ar, err := s.run(opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := ar.WriteTable(os.Stdout); err != nil {
-			fatal(err)
+		if err := ar.WriteTable(w); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if want["all"] || want["mixed"] {
 		ran = true
 		rows, err := experiment.MixedWorkloadStudy(opts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := experiment.WriteMixedTable(os.Stdout, opts, rows); err != nil {
-			fatal(err)
+		if err := experiment.WriteMixedTable(w, opts, rows); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if !ran {
-		fatal(fmt.Errorf("unknown ablation %q (threshold|dynrep|ckpt|machsel|taskorder|servercap|taskdist|diurnal|suspend|arch|mixed|all)", spec))
+		return fmt.Errorf("unknown ablation %q (threshold|dynrep|ckpt|machsel|taskorder|servercap|taskdist|diurnal|suspend|arch|mixed|all)", spec)
 	}
+	return nil
 }
 
 // startProfiles begins the CPU profile and execution trace immediately
@@ -322,45 +351,33 @@ func runAblations(spec string, opts experiment.Options) {
 // error up front, before hours of sweeping.
 func startProfiles(cpuPath, memPath, tracePath string) (func(), error) {
 	var stops []func()
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			closeProfile(f, cpuPath)
-		})
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() {
-			trace.Stop()
-			closeProfile(f, tracePath)
-		})
-	}
-	if memPath != "" {
-		f, err := os.Create(memPath)
-		if err != nil {
-			return nil, err
-		}
-		stops = append(stops, func() {
+	for _, p := range []struct {
+		path        string
+		start, stop func(io.Writer) error
+	}{
+		{cpuPath, pprof.StartCPUProfile, func(io.Writer) error { pprof.StopCPUProfile(); return nil }},
+		{tracePath, trace.Start, func(io.Writer) error { trace.Stop(); return nil }},
+		{memPath, func(io.Writer) error { return nil }, func(w io.Writer) error {
 			runtime.GC() // flush recent frees so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sweep: writing %s: %v\n", memPath, err)
+			return pprof.WriteHeapProfile(w)
+		}},
+	} {
+		if p.path == "" {
+			continue
+		}
+		f, err := os.Create(p.path)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.start(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		stops = append(stops, func() {
+			if err := p.stop(f); err != nil {
+				fmt.Fprintf(os.Stderr, "sweep: writing %s: %v\n", p.path, err)
 			}
-			closeProfile(f, memPath)
+			closeProfile(f, p.path)
 		})
 	}
 	return func() {
@@ -376,9 +393,4 @@ func closeProfile(f *os.File, path string) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -53,36 +53,58 @@ func benchSchedulerManyBags(k PolicyKind) *Scheduler {
 	return s
 }
 
+// decisionStates are the two mid-flight states the dispatch decision is
+// measured and gated on; prefix names the state in sub-benchmark and
+// sub-test names.
+var decisionStates = []struct {
+	prefix string
+	build  func(PolicyKind) *Scheduler
+}{
+	{"", benchScheduler},
+	{"manybags/", benchSchedulerManyBags},
+}
+
 // BenchmarkDispatchDecision measures each bag-selection policy's
 // per-free-machine decision cost — the hot path of the simulation dispatch
 // loop and of every fetch served by the live work-dispatch service. The
 // "manybags" cases are the large-grid stress the schedulability index
 // targets: a near-saturated 512-bag queue.
 func BenchmarkDispatchDecision(b *testing.B) {
-	for _, k := range Kinds {
-		b.Run(k.String(), func(b *testing.B) {
-			s := benchScheduler(k)
-			thr := s.effectiveThreshold()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if s.policy.SelectBag(s, thr) == nil {
-					b.Fatal("no schedulable bag")
+	for _, st := range decisionStates {
+		for _, k := range Kinds {
+			b.Run(st.prefix+k.String(), func(b *testing.B) {
+				s := st.build(k)
+				thr := s.effectiveThreshold()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if s.policy.SelectBag(s, thr) == nil {
+						b.Fatal("no schedulable bag")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
-	for _, k := range Kinds {
-		b.Run("manybags/"+k.String(), func(b *testing.B) {
-			s := benchSchedulerManyBags(k)
-			thr := s.effectiveThreshold()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if s.policy.SelectBag(s, thr) == nil {
-					b.Fatal("no schedulable bag")
+}
+
+// TestDispatchDecisionZeroAlloc gates every policy's SelectBag at 0
+// allocations per decision on both benchmark states: a stray allocation on
+// the decision path fails the ordinary test suite.
+func TestDispatchDecisionZeroAlloc(t *testing.T) {
+	for _, st := range decisionStates {
+		for _, k := range Kinds {
+			t.Run(st.prefix+k.String(), func(t *testing.T) {
+				s := st.build(k)
+				thr := s.effectiveThreshold()
+				allocs := testing.AllocsPerRun(200, func() {
+					if s.policy.SelectBag(s, thr) == nil {
+						t.Fatal("no schedulable bag")
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("SelectBag allocates %.0f times per decision", allocs)
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -62,7 +62,7 @@ func replicationConfigs() []struct {
 	// it far future). A binary heap pays its full O(log n) with a cache
 	// miss per level in this regime while the ladder's per-event work
 	// stays flat, so this is the cell the ≥1.5× acceptance bar is read
-	// on, as BENCH_des.json records.
+	// on.
 	gc := grid.DefaultConfig(grid.Hom, grid.LowAvail)
 	gc.TotalPower = 200000
 	lambda := workload.LambdaForUtilization(
@@ -182,7 +182,7 @@ func scaleConfigs() []struct {
 }
 
 // benchReplication runs whole simulations and reports throughput in
-// events/sec — the metric BENCH_des.json tracks per configuration.
+// events/sec per configuration.
 func benchReplication(b *testing.B, cfg RunConfig) {
 	b.Helper()
 	// One warm engine across iterations, as a sweep worker would run:
@@ -235,7 +235,7 @@ func BenchmarkReplicationScale(b *testing.B) {
 
 // BenchmarkReplicationBaselineHeap is the same matrix on the pre-ladder
 // binary-heap engine; the events/sec ratio against BenchmarkReplication is
-// the whole-simulation speedup recorded in BENCH_des.json and DESIGN.md.
+// the whole-simulation speedup of the ladder queue.
 func BenchmarkReplicationBaselineHeap(b *testing.B) {
 	for _, c := range replicationConfigs() {
 		b.Run(c.name, func(b *testing.B) {

@@ -330,12 +330,11 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEventLoop measures the steady-state event churn the simulator
-// core exercises: a pool of pending events where every firing schedules a
-// successor through the no-closure ScheduleFunc path. With the event pool
-// this loop is allocation-free.
-func BenchmarkEventLoop(b *testing.B) {
-	e := New()
+// eventLoopEngine returns e loaded with the steady-state event churn the
+// simulator core exercises: a pool of pending events where every firing
+// schedules a successor through the no-closure ScheduleFunc path, so each
+// Step is one pop and one insert.
+func eventLoopEngine(e *Engine) *Engine {
 	var next func(*Engine, any)
 	next = func(en *Engine, arg any) {
 		en.ScheduleFunc(1, next, arg)
@@ -344,6 +343,30 @@ func BenchmarkEventLoop(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		e.ScheduleFunc(float64(i%7)+1, next, nil)
 	}
+	return e
+}
+
+// scheduleCancel is one schedule-then-cancel cycle (the simulator cancels
+// sibling events whenever a replica wins a task) on an engine that
+// cancelLoopEngine loaded.
+func scheduleCancel(e *Engine) { e.Cancel(e.ScheduleFuncAt(e.Now()+1, nopFunc, nil)) }
+
+func nopFunc(*Engine, any) {}
+
+// cancelLoopEngine returns a ladder engine holding 1024 pending events
+// for scheduleCancel to insert among.
+func cancelLoopEngine() *Engine {
+	e := New()
+	for i := 0; i < 1024; i++ {
+		e.ScheduleFunc(float64(i+1), nopFunc, nil)
+	}
+	return e
+}
+
+// BenchmarkEventLoop measures the event churn of eventLoopEngine. With the
+// event pool this loop is allocation-free; TestWarmEngineZeroAlloc gates it.
+func BenchmarkEventLoop(b *testing.B) {
+	e := eventLoopEngine(New())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -351,18 +374,35 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCancel measures the schedule-then-cancel cycle (the
-// simulator cancels sibling events whenever a replica wins a task).
+// BenchmarkScheduleCancel measures the schedule-then-cancel cycle.
 func BenchmarkScheduleCancel(b *testing.B) {
-	e := New()
-	nop := func(*Engine, any) {}
-	for i := 0; i < 1024; i++ {
-		e.ScheduleFunc(float64(i+1), nop, nil)
-	}
+	e := cancelLoopEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Cancel(e.ScheduleFunc(1, nop, nil))
+		scheduleCancel(e)
+	}
+}
+
+// TestWarmEngineZeroAlloc gates the warm ladder engine's hot cycle at 0
+// allocations: a Step whose handler schedules its successor, and a
+// ScheduleFuncAt cancelled straight away.
+func TestWarmEngineZeroAlloc(t *testing.T) {
+	loop := eventLoopEngine(New())
+	cancel := cancelLoopEngine()
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"step", func() { loop.Step() }},
+		{"schedule-cancel", func() { scheduleCancel(cancel) }},
+	} {
+		for i := 0; i < 10000; i++ { // let the ladder settle into its rungs
+			tc.op()
+		}
+		if allocs := testing.AllocsPerRun(1000, tc.op); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per event", tc.name, allocs)
+		}
 	}
 }
 

@@ -294,16 +294,9 @@ func BenchmarkQueueChurn(b *testing.B) {
 }
 
 // BenchmarkEventLoopBaselineHeap is BenchmarkEventLoop on the baseline
-// heap engine, for the recorded speedup trajectory in BENCH_des.json.
+// heap engine; the ratio of the two is the engines' per-event speedup.
 func BenchmarkEventLoopBaselineHeap(b *testing.B) {
-	e := NewBaselineHeap()
-	var next func(*Engine, any)
-	next = func(en *Engine, arg any) {
-		en.ScheduleFunc(1, next, arg)
-	}
-	for i := 0; i < 1024; i++ {
-		e.ScheduleFunc(float64(i%7)+1, next, nil)
-	}
+	e := eventLoopEngine(NewBaselineHeap())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

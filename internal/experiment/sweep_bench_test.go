@@ -11,8 +11,8 @@ import (
 // BenchmarkSweep measures the pool engine's replication throughput at
 // 1/2/4/8 workers over a fixed workload (two figures, MinReps=MaxReps so
 // every run does identical work regardless of CI noise). The reps/sec
-// metric is the scaling series recorded into BENCH_des.json; the cpus
-// metric records how many cores the host actually had, so a flat series
+// metric is the scaling series; the cpus metric records how many cores
+// the host actually had, so a flat series
 // on a single-core host reads as pool overhead-neutrality rather than a
 // failed speedup.
 func BenchmarkSweep(b *testing.B) {

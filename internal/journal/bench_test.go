@@ -12,24 +12,30 @@ type benchClock struct{ t float64 }
 
 func (c *benchClock) Now() float64 { return c.t }
 
+// journalSink is the mutation sink the live service installs: each
+// mutation becomes one record appended to j.
+func journalSink(tb testing.TB, j *Journal) core.MutationSink {
+	return func(m core.Mutation) {
+		r := FromMutation(m)
+		if _, err := j.Append(&r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // benchScheduler rebuilds the mid-flight state of the core package's
 // dispatch benchmark — 64 active bags of 32 tasks, 32 busy slots of 128 —
 // through the exported live API, with the scheduler's mutation stream wired
-// into j.
-func benchScheduler(b *testing.B, p core.Policy, j *Journal) *core.Scheduler {
-	b.Helper()
+// into sink.
+func benchScheduler(tb testing.TB, p core.Policy, sink core.MutationSink) *core.Scheduler {
+	tb.Helper()
 	powers := make([]float64, 128)
 	for i := range powers {
 		powers[i] = 1
 	}
 	g := grid.NewCustom(grid.Config{}, powers)
 	s := core.NewLiveScheduler(&benchClock{}, g, p, core.DefaultSchedConfig(), nil)
-	s.SetMutationSink(func(m core.Mutation) {
-		r := FromMutation(m)
-		if _, err := j.Append(&r); err != nil {
-			b.Fatal(err)
-		}
-	})
+	s.SetMutationSink(sink)
 	for i := 32; i < 128; i++ { // only 32 workers joined
 		g.Machines[i].ForceFail(0)
 		s.MachineFailed(g.Machines[i])
@@ -47,8 +53,8 @@ func benchScheduler(b *testing.B, p core.Policy, j *Journal) *core.Scheduler {
 // BenchmarkJournaledDispatchDecision is the journaled twin of the core
 // package's BenchmarkDispatchDecision: per-free-machine bag selection cost
 // with a fsync=off journal attached to the scheduler's mutation stream.
-// The bench harness asserts 0 allocs/op for both — journaling must not
-// put allocations on the dispatch decision path.
+// SelectBag emits no mutation, so this times the decision alone;
+// TestJournaledDispatchZeroAlloc also gates the journal append.
 func BenchmarkJournaledDispatchDecision(b *testing.B) {
 	for _, k := range core.Kinds {
 		b.Run(k.String(), func(b *testing.B) {
@@ -58,7 +64,7 @@ func BenchmarkJournaledDispatchDecision(b *testing.B) {
 			}
 			defer j.Close()
 			p := core.NewPolicy(k, rng.Root(1, "policy"))
-			s := benchScheduler(b, p, j)
+			s := benchScheduler(b, p, journalSink(b, j))
 			thr := p.Threshold(core.DefaultSchedConfig().Threshold)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -66,6 +72,39 @@ func BenchmarkJournaledDispatchDecision(b *testing.B) {
 				if p.SelectBag(s, thr) == nil {
 					b.Fatal("no schedulable bag")
 				}
+			}
+		})
+	}
+}
+
+// TestJournaledDispatchZeroAlloc gates the journaled dispatch path at 0
+// allocations per decision: every policy's SelectBag with a fsync=off
+// journal attached, followed by the sink's FromMutation + Append of a
+// fixed replica-start record on the warm journal.
+func TestJournaledDispatchZeroAlloc(t *testing.T) {
+	m := core.Mutation{Kind: core.MutReplicaStarted, Time: 12, Bag: 3, Task: 17, Machine: 5, Seq: 99}
+	for _, k := range core.Kinds {
+		t.Run(k.String(), func(t *testing.T) {
+			j, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			sink := journalSink(t, j)
+			p := core.NewPolicy(k, rng.Root(1, "policy"))
+			s := benchScheduler(t, p, sink)
+			thr := p.Threshold(core.DefaultSchedConfig().Threshold)
+			for i := 0; i < 1000; i++ { // warm the journal's buffers
+				sink(m)
+			}
+			allocs := testing.AllocsPerRun(1000, func() {
+				if p.SelectBag(s, thr) == nil {
+					t.Fatal("no schedulable bag")
+				}
+				sink(m)
+			})
+			if allocs != 0 {
+				t.Fatalf("journaled dispatch allocates %.0f times per decision", allocs)
 			}
 		})
 	}
