@@ -116,6 +116,30 @@ func TestRejects(t *testing.T) {
 	}
 }
 
+// TestNextAcceptsOversizedPayload pins a deliberate asymmetry with Read:
+// MaxPayload guards against sizing a buffer from a damaged header, and
+// Next sizes nothing — it returns views of bytes already in memory — so a
+// CRC-valid frame one byte past MaxPayload comes back whole, without
+// allocating. TestRejects covers Read refusing the same length.
+func TestNextAcceptsOversizedPayload(t *testing.T) {
+	img := make([]byte, HeaderSize+MaxPayload+1)
+	img[len(img)-1] = 0x5a
+	Fill(img[:HeaderSize], img[HeaderSize:])
+	var payload, rest []byte
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { payload, rest, err = Next(img) })
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	if len(payload) != MaxPayload+1 || &payload[0] != &img[HeaderSize] || len(rest) != 0 {
+		t.Fatalf("payload of %d bytes (aliasing the input: %v), %d bytes left",
+			len(payload), &payload[0] == &img[HeaderSize], len(rest))
+	}
+	if allocs != 0 {
+		t.Fatalf("Next allocates %.0f times on a %d-byte payload", allocs, len(payload))
+	}
+}
+
 // TestReadReusesBuffer pins the zero-alloc contract: once the buffer has
 // reached the stream's largest frame, reading allocates nothing.
 func TestReadReusesBuffer(t *testing.T) {

@@ -143,12 +143,15 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 // BenchmarkRecoveryReplay measures full crash recovery — snapshot-less
 // Open over a ~101k-record log (500 bags of 100 tasks dispatched and
-// completed) — the cost a restarting daemon pays before serving.
+// completed) — the cost a restarting daemon pays before serving. A fleet
+// of 1 024 machines keeps that many replicas in flight: each machine takes
+// one task, then every start waits for the oldest running task to
+// complete and reuses its machine. It reports ns/record.
 func BenchmarkRecoveryReplay(b *testing.B) {
 	const (
 		bags     = 500
 		tasks    = 100
-		machines = 64
+		machines = 1024
 	)
 	dir := b.TempDir()
 	j, _, err := Open(Options{Dir: dir, Fsync: FsyncOff})
@@ -159,28 +162,36 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	for i := range works {
 		works[i] = 50
 	}
-	var seq uint64
 	var now float64
 	total := 0
 	put := func(r Record) {
+		now++
+		r.Time = now
 		if _, err := j.Append(&r); err != nil {
 			b.Fatal(err)
 		}
 		total++
 	}
-	for bag := 0; bag < bags; bag++ {
-		now++
-		put(Record{Kind: KindBagSubmitted, Time: now, Bag: bag, Granularity: 2000, Works: works})
-		for task := 0; task < tasks; task++ {
-			seq++
-			now++
-			put(Record{Kind: KindReplicaStarted, Time: now, Bag: bag, Task: task,
-				Machine: task % machines, Seq: seq})
-			now++
-			put(Record{Kind: KindTaskCompleted, Time: now, Bag: bag, Task: task, Seq: seq})
+	// Task k is task k%tasks of bag k/tasks, runs on machine k%machines as
+	// replica k+1, and completes before task k+machines starts.
+	complete := func(k int) {
+		put(Record{Kind: KindTaskCompleted, Bag: k / tasks, Task: k % tasks, Seq: uint64(k + 1)})
+		if k%tasks == tasks-1 {
+			put(Record{Kind: KindBagCompleted, Bag: k / tasks})
 		}
-		now++
-		put(Record{Kind: KindBagCompleted, Time: now, Bag: bag})
+	}
+	for k := 0; k < bags*tasks; k++ {
+		if k%tasks == 0 {
+			put(Record{Kind: KindBagSubmitted, Bag: k / tasks, Granularity: 2000, Works: works})
+		}
+		if k >= machines {
+			complete(k - machines)
+		}
+		put(Record{Kind: KindReplicaStarted, Bag: k / tasks, Task: k % tasks,
+			Machine: k % machines, Seq: uint64(k + 1)})
+	}
+	for k := max(bags*tasks-machines, 0); k < bags*tasks; k++ {
+		complete(k)
 	}
 	if err := j.Close(); err != nil {
 		b.Fatal(err)
@@ -200,4 +211,5 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/record")
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -49,6 +50,10 @@ type State struct {
 	// MaxTime is the largest event time seen across the snapshot and every
 	// replayed record; the recovered clock must not run behind it.
 	MaxTime float64 `json:"-"`
+
+	// ix is Apply's private lookup structure over Sched.Replicas and
+	// Workers, built on first use from whatever the State holds.
+	ix *replayIndex
 }
 
 // NewState returns an empty pre-boot State.
@@ -72,9 +77,180 @@ func (st *State) bag(id int) (*core.BagSnapshot, error) {
 	return nil, fmt.Errorf("journal: replay: unknown bag %d", id)
 }
 
+// replayIndex lets Apply find a live replica by machine or by task, and a
+// worker by ID or slot, without scanning the live state.
+//
+// Sched.Replicas stays the one ordered list of live replicas — snapshots,
+// promotion and core.RestoreLiveScheduler read its order — and is always
+// reps[off : off+n]. meta runs parallel to reps and gives every entry a
+// stamp that increases along the list, so a replica named by its stamp is
+// found by binary search. Removing one shifts the shorter side of the list:
+// nothing for the oldest or newest replica, at most half the list for any
+// other. An append that finds the tail full first reclaims the
+// head-room those removals left, and grows the arrays only when that
+// head-room is smaller than the list itself, so appends are amortised O(1)
+// and a warm replay allocates nothing per replica.
+type replayIndex struct {
+	sched *core.SchedulerSnapshot // the snapshot this index describes
+
+	reps  []core.ReplicaSnapshot // backing array of Sched.Replicas
+	meta  []replicaMeta          // parallel to reps
+	off   int                    // Sched.Replicas starts at reps[off]
+	n     int                    // len(Sched.Replicas)
+	stamp uint64                 // the last stamp issued
+
+	machine map[int]uint64   // machine -> stamp of the replica it runs
+	heads   map[int][]uint64 // bag -> per task, stamp of its newest replica (0: none)
+	spare   [][]uint64       // heads of completed bags, for later bags to reuse
+
+	// Workers only ever grows, so positions are stable.
+	workers  []WorkerSnapshot // Workers as last indexed
+	workerID map[string]int   // ID -> position in Workers
+	slot     map[int]int      // machine -> position in Workers
+}
+
+type replicaMeta struct {
+	stamp uint64 // insertion order
+	prev  uint64 // the next-older live replica of the same task (0: none)
+}
+
+// index returns st's replay index, (re)building it when the State was
+// handed a Sched, Replicas or Workers that Apply did not leave behind — a
+// decoded snapshot, a fresh State, a test's direct edit. In-place edits of
+// those slices between Apply calls are not detected.
+func (st *State) index() (*replayIndex, error) {
+	if ix := st.ix; ix != nil && ix.sched == st.Sched &&
+		sameSlice(st.Sched.Replicas, ix.reps[ix.off:ix.off+ix.n]) &&
+		sameSlice(st.Workers, ix.workers) {
+		return ix, nil
+	}
+	s := st.Sched
+	ix := &replayIndex{
+		sched:    s,
+		reps:     s.Replicas[:cap(s.Replicas)],
+		meta:     make([]replicaMeta, cap(s.Replicas)),
+		n:        len(s.Replicas),
+		machine:  make(map[int]uint64, len(s.Replicas)),
+		heads:    make(map[int][]uint64),
+		workers:  st.Workers,
+		workerID: make(map[string]int, len(st.Workers)),
+		slot:     make(map[int]int, len(st.Workers)),
+	}
+	for i, rep := range s.Replicas {
+		if _, dup := ix.machine[rep.Machine]; dup {
+			return nil, fmt.Errorf("journal: replay: machine %d runs two replicas", rep.Machine)
+		}
+		b, err := st.bag(rep.Bag)
+		if err != nil {
+			return nil, err
+		}
+		if rep.Task < 0 || rep.Task >= len(b.Tasks) || b.Tasks[rep.Task].State != core.TaskRunning {
+			return nil, fmt.Errorf("journal: replay: replica on task %d/%d, which is not running", rep.Bag, rep.Task)
+		}
+		heads := ix.taskHeads(rep.Bag, len(b.Tasks))
+		ix.stamp++
+		ix.meta[i] = replicaMeta{stamp: ix.stamp, prev: heads[rep.Task]}
+		heads[rep.Task] = ix.stamp
+		ix.machine[rep.Machine] = ix.stamp
+	}
+	// Apply resolves a duplicated ID or slot to its first entry, as a scan
+	// would.
+	for i, w := range st.Workers {
+		if _, ok := ix.workerID[w.ID]; !ok {
+			ix.workerID[w.ID] = i
+		}
+		if _, ok := ix.slot[w.Machine]; !ok {
+			ix.slot[w.Machine] = i
+		}
+	}
+	st.ix = ix
+	return ix, nil
+}
+
+// sameSlice reports whether a and b are the same view of the same array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// taskHeads returns the per-task newest-replica stamps of bag. A bag's
+// first replica takes the heads a completed bag left, so heads and spares
+// together never outnumber the most bags ever running at once.
+func (ix *replayIndex) taskHeads(bag, tasks int) []uint64 {
+	h, ok := ix.heads[bag]
+	if !ok {
+		if n := len(ix.spare); n > 0 {
+			h, ix.spare = ix.spare[n-1], ix.spare[:n-1]
+		}
+		if cap(h) < tasks {
+			h = make([]uint64, tasks)
+		} else {
+			h = h[:tasks]
+			clear(h)
+		}
+		ix.heads[bag] = h
+	}
+	return h
+}
+
+// find returns the position in Sched.Replicas of the replica stamped s.
+func (ix *replayIndex) find(s uint64) int {
+	i, ok := slices.BinarySearchFunc(ix.meta[ix.off:ix.off+ix.n], s,
+		func(m replicaMeta, s uint64) int { return cmp.Compare(m.stamp, s) })
+	if !ok {
+		panic("journal: replay index lost a live replica")
+	}
+	return i
+}
+
+// add appends rep to Sched.Replicas as the newest replica of its task.
+func (ix *replayIndex) add(rep core.ReplicaSnapshot, heads []uint64) {
+	if ix.off+ix.n == len(ix.reps) {
+		reps, meta := ix.reps, ix.meta
+		if ix.off == 0 || ix.off < ix.n { // head-room smaller than the list: grow
+			size := max(2*len(reps), 16)
+			reps, meta = make([]core.ReplicaSnapshot, size), make([]replicaMeta, size)
+		}
+		copy(reps, ix.reps[ix.off:ix.off+ix.n])
+		copy(meta, ix.meta[ix.off:ix.off+ix.n])
+		ix.reps, ix.meta, ix.off = reps, meta, 0
+	}
+	ix.stamp++
+	end := ix.off + ix.n
+	ix.reps[end] = rep
+	ix.meta[end] = replicaMeta{stamp: ix.stamp, prev: heads[rep.Task]}
+	heads[rep.Task] = ix.stamp
+	ix.machine[rep.Machine] = ix.stamp
+	ix.n++
+	ix.sched.Replicas = ix.reps[ix.off : end+1]
+}
+
+// remove deletes the replica at position i of Sched.Replicas, keeping the
+// others in order, and returns it with the stamp of its next-older sibling.
+// The caller unlinks it from its task's chain.
+func (ix *replayIndex) remove(i int) (core.ReplicaSnapshot, uint64) {
+	lo, hi := ix.off, ix.off+ix.n
+	rep, prev := ix.reps[lo+i], ix.meta[lo+i].prev
+	if i < ix.n-1-i {
+		copy(ix.reps[lo+1:lo+i+1], ix.reps[lo:lo+i])
+		copy(ix.meta[lo+1:lo+i+1], ix.meta[lo:lo+i])
+		ix.off++
+	} else {
+		copy(ix.reps[lo+i:hi-1], ix.reps[lo+i+1:hi])
+		copy(ix.meta[lo+i:hi-1], ix.meta[lo+i+1:hi])
+	}
+	ix.n--
+	if ix.n == 0 {
+		ix.off = 0
+	}
+	delete(ix.machine, rep.Machine)
+	ix.sched.Replicas = ix.reps[ix.off : ix.off+ix.n]
+	return rep, prev
+}
+
 // Apply folds one journal record into the state. Errors mean the log
 // contradicts the state it is being replayed onto — corruption or a bug —
-// and recovery must stop.
+// and recovery must stop. A State whose replicas contradict its own bags or
+// share a machine is refused on the first record that needs the index.
 func (st *State) Apply(r *Record) error {
 	st.observe(r.Time)
 	switch r.Kind {
@@ -131,6 +307,10 @@ func (st *State) applyBagSubmitted(r *Record) error {
 }
 
 func (st *State) applyReplicaStarted(r *Record) error {
+	ix, err := st.index()
+	if err != nil {
+		return err
+	}
 	s := st.Sched
 	b, err := st.bag(r.Bag)
 	if err != nil {
@@ -167,36 +347,23 @@ func (st *State) applyReplicaStarted(r *Record) error {
 	default:
 		return fmt.Errorf("journal: replay: replica started on done task %d/%d", r.Bag, r.Task)
 	}
-	for _, rep := range s.Replicas {
-		if rep.Machine == r.Machine {
-			return fmt.Errorf("journal: replay: machine %d already busy at seq %d", r.Machine, r.Seq)
-		}
+	if _, busy := ix.machine[r.Machine]; busy {
+		return fmt.Errorf("journal: replay: machine %d already busy at seq %d", r.Machine, r.Seq)
 	}
-	s.Replicas = append(s.Replicas, core.ReplicaSnapshot{
+	ix.add(core.ReplicaSnapshot{
 		Seq: r.Seq, Bag: r.Bag, Task: r.Task, Machine: r.Machine, Started: r.Time,
-	})
+	}, ix.taskHeads(r.Bag, len(b.Tasks)))
 	if int(r.Seq) > s.ReplicasStarted {
 		s.ReplicasStarted = int(r.Seq)
 	}
 	return nil
 }
 
-// dropReplicas removes every replica of bag/task, returning how many.
-func (st *State) dropReplicas(bag, task int) int {
-	s := st.Sched
-	n := 0
-	for i := 0; i < len(s.Replicas); {
-		if s.Replicas[i].Bag == bag && s.Replicas[i].Task == task {
-			s.Replicas = slices.Delete(s.Replicas, i, i+1)
-			n++
-		} else {
-			i++
-		}
-	}
-	return n
-}
-
 func (st *State) applyTaskCompleted(r *Record) error {
+	ix, err := st.index()
+	if err != nil {
+		return err
+	}
 	b, err := st.bag(r.Bag)
 	if err != nil {
 		return err
@@ -208,7 +375,15 @@ func (st *State) applyTaskCompleted(r *Record) error {
 	if t.State != core.TaskRunning {
 		return fmt.Errorf("journal: replay: completion of %v task %d/%d", t.State, r.Bag, r.Task)
 	}
-	dropped := st.dropReplicas(r.Bag, r.Task)
+	// Every replica of the task goes: the accepted result supersedes its
+	// siblings.
+	dropped := 0
+	if heads := ix.heads[r.Bag]; heads != nil {
+		for s := heads[r.Task]; s != 0; dropped++ {
+			_, s = ix.remove(ix.find(s))
+		}
+		heads[r.Task] = 0
+	}
 	if dropped == 0 {
 		return fmt.Errorf("journal: replay: completed task %d/%d had no replica", r.Bag, r.Task)
 	}
@@ -244,77 +419,98 @@ func (st *State) applyBagCompleted(r *Record) error {
 		}
 	}
 	s.Completed++
+	if ix := st.ix; ix != nil {
+		if h, ok := ix.heads[r.Bag]; ok { // every task is done, so none has a replica
+			delete(ix.heads, r.Bag)
+			ix.spare = append(ix.spare, h)
+		}
+	}
 	return nil
 }
 
 func (st *State) applyMachineDown(r *Record) error {
-	s := st.Sched
-	for i := range s.Replicas {
-		rep := s.Replicas[i]
-		if rep.Machine != r.Machine {
-			continue
-		}
-		s.Replicas = slices.Delete(s.Replicas, i, i+1)
-		s.Failures++
-		b, err := st.bag(rep.Bag)
-		if err != nil {
-			return err
-		}
-		t := &b.Tasks[rep.Task]
-		t.Failures++
-		still := false
-		for _, other := range s.Replicas {
-			if other.Bag == rep.Bag && other.Task == rep.Task {
-				still = true
+	ix, err := st.index()
+	if err != nil {
+		return err
+	}
+	stamp, ok := ix.machine[r.Machine]
+	if !ok {
+		// A machine with no replica going down needs no state change.
+		return nil
+	}
+	rep, prev := ix.remove(ix.find(stamp))
+	// Unlink it from its task's chain of replicas, newest first.
+	heads := ix.heads[rep.Bag]
+	if heads[rep.Task] == stamp {
+		heads[rep.Task] = prev
+	} else {
+		for s := heads[rep.Task]; ; {
+			m := &ix.meta[ix.off+ix.find(s)]
+			if m.prev == stamp {
+				m.prev = prev
 				break
 			}
+			s = m.prev
 		}
-		if !still {
-			// Last replica lost: the task re-enters its bag's queue at the
-			// front (WQR-FT resubmission priority).
-			t.State = core.TaskPending
-			t.Restart = true
-			t.IdleSince = r.Time
-			b.Pending = slices.Insert(b.Pending, 0, rep.Task)
-		}
-		break
 	}
-	// A machine with no replica going down needs no state change.
+	s := st.Sched
+	s.Failures++
+	b, err := st.bag(rep.Bag)
+	if err != nil {
+		return err
+	}
+	t := &b.Tasks[rep.Task]
+	t.Failures++
+	if heads[rep.Task] == 0 {
+		// Last replica lost: the task re-enters its bag's queue at the
+		// front (WQR-FT resubmission priority).
+		t.State = core.TaskPending
+		t.Restart = true
+		t.IdleSince = r.Time
+		b.Pending = slices.Insert(b.Pending, 0, rep.Task)
+	}
 	return nil
 }
 
 func (st *State) applyWorkerRegistered(r *Record) error {
-	for i := range st.Workers {
-		if st.Workers[i].ID == r.Worker {
-			if st.Workers[i].Machine != r.Machine {
-				return fmt.Errorf("journal: replay: worker %q moved slot %d -> %d",
-					r.Worker, st.Workers[i].Machine, r.Machine)
-			}
-			st.Workers[i].Power = r.Power
-			st.Workers[i].LastSeen = r.Time
-			return nil
-		}
+	ix, err := st.index()
+	if err != nil {
+		return err
 	}
-	for i := range st.Workers {
-		if st.Workers[i].Machine == r.Machine {
-			return fmt.Errorf("journal: replay: slot %d taken by %q, claimed by %q",
-				r.Machine, st.Workers[i].ID, r.Worker)
+	if i, ok := ix.workerID[r.Worker]; ok {
+		w := &st.Workers[i]
+		if w.Machine != r.Machine {
+			return fmt.Errorf("journal: replay: worker %q moved slot %d -> %d",
+				r.Worker, w.Machine, r.Machine)
 		}
+		w.Power = r.Power
+		w.LastSeen = r.Time
+		return nil
 	}
+	if i, ok := ix.slot[r.Machine]; ok {
+		return fmt.Errorf("journal: replay: slot %d taken by %q, claimed by %q",
+			r.Machine, st.Workers[i].ID, r.Worker)
+	}
+	ix.workerID[r.Worker] = len(st.Workers)
+	ix.slot[r.Machine] = len(st.Workers)
 	st.Workers = append(st.Workers, WorkerSnapshot{
 		ID: r.Worker, Machine: r.Machine, Power: r.Power, LastSeen: r.Time,
 	})
+	ix.workers = st.Workers
 	return nil
 }
 
 func (st *State) applyWorkerSeen(r *Record) error {
-	for i := range st.Workers {
-		if st.Workers[i].Machine == r.Machine {
-			if r.Time > st.Workers[i].LastSeen {
-				st.Workers[i].LastSeen = r.Time
-			}
-			return nil
-		}
+	ix, err := st.index()
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("journal: replay: seen record for unregistered slot %d", r.Machine)
+	i, ok := ix.slot[r.Machine]
+	if !ok {
+		return fmt.Errorf("journal: replay: seen record for unregistered slot %d", r.Machine)
+	}
+	if w := &st.Workers[i]; r.Time > w.LastSeen {
+		w.LastSeen = r.Time
+	}
+	return nil
 }
