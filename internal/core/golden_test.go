@@ -112,24 +112,27 @@ func goldenConfigs() []struct {
 
 // TestGoldenRuns asserts that fixed seeds yield bit-identical results both
 // across two runs in this process and against the goldens generated before
-// the indexed-scheduler refactor. Regenerate with `go test -run Golden
-// -update ./internal/core` — but a diff on unchanged semantics is a bug,
-// not a reason to regenerate.
+// the indexed-scheduler refactor. The first run of each config is a plain
+// Run on a fresh engine; the second goes through one Runner shared by every
+// config, the warm-engine path the sweep pool takes. Regenerate with `go
+// test -run Golden -update ./internal/core` — but a diff on unchanged
+// semantics is a bug, not a reason to regenerate.
 func TestGoldenRuns(t *testing.T) {
 	path := filepath.Join("testdata", "golden_runs.json")
 	var got []goldenRecord
+	var warm Runner
 	for _, c := range goldenConfigs() {
 		a, err := Run(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		b, err := Run(c.cfg)
+		b, err := warm.Run(c.cfg)
 		if err != nil {
-			t.Fatalf("%s (second run): %v", c.name, err)
+			t.Fatalf("%s (warm Runner): %v", c.name, err)
 		}
 		ra, rb := recordOf(c.name, a), recordOf(c.name, b)
 		if !recordsEqual(ra, rb) {
-			t.Errorf("%s: two runs with the same seed diverged", c.name)
+			t.Errorf("%s: the warm Runner diverged from a fresh Run", c.name)
 		}
 		got = append(got, ra)
 	}

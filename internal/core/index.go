@@ -20,11 +20,12 @@ package core
 // heap's size to O(live entries + pushes since the last compaction).
 //
 // Membership sets are defined against the two thresholds the dispatch loop
-// can actually present to a policy — 1 (dynamic replication) and the
-// configured base threshold: "has a pending task" covers threshold 1, and
-// "min running-replica count below base" covers the rest. Any other
-// threshold (impossible through the Scheduler, but reachable by calling
-// SelectBag directly) falls back to the original linear scan.
+// presents to a policy — 1 (dynamic replication) and the configured base
+// threshold: "has a pending task" covers threshold 1, and "min
+// running-replica count below base" covers the rest. An indexed policy's
+// SelectBag answers for those two thresholds and for the scheduler it is
+// attached to, nothing else; the package tests hold every answer to the
+// linear scan of the rule it implements.
 
 // indexedPolicy is implemented by policies that maintain incremental
 // selection state. The scheduler attaches the policy at construction and
@@ -35,8 +36,7 @@ type indexedPolicy interface {
 	Policy
 	// attach binds the policy to its scheduler and rebuilds all index
 	// state from the scheduler's current bags. A Policy instance serves
-	// at most one Scheduler; SelectBag falls back to a linear scan when
-	// called with any other scheduler.
+	// at most one Scheduler.
 	attach(s *Scheduler)
 	// bagChanged publishes that b's schedulability inputs changed; it is
 	// called after b.stamp was bumped and must (re-)insert b into every

@@ -17,7 +17,10 @@ type Policy interface {
 	// Name returns the policy's display name.
 	Name() string
 	// SelectBag returns the bag to serve next under the given replication
-	// threshold, or nil when no bag can use another machine.
+	// threshold, or nil when no bag can use another machine. s is the
+	// scheduler the policy serves and threshold is Threshold(base) for one
+	// of the two bases its dispatch loop uses: the configured threshold,
+	// or 1 under dynamic replication (see index.go).
 	SelectBag(s *Scheduler, threshold int) *Bag
 	// Threshold maps the configured replication threshold to the
 	// policy's effective one (FCFS-Excl raises it to "unlimited").
@@ -132,14 +135,12 @@ func NewPolicy(k PolicyKind, str *rng.Stream) Policy {
 // least-replicated running task sits below the configured base threshold.
 // Their union is exactly the schedulable set under the base threshold.
 type dualIndex struct {
-	s    *Scheduler
 	base int
 	pend bagHeap
 	repl bagHeap
 }
 
 func (d *dualIndex) attachTo(s *Scheduler) {
-	d.s = s
 	d.base = s.cfg.Threshold
 	d.pend.reset()
 	d.repl.reset()
@@ -156,35 +157,25 @@ func (d *dualIndex) publish(b *Bag, key float64, tie int) {
 	}
 }
 
-// selectMin returns the minimum-keyed schedulable bag under thr. ok is
-// false when the index does not cover (s, thr) and the caller must fall
-// back to a linear scan.
+// selectMin returns the minimum-keyed schedulable bag under thr, which is
+// 1 or the base threshold, or nil when there is none.
 //
 //botlint:hotpath
-func (d *dualIndex) selectMin(s *Scheduler, thr int) (*Bag, bool) {
-	if d.s != s || (thr != 1 && thr != d.base) {
-		return nil, false
-	}
-	pe, pok := d.pend.peek()
+func (d *dualIndex) selectMin(thr int) *Bag {
+	pe, pok := d.pend.peek() // pe.b is nil when !pok
 	if thr == 1 {
-		if pok {
-			return pe.b, true
-		}
-		return nil, true
+		return pe.b
 	}
 	re, rok := d.repl.peek()
 	switch {
-	case !pok && !rok:
-		return nil, true
 	case !rok:
-		return pe.b, true
+		return pe.b
 	case !pok:
-		return re.b, true
+		return re.b
+	case pe.key < re.key || (pe.key == re.key && pe.tie <= re.tie):
+		return pe.b
 	}
-	if pe.key < re.key || (pe.key == re.key && pe.tie <= re.tie) {
-		return pe.b, true
-	}
-	return re.b, true
+	return re.b
 }
 
 // fcfsExcl dedicates the grid to the oldest incomplete bag. Its unlimited
@@ -238,11 +229,8 @@ func (p *fcfsShare) bagChanged(b *Bag) { p.idx.publish(b, float64(b.ID), 0) }
 func (p *fcfsShare) taskQueued(*Task) {}
 
 //botlint:hotpath
-func (p *fcfsShare) SelectBag(s *Scheduler, threshold int) *Bag {
-	if b, ok := p.idx.selectMin(s, threshold); ok {
-		return b
-	}
-	return scanInOrder(s, threshold)
+func (p *fcfsShare) SelectBag(_ *Scheduler, threshold int) *Bag {
+	return p.idx.selectMin(threshold)
 }
 
 // roundRobin inspects bag queues in fixed circular order; with
@@ -258,9 +246,7 @@ func (p *fcfsShare) SelectBag(s *Scheduler, threshold int) *Bag {
 type roundRobin struct {
 	noReplicaFirst bool
 	lastID         int // bag ID served most recently
-
-	s       *Scheduler
-	starved bagHeap
+	starved        bagHeap
 }
 
 func (p *roundRobin) Name() string {
@@ -273,7 +259,6 @@ func (p *roundRobin) Name() string {
 func (p *roundRobin) Threshold(base int) int { return base }
 
 func (p *roundRobin) attach(s *Scheduler) {
-	p.s = s
 	p.starved.reset()
 	for _, b := range s.bags {
 		p.bagChanged(b)
@@ -296,16 +281,8 @@ func (p *roundRobin) SelectBag(s *Scheduler, threshold int) *Bag {
 	}
 	if p.noReplicaFirst {
 		// Serve starved bags (no running instance) first, oldest first.
-		if p.s == s {
-			if e, ok := p.starved.peek(); ok && e.b.Schedulable(threshold) {
-				return e.b
-			}
-		} else {
-			for _, b := range s.bags {
-				if b.running == 0 && b.Schedulable(threshold) {
-					return b
-				}
-			}
+		if e, ok := p.starved.peek(); ok && e.b.Schedulable(threshold) {
+			return e.b
 		}
 	}
 	// Resume the circular order after the most recently served bag. Bags
@@ -335,7 +312,6 @@ func (p *roundRobin) SelectBag(s *Scheduler, threshold int) *Bag {
 // rank tasks by live IdleTime at any instant. The fallback is a lazy
 // min-ID heap over bags with a replicable running task.
 type longIdle struct {
-	s    *Scheduler
 	base int
 	idle idleIdx
 	repl bagHeap
@@ -346,7 +322,6 @@ func (*longIdle) Name() string { return LongIdle.String() }
 func (*longIdle) Threshold(base int) int { return base }
 
 func (p *longIdle) attach(s *Scheduler) {
-	p.s = s
 	p.base = s.cfg.Threshold
 	p.idle.reset()
 	p.repl.reset()
@@ -369,28 +344,20 @@ func (p *longIdle) bagChanged(b *Bag) {
 func (p *longIdle) taskQueued(t *Task) { p.idle.push(t) }
 
 //botlint:hotpath
-func (p *longIdle) SelectBag(s *Scheduler, threshold int) *Bag {
-	if p.s != s {
-		return longIdleScan(s, threshold)
-	}
+func (p *longIdle) SelectBag(_ *Scheduler, threshold int) *Bag {
 	if t := p.idle.peek(); t != nil {
 		// Ties go to the older bag (lower ID), matching the paper's
 		// observation that LongIdle behaves like FCFS-Share while the
 		// oldest bag still has replica-less tasks.
 		return t.Bag
 	}
-	// No pending task anywhere: replicate in FCFS order.
-	switch {
-	case threshold == p.base:
-		if e, ok := p.repl.peek(); ok {
-			return e.b
-		}
+	// No pending task anywhere: replicate in FCFS order. Below the base
+	// threshold, i.e. at 1, every running task already has its replica.
+	if threshold != p.base {
 		return nil
-	case threshold <= 1:
-		return nil // every running task already has >= 1 replica
-	default:
-		return scanReplicable(s, threshold)
 	}
+	e, _ := p.repl.peek() // e.b is nil when no bag is replicable
+	return e.b
 }
 
 // randomPolicy picks uniformly among schedulable bags. It keeps the linear
@@ -443,20 +410,8 @@ func (p *fairShare) bagChanged(b *Bag) { p.idx.publish(b, float64(b.running), b.
 func (p *fairShare) taskQueued(*Task) {}
 
 //botlint:hotpath
-func (p *fairShare) SelectBag(s *Scheduler, threshold int) *Bag {
-	if b, ok := p.idx.selectMin(s, threshold); ok {
-		return b
-	}
-	var best *Bag
-	for _, b := range s.bags {
-		if !b.Schedulable(threshold) {
-			continue
-		}
-		if best == nil || b.running < best.running {
-			best = b
-		}
-	}
-	return best
+func (p *fairShare) SelectBag(_ *Scheduler, threshold int) *Bag {
+	return p.idx.selectMin(threshold)
 }
 
 // sjfKB picks the schedulable bag with the least remaining work (ties to
@@ -483,65 +438,8 @@ func (p *sjfKB) bagChanged(b *Bag) { p.idx.publish(b, b.RemainingWork(), b.ID) }
 func (p *sjfKB) taskQueued(*Task) {}
 
 //botlint:hotpath
-func (p *sjfKB) SelectBag(s *Scheduler, threshold int) *Bag {
-	if b, ok := p.idx.selectMin(s, threshold); ok {
-		return b
-	}
-	var best *Bag
-	for _, b := range s.bags {
-		if !b.Schedulable(threshold) {
-			continue
-		}
-		if best == nil || b.RemainingWork() < best.RemainingWork() {
-			best = b
-		}
-	}
-	return best
-}
-
-// scanInOrder is the linear FCFS-Share selection, kept as the fallback for
-// unindexed (s, threshold) combinations.
-//
-//botlint:hotpath
-func scanInOrder(s *Scheduler, threshold int) *Bag {
-	for _, b := range s.bags {
-		if b.Schedulable(threshold) {
-			return b
-		}
-	}
-	return nil
-}
-
-// scanReplicable returns the oldest bag with a replicable running task.
-//
-//botlint:hotpath
-func scanReplicable(s *Scheduler, threshold int) *Bag {
-	for _, b := range s.bags {
-		if b.replicable(threshold) != nil {
-			return b
-		}
-	}
-	return nil
-}
-
-// longIdleScan is the linear LongIdle selection, kept as the fallback for
-// a policy instance serving a foreign scheduler.
-//
-//botlint:hotpath
-func longIdleScan(s *Scheduler, threshold int) *Bag {
-	var best *Bag
-	bestKey := 0.0
-	for _, b := range s.bags {
-		for _, t := range b.Tasks {
-			if t.State == TaskPending && (best == nil || t.heapKey > bestKey) {
-				best, bestKey = b, t.heapKey
-			}
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return scanReplicable(s, threshold)
+func (p *sjfKB) SelectBag(_ *Scheduler, threshold int) *Bag {
+	return p.idx.selectMin(threshold)
 }
 
 var (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"botgrid/internal/des"
 	"botgrid/internal/grid"
 	"botgrid/internal/workload"
 )
@@ -12,8 +11,7 @@ import (
 // replicationConfigs is the whole-simulation throughput matrix: grid
 // heterogeneity × availability × task granularity. The LowAvail /
 // gran=1000 cell is the event-heavy extreme (many small tasks plus a
-// failure-heavy Weibull churn keeps the event queue deep), which is where
-// the ladder-vs-heap gap matters most.
+// failure-heavy Weibull churn keeps the event queue deep).
 func replicationConfigs() []struct {
 	name string
 	cfg  RunConfig
@@ -59,10 +57,7 @@ func replicationConfigs() []struct {
 	// times, so the queue runs ~25k deep for the whole simulation, and the
 	// modest utilization keeps per-event scheduler work low — most events
 	// are pure queue traffic (pop a transition, sample the next, insert
-	// it far future). A binary heap pays its full O(log n) with a cache
-	// miss per level in this regime while the ladder's per-event work
-	// stays flat, so this is the cell the ≥1.5× acceptance bar is read
-	// on.
+	// it far future).
 	gc := grid.DefaultConfig(grid.Hom, grid.LowAvail)
 	gc.TotalPower = 200000
 	lambda := workload.LambdaForUtilization(
@@ -91,8 +86,8 @@ func replicationConfigs() []struct {
 // and past saturation. Machine-count cells scale AppSize linearly with the
 // grid so the horizon — and with it the Weibull churn per machine — stays
 // constant; events then grow linearly with machines and events/sec should
-// hold roughly flat if the engine scales. Ladder-only (these are not in
-// replicationConfigs) so the heap baseline does not pay for them.
+// hold roughly flat if the engine scales. They are kept out of
+// replicationConfigs because the largest run seconds per replication.
 func scaleConfigs() []struct {
 	name string
 	cfg  RunConfig
@@ -185,22 +180,17 @@ func scaleConfigs() []struct {
 // events/sec per configuration.
 func benchReplication(b *testing.B, cfg RunConfig) {
 	b.Helper()
-	// One warm engine across iterations, as a sweep worker would run:
+	// One warm Runner across iterations, as a sweep worker would run:
 	// allocator growth is paid before the timer starts, not once per run.
-	mk := cfg.newEngine
-	if mk == nil {
-		mk = des.New
-	}
-	eng := mk()
-	cfg.newEngine = func() *des.Engine { eng.Reset(); return eng }
-	if _, err := Run(cfg); err != nil {
+	var r Runner
+	if _, err := r.Run(cfg); err != nil {
 		b.Fatal(err)
 	}
 	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
+		res, err := r.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -212,8 +202,8 @@ func benchReplication(b *testing.B, cfg RunConfig) {
 	}
 }
 
-// BenchmarkReplication measures end-to-end simulation throughput on the
-// default (ladder-queue) engine across the grid/workload matrix.
+// BenchmarkReplication measures end-to-end simulation throughput across
+// the grid/workload matrix.
 func BenchmarkReplication(b *testing.B) {
 	for _, c := range replicationConfigs() {
 		b.Run(c.name, func(b *testing.B) {
@@ -223,65 +213,11 @@ func BenchmarkReplication(b *testing.B) {
 }
 
 // BenchmarkReplicationScale runs the large-scale cells (100k–1M machines,
-// deep bag backlogs, utilization ≥ 1) on the ladder engine only. Use
-// -benchtime 1x: the 1M-machine cell runs seconds per replication.
+// deep bag backlogs, utilization ≥ 1). Use -benchtime 1x: the 1M-machine cell runs seconds per replication.
 func BenchmarkReplicationScale(b *testing.B) {
 	for _, c := range scaleConfigs() {
 		b.Run(c.name, func(b *testing.B) {
 			benchReplication(b, c.cfg)
 		})
-	}
-}
-
-// BenchmarkReplicationBaselineHeap is the same matrix on the pre-ladder
-// binary-heap engine; the events/sec ratio against BenchmarkReplication is
-// the whole-simulation speedup of the ladder queue.
-func BenchmarkReplicationBaselineHeap(b *testing.B) {
-	for _, c := range replicationConfigs() {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := c.cfg
-			cfg.newEngine = des.NewBaselineHeap
-			benchReplication(b, cfg)
-		})
-	}
-}
-
-// TestEngineParityWholeSim runs complete simulations on the ladder engine
-// and on the baseline heap and requires bit-identical results — the
-// whole-simulation form of the differential fuzz contract in internal/des.
-func TestEngineParityWholeSim(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-sim parity sweep is slow")
-	}
-	for _, c := range []struct {
-		het   grid.Heterogeneity
-		avail grid.Availability
-	}{
-		{grid.Hom, grid.HighAvail},
-		{grid.Het, grid.LowAvail},
-	} {
-		cfg := smallRun(FCFSShare, c.het, c.avail, 0.5)
-		ladder, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.newEngine = des.NewBaselineHeap
-		heap, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ladder.EventsFired != heap.EventsFired || ladder.SimEnd != heap.SimEnd {
-			t.Fatalf("engines diverged: events %d/%d, end %v/%v",
-				ladder.EventsFired, heap.EventsFired, ladder.SimEnd, heap.SimEnd)
-		}
-		if len(ladder.Bags) != len(heap.Bags) {
-			t.Fatalf("bag counts diverged: %d vs %d", len(ladder.Bags), len(heap.Bags))
-		}
-		for i := range ladder.Bags {
-			if ladder.Bags[i] != heap.Bags[i] {
-				t.Fatalf("bag %d stats diverged:\nladder: %+v\nheap:   %+v",
-					i, ladder.Bags[i], heap.Bags[i])
-			}
-		}
 	}
 }

@@ -46,12 +46,6 @@ type RunConfig struct {
 	HorizonFactor float64
 	// Observer, when non-nil, receives every scheduling event.
 	Observer Observer
-
-	// newEngine, when non-nil, replaces the event-queue implementation.
-	// It is unexported (in-package tests and benchmarks only): production
-	// runs always use the default ladder engine, while the parity test and
-	// the replication benchmarks swap in des.NewBaselineHeap.
-	newEngine func() *des.Engine
 }
 
 // withDefaults fills zero-valued knobs.
@@ -191,32 +185,27 @@ type Runner struct {
 }
 
 // Run executes one simulation like the package-level Run, on the warm
-// engine. A config that injects its own engine (newEngine) bypasses reuse.
+// engine.
 func (r *Runner) Run(cfg RunConfig) (Result, error) {
-	if cfg.newEngine == nil {
-		if r.eng == nil {
-			r.eng = des.New()
-		}
-		r.eng.Reset()
-		eng := r.eng
-		cfg.newEngine = func() *des.Engine { return eng }
+	if r.eng == nil {
+		r.eng = des.New()
 	}
-	return Run(cfg)
+	r.eng.Reset()
+	return run(cfg, r.eng)
 }
 
 // Run executes one simulation and returns its results. It is deterministic
 // in cfg (including Seed) and safe to call from multiple goroutines with
 // distinct configs.
-func Run(cfg RunConfig) (Result, error) {
+func Run(cfg RunConfig) (Result, error) { return run(cfg, des.New()) }
+
+// run executes one simulation on eng, which must be fresh or reset.
+func run(cfg RunConfig, eng *des.Engine) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 
-	eng := des.New()
-	if cfg.newEngine != nil {
-		eng = cfg.newEngine()
-	}
 	g := grid.Build(cfg.Grid, rng.Root(cfg.Seed, "grid-build"))
 	ck := checkpoint.NewServer(cfg.Checkpoint, rng.Root(cfg.Seed, "checkpoint"))
 	pol := NewPolicy(cfg.Policy, rng.Root(cfg.Seed, "policy"))

@@ -706,7 +706,8 @@ func TestRandomPolicyCompletesEverything(t *testing.T) {
 
 func TestInvariantsUnderChaos(t *testing.T) {
 	// Full random availability churn with invariants checked after every
-	// event.
+	// event, and the indexed policies' selections checked against the
+	// linear scans of the rules they implement.
 	gcfg := grid.DefaultConfig(grid.Hom, grid.LowAvail)
 	gcfg.TotalPower = 100 // 10 machines
 	for _, kind := range Kinds {
@@ -736,6 +737,7 @@ func TestInvariantsUnderChaos(t *testing.T) {
 				for eng.Step() {
 					steps++
 					s.CheckInvariants()
+					checkIndex(t, kind, s)
 					if s.Completed() == 8 {
 						break
 					}

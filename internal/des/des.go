@@ -9,21 +9,19 @@
 // structure — a sorted near-future "bottom" window, a spine of bucketed
 // rungs that lazily re-bucket as the clock advances, and an unsorted
 // far-future "top" overflow — giving amortized O(1) Schedule and Step where
-// a binary heap pays O(log n) per operation. The previous heap survives as
-// NewBaselineHeap for differential tests and benchmark baselines; both
-// engines fire events in the identical (time, seq) order.
+// a binary heap pays O(log n) per operation. The package tests hold it to a
+// plain (time, seq) binary heap as the reference order.
 //
 // Events are pooled: once an event fires or is cancelled its storage is
 // recycled for the next Schedule, so the steady-state event loop allocates
 // nothing. Callers therefore never hold *event pointers; Schedule returns a
 // generation-stamped EventRef handle whose Cancel and Pending operations
 // are safe (and no-ops) after the event has fired and its storage been
-// reused. On the ladder engine Cancel recycles the storage in O(1) and
-// removes the queue entry eagerly when the event still sits where it was
-// inserted; if the queue has since moved it, the leftover entry is
-// discarded when it surfaces — its inline sequence number can never match
-// a reused slot, since sequence numbers are unique for the life of the
-// engine.
+// reused. Cancel recycles the storage in O(1) and removes the queue entry
+// eagerly when the event still sits where it was inserted; if the queue has
+// since moved it, the leftover entry is discarded when it surfaces — its
+// inline sequence number can never match a reused slot, since sequence
+// numbers are unique for the life of the engine.
 package des
 
 import (
@@ -45,7 +43,7 @@ type event struct {
 	arg  any
 	tier int32  // tier stamped at insert; tierNone when unqueued
 	b    int32  // bucket stamped at insert (rung tiers)
-	slot int32  // position stamped at insert (heap index for tierHeap)
+	slot int32  // position stamped at insert
 	id   uint32 // arena index of this event's storage, stamped once
 }
 
@@ -58,11 +56,11 @@ const (
 )
 
 // arena is the pooled event store. Slabs are pointers to fixed arrays, so
-// event addresses never move once handed out — EventRef and the baseline
-// heap hold *event safely — while the ladder's tier entries can hold the
-// bare uint32 index instead of a pointer. That keeps the tier arrays free
-// of pointers entirely: the GC neither scans them nor interposes write
-// barriers on the shift/sort/re-bucket traffic that dominates queue time.
+// event addresses never move once handed out — EventRef holds *event
+// safely — while the ladder's tier entries can hold the bare uint32 index
+// instead of a pointer. That keeps the tier arrays free of pointers
+// entirely: the GC neither scans them nor interposes write barriers on the
+// shift/sort/re-bucket traffic that dominates queue time.
 type arena struct {
 	slabs []*[slabSize]event
 	free  []uint32 // recycled indices, LIFO
@@ -114,13 +112,11 @@ func (a *arena) grow() *event {
 // moves are pure item-array traffic — so the stamp may go stale; Cancel
 // validates it against the item's sequence number before removing eagerly,
 // and falls back to lazy discard when the event has moved (see ladder.go).
-// The baseline heap keeps its slot exact and always removes eagerly.
 const (
 	tierNone   int32 = -1 // not queued (fired, cancelled or pooled)
 	tierBottom int32 = 0  // the ladder's sorted near-future window
 	tierTop    int32 = 1  // the ladder's unsorted far-future overflow
-	tierHeap   int32 = 2  // the baseline binary heap (NewBaselineHeap)
-	tierRung0  int32 = 3  // ladder rung k is tier tierRung0+k
+	tierRung0  int32 = 2  // ladder rung k is tier tierRung0+k
 )
 
 // EventRef is a handle to a scheduled event. The zero value is a valid
@@ -153,13 +149,10 @@ func (ref EventRef) Time() float64 {
 type Engine struct {
 	now     float64
 	seq     uint64
-	lq      ladder   // the ladder queue (default engine)
-	hq      []*event // the baseline binary heap (NewBaselineHeap only)
-	mem     arena    // slab-pooled event storage (ladder engine)
-	pool    []*event // free-list of recycled events (baseline heap engine)
+	lq      ladder // the event queue
+	mem     arena  // slab-pooled event storage
 	fired   uint64
 	stopped bool
-	heapq   bool // true when this engine uses the baseline heap
 }
 
 // New returns an engine with the clock at zero and an empty ladder queue.
@@ -167,14 +160,6 @@ func New() *Engine {
 	e := &Engine{}
 	e.lq.init(&e.mem)
 	return e
-}
-
-// NewBaselineHeap returns an engine backed by the pre-ladder binary-heap
-// queue (see heapq.go). It fires events in exactly the same order as New;
-// it exists as the reference implementation for differential tests and as
-// the baseline for queue benchmarks, not for production use.
-func NewBaselineHeap() *Engine {
-	return &Engine{heapq: true}
 }
 
 // Now returns the current simulation time.
@@ -185,12 +170,7 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Len returns the number of events currently queued.
-func (e *Engine) Len() int {
-	if e.heapq {
-		return len(e.hq)
-	}
-	return e.lq.count
-}
+func (e *Engine) Len() int { return e.lq.count }
 
 // runHandler adapts the closure-based Handler API to the pooled (fn, arg)
 // representation. Handler values are pointer-shaped, so storing one in the
@@ -239,38 +219,14 @@ func (e *Engine) ScheduleFuncAt(t float64, fn func(*Engine, any), arg any) Event
 		panic("des: nil handler")
 	}
 	e.seq++
-	ev := e.alloc()
+	ev := e.mem.alloc()
 	ev.time, ev.seq, ev.fn, ev.arg = t, e.seq, fn, arg
-	if e.heapq {
-		e.heapPush(ev)
-	} else {
-		e.lq.insert(ev)
-	}
+	e.lq.insert(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
-// alloc takes a recycled event or makes a new one. The ladder engine draws
-// from the slab arena so that tier items can address events by index; the
-// baseline heap keeps the pre-ladder engine's pool of individually
-// allocated events, preserving that implementation verbatim.
-//
-//botlint:hotpath
-func (e *Engine) alloc() *event {
-	if e.heapq {
-		if n := len(e.pool); n > 0 {
-			ev := e.pool[n-1]
-			e.pool[n-1] = nil
-			e.pool = e.pool[:n-1]
-			return ev
-		}
-		//botlint:ignore escape -- heap-baseline pool growth: the retained pre-ladder engine allocates events individually by design
-		return &event{tier: tierNone}
-	}
-	return e.mem.alloc()
-}
-
 // recycle invalidates every outstanding EventRef to ev and returns its
-// storage to the engine's pool.
+// storage to the arena.
 //
 //botlint:hotpath
 func (e *Engine) recycle(ev *event) {
@@ -278,10 +234,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.tier = tierNone
 	ev.fn = nil
 	ev.arg = nil
-	if e.heapq {
-		e.pool = append(e.pool, ev)
-		return
-	}
 	e.mem.free = append(e.mem.free, ev.id)
 }
 
@@ -289,18 +241,14 @@ func (e *Engine) recycle(ev *event) {
 // Cancelling a zero, fired, stale or already-cancelled ref is a no-op,
 // which simplifies caller bookkeeping.
 //
-// On the ladder engine the storage is recycled immediately either way; the
-// queue entry is removed eagerly when the event still sits where it was
-// inserted, and discarded lazily when it surfaces at the front otherwise.
+// The storage is recycled immediately either way; the queue entry is
+// removed eagerly when the event still sits where it was inserted, and
+// discarded lazily when it surfaces at the front otherwise.
 func (e *Engine) Cancel(ref EventRef) {
 	if !ref.Pending() {
 		return
 	}
-	if e.heapq {
-		e.heapRemove(int(ref.ev.slot))
-	} else {
-		e.lq.cancel(ref.ev)
-	}
+	e.lq.cancel(ref.ev)
 	e.recycle(ref.ev)
 }
 
@@ -312,18 +260,9 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	var ev *event
-	if e.heapq {
-		if len(e.hq) == 0 {
-			return false
-		}
-		ev = e.hq[0]
-		e.heapRemove(0)
-	} else {
-		ev = e.lq.popMin()
-		if ev == nil {
-			return false
-		}
+	ev := e.lq.popMin()
+	if ev == nil {
+		return false
 	}
 	e.now = ev.time
 	fn, arg := ev.fn, ev.arg
@@ -339,25 +278,14 @@ func (e *Engine) Run() {
 	}
 }
 
-// peekTime returns the fire time of the earliest queued event. On the
-// ladder engine this may refill the bottom tier, which mutates the queue
-// structure but never the fire order.
-func (e *Engine) peekTime() (float64, bool) {
-	if e.heapq {
-		if len(e.hq) == 0 {
-			return 0, false
-		}
-		return e.hq[0].time, true
-	}
-	return e.lq.peekTime()
-}
-
 // RunUntil executes events with time ≤ t, then advances the clock to t
 // (if the clock has not already passed it). Events scheduled exactly at t
 // are executed.
 func (e *Engine) RunUntil(t float64) {
 	for !e.stopped {
-		next, ok := e.peekTime()
+		// Peeking may refill the ladder's bottom tier, which mutates the
+		// queue structure but never the fire order.
+		next, ok := e.lq.peekTime()
 		if !ok || next > t {
 			break
 		}
@@ -370,8 +298,8 @@ func (e *Engine) RunUntil(t float64) {
 
 // Reset returns the engine to its initial state — clock at zero, queue
 // empty, not stopped — while keeping the allocator warm: the event arena,
-// the tier and heap capacities and the ladder's rung free-list persist, so
-// a worker that executes many simulations back-to-back (a sweep worker, a
+// the tier capacities and the ladder's rung free-list persist, so a worker
+// that executes many simulations back-to-back (a sweep worker, a
 // replication benchmark) pays the growth cost once instead of every run.
 // Pending events are discarded and every outstanding EventRef goes stale,
 // exactly as if the events had been cancelled. Sequence numbers keep
@@ -380,23 +308,16 @@ func (e *Engine) RunUntil(t float64) {
 // their relative order, so a reset engine replays a run bit-identically
 // to a fresh one.
 func (e *Engine) Reset() {
-	if e.heapq {
-		for _, ev := range e.hq {
-			e.recycle(ev)
-		}
-		e.hq = e.hq[:0]
-	} else {
-		// Queued events are exactly those not stamped tierNone: firing
-		// and cancelling both recycle (and so un-stamp) immediately.
-		for _, slab := range e.mem.slabs {
-			for i := range slab {
-				if slab[i].tier != tierNone {
-					e.recycle(&slab[i])
-				}
+	// Queued events are exactly those not stamped tierNone: firing and
+	// cancelling both recycle (and so un-stamp) immediately.
+	for _, slab := range e.mem.slabs {
+		for i := range slab {
+			if slab[i].tier != tierNone {
+				e.recycle(&slab[i])
 			}
 		}
-		e.lq.reset()
 	}
+	e.lq.reset()
 	e.now = 0
 	e.fired = 0
 	e.stopped = false

@@ -330,16 +330,17 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-// eventLoopEngine returns e loaded with the steady-state event churn the
-// simulator core exercises: a pool of pending events where every firing
-// schedules a successor through the no-closure ScheduleFunc path, so each
-// Step is one pop and one insert.
-func eventLoopEngine(e *Engine) *Engine {
+// eventLoopEngine returns an engine loaded with the steady-state event
+// churn the simulator core exercises: a pool of pending events where every
+// firing schedules a successor through the no-closure ScheduleFunc path,
+// so each Step is one pop and one insert.
+func eventLoopEngine() *Engine {
+	e := New()
 	var next func(*Engine, any)
 	next = func(en *Engine, arg any) {
 		en.ScheduleFunc(1, next, arg)
 	}
-	// Keep a realistic queue depth so heap operations cost O(log n).
+	// Keep a realistic queue depth.
 	for i := 0; i < 1024; i++ {
 		e.ScheduleFunc(float64(i%7)+1, next, nil)
 	}
@@ -366,7 +367,7 @@ func cancelLoopEngine() *Engine {
 // BenchmarkEventLoop measures the event churn of eventLoopEngine. With the
 // event pool this loop is allocation-free; TestWarmEngineZeroAlloc gates it.
 func BenchmarkEventLoop(b *testing.B) {
-	e := eventLoopEngine(New())
+	e := eventLoopEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -388,7 +389,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 // allocations: a Step whose handler schedules its successor, and a
 // ScheduleFuncAt cancelled straight away.
 func TestWarmEngineZeroAlloc(t *testing.T) {
-	loop := eventLoopEngine(New())
+	loop := eventLoopEngine()
 	cancel := cancelLoopEngine()
 	for _, tc := range []struct {
 		name string
@@ -406,55 +407,49 @@ func TestWarmEngineZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReset exercises warm-engine reuse on both engines: after Reset the
-// clock is back at zero, the queue is empty, outstanding refs are stale,
-// and a replayed schedule fires in exactly the same order as on a fresh
-// engine.
+// TestReset exercises warm-engine reuse on the ladder-queue engine: after
+// Reset the clock is back at zero, the queue is empty, outstanding refs are
+// stale, and a replayed schedule fires in exactly the same order as on a
+// fresh engine.
 func TestReset(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mk   func() *Engine
-	}{{"ladder", New}, {"heap", NewBaselineHeap}} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(e *Engine) []float64 {
-				var fired []float64
-				for _, d := range []float64{5, 1, 9, 3, 3, 7, 1e6, 2e6} {
-					e.Schedule(d, func(e *Engine) { fired = append(fired, e.Now()) })
-				}
-				e.RunUntil(8)
-				return fired
+	t.Run("ladder", func(t *testing.T) {
+		run := func(e *Engine) []float64 {
+			var fired []float64
+			for _, d := range []float64{5, 1, 9, 3, 3, 7, 1e6, 2e6} {
+				e.Schedule(d, func(e *Engine) { fired = append(fired, e.Now()) })
 			}
-			fresh := New()
-			want := run(fresh)
+			e.RunUntil(8)
+			return fired
+		}
+		want := run(New())
 
-			e := tc.mk()
-			run(e)
-			if e.Len() == 0 {
-				t.Fatal("expected far-future events still queued before Reset")
+		e := New()
+		run(e)
+		if e.Len() == 0 {
+			t.Fatal("expected far-future events still queued before Reset")
+		}
+		ref := e.Schedule(100, func(*Engine) { t.Fatal("fired across Reset") })
+		e.Stop()
+		e.Reset()
+		if e.Len() != 0 || e.Now() != 0 || e.Fired() != 0 || e.Stopped() {
+			t.Fatalf("Reset left state: len=%d now=%v fired=%d stopped=%v",
+				e.Len(), e.Now(), e.Fired(), e.Stopped())
+		}
+		if ref.Pending() {
+			t.Fatal("ref still pending after Reset")
+		}
+		e.Cancel(ref) // must be a no-op, not a corruption
+		got := run(e)
+		if len(got) != len(want) {
+			t.Fatalf("replay fired %d events, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("replay event %d at %v, want %v", i, got[i], want[i])
 			}
-			ref := e.Schedule(100, func(*Engine) { t.Fatal("fired across Reset") })
-			e.Stop()
-			e.Reset()
-			if e.Len() != 0 || e.Now() != 0 || e.Fired() != 0 || e.Stopped() {
-				t.Fatalf("Reset left state: len=%d now=%v fired=%d stopped=%v",
-					e.Len(), e.Now(), e.Fired(), e.Stopped())
-			}
-			if ref.Pending() {
-				t.Fatal("ref still pending after Reset")
-			}
-			e.Cancel(ref) // must be a no-op, not a corruption
-			got := run(e)
-			if len(got) != len(want) {
-				t.Fatalf("replay fired %d events, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("replay event %d at %v, want %v", i, got[i], want[i])
-				}
-			}
-			e.Run() // drain the far-future remainder; must not panic
-		})
-	}
+		}
+		e.Run() // drain the far-future remainder; must not panic
+	})
 }
 
 // TestResetKeepsArenaWarm pins the point of Reset: a second identical run

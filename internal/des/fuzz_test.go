@@ -4,11 +4,12 @@ import "testing"
 
 // FuzzLadderVsHeap is the differential fuzzer for the ladder queue: the
 // same fuzzed Schedule/ScheduleAt/Cancel/Step/RunUntil script (see
-// runScript) drives the ladder engine and the baseline binary heap, and
-// the two firing traces — which event, at what time, in what order — must
-// be identical. The script quantizes delays so same-time ties are common,
-// and cancel targets include refs that already fired or went stale, so the
-// generation-stamp contract is fuzzed alongside the ordering one.
+// runScript) drives the ladder engine and refHeap, the reference binary
+// heap, and the two firing traces — which event, at what time, in what
+// order — must be identical. The script quantizes delays so same-time ties
+// are common, and cancel targets include refs that already fired or went
+// stale, so the generation-stamp contract is fuzzed alongside the ordering
+// one.
 //
 // CI runs this as a smoke step next to the journal codec fuzzers; run it
 // longer locally with:
@@ -25,16 +26,6 @@ func FuzzLadderVsHeap(f *testing.F) {
 		2, 1, 0, 2, 1, 0, 3, 4, 0, 6, 20, 0, 4, 0, 2,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ladderTrace := runScript(New(), data)
-		heapTrace := runScript(NewBaselineHeap(), data)
-		if len(ladderTrace) != len(heapTrace) {
-			t.Fatalf("ladder fired %d events, heap fired %d", len(ladderTrace), len(heapTrace))
-		}
-		for i := range ladderTrace {
-			if ladderTrace[i] != heapTrace[i] {
-				t.Fatalf("traces diverge at firing %d: ladder %+v, heap %+v",
-					i, ladderTrace[i], heapTrace[i])
-			}
-		}
+		diffTraces(t, runScript(New(), data), runScript(&refHeap{}, data))
 	})
 }

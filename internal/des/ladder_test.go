@@ -14,21 +14,34 @@ type firing struct {
 	at float64
 }
 
+// queue is the scheduling surface runScript and benchChurn drive: *Engine
+// (with Handler and EventRef) and refHeap, the reference queue (with
+// refHandler and refRef), both implement it.
+type queue[Q any, H ~func(Q), R any] interface {
+	Now() float64
+	Schedule(delay float64, h H) R
+	ScheduleAt(t float64, h H) R
+	Cancel(ref R)
+	Step() bool
+	RunUntil(t float64)
+	Run()
+}
+
 // runScript interprets a byte stream as a Schedule / ScheduleAt / Cancel /
 // Step / RunUntil script against e and returns the resulting firing trace.
-// The same stream applied to two engines issues the identical call
+// The same stream applied to two queues issues the identical call
 // sequence (refs are matched by schedule order), so traces are directly
 // comparable. Delays are coarsely quantized to make same-time ties common,
 // and cancel targets are drawn from every ref ever returned, so cancels of
 // pending, fired and stale refs are all exercised.
-func runScript(e *Engine, data []byte) []firing {
+func runScript[Q queue[Q, H, R], H ~func(Q), R any](e Q, data []byte) []firing {
 	var fired []firing
-	var refs []EventRef
+	var refs []R
 	nextID := 0
 	schedule := func(at float64, abs bool) {
 		id := nextID
 		nextID++
-		h := func(en *Engine) { fired = append(fired, firing{id, en.Now()}) }
+		h := H(func(Q) { fired = append(fired, firing{id, e.Now()}) })
 		if abs {
 			refs = append(refs, e.ScheduleAt(at, h))
 		} else {
@@ -66,8 +79,9 @@ func runScript(e *Engine, data []byte) []firing {
 	return fired
 }
 
-// diffTraces fails the test when two engines fired different events or the
-// same events at different times or in a different order.
+// diffTraces fails the test when the ladder and the reference heap fired
+// different events or the same events at different times or in a different
+// order.
 func diffTraces(t *testing.T, ladder, heap []firing) {
 	t.Helper()
 	if len(ladder) != len(heap) {
@@ -80,18 +94,16 @@ func diffTraces(t *testing.T, ladder, heap []firing) {
 	}
 }
 
-// TestLadderMatchesHeapRandom drives the ladder queue and the baseline
-// binary heap with identical random op scripts and requires bit-identical
-// firing traces. This is the deterministic twin of FuzzLadderVsHeap.
+// TestLadderMatchesHeapRandom drives the ladder engine and the reference
+// heap with identical random op scripts and requires bit-identical firing
+// traces. This is the deterministic twin of FuzzLadderVsHeap.
 func TestLadderMatchesHeapRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 200; trial++ {
 		n := 30 + r.Intn(900)
 		data := make([]byte, n)
 		r.Read(data)
-		lt := runScript(New(), data)
-		ht := runScript(NewBaselineHeap(), data)
-		diffTraces(t, lt, ht)
+		diffTraces(t, runScript(New(), data), runScript(&refHeap{}, data))
 	}
 }
 
@@ -255,22 +267,18 @@ func TestPeekDoesNotDisturbOrder(t *testing.T) {
 
 // benchChurn is the steady-state event churn at a fixed queue depth with
 // continuously varying (LCG-derived) delays — the shape of the simulator's
-// Weibull availability and checkpoint event streams. It is used to measure
-// the heap-vs-ladder crossover across depths.
-type churnState struct{ x uint64 }
-
-func churnNext(en *Engine, arg any) {
-	c := arg.(*churnState)
-	c.x = c.x*6364136223846793005 + 1442695040888963407
-	en.ScheduleFunc(0.5+float64(c.x>>40)/float64(1<<24)*32, churnNext, c)
-}
-
-func benchChurn(b *testing.B, e *Engine, depth int) {
+// Weibull availability and checkpoint event streams: depth self-scheduling
+// streams, each firing scheduling its successor.
+func benchChurn[Q queue[Q, H, R], H ~func(Q), R any](b *testing.B, e Q, depth int) {
 	b.Helper()
-	states := make([]churnState, depth)
-	for i := range states {
-		states[i].x = uint64(i)*0x9e3779b97f4a7c15 + 1
-		e.ScheduleFunc(float64(i%97)/7+0.1, churnNext, &states[i])
+	for i := 0; i < depth; i++ {
+		x := uint64(i)*0x9e3779b97f4a7c15 + 1
+		var next H
+		next = H(func(Q) {
+			x = x*6364136223846793005 + 1442695040888963407
+			e.Schedule(0.5+float64(x>>40)/float64(1<<24)*32, next)
+		})
+		e.Schedule(float64(i%97)/7+0.1, next)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -279,27 +287,15 @@ func benchChurn(b *testing.B, e *Engine, depth int) {
 	}
 }
 
-// BenchmarkQueueChurn measures per-event cost for both queue
-// implementations across queue depths; the ratio at each depth is the
-// heap-vs-ladder crossover recorded in DESIGN.md.
+// BenchmarkQueueChurn measures per-event cost of the ladder engine and of
+// the reference heap across queue depths.
 func BenchmarkQueueChurn(b *testing.B) {
 	for _, depth := range []int{64, 1024, 16384, 262144} {
 		b.Run(fmt.Sprintf("ladder/depth=%d", depth), func(b *testing.B) {
 			benchChurn(b, New(), depth)
 		})
 		b.Run(fmt.Sprintf("heap/depth=%d", depth), func(b *testing.B) {
-			benchChurn(b, NewBaselineHeap(), depth)
+			benchChurn(b, &refHeap{}, depth)
 		})
-	}
-}
-
-// BenchmarkEventLoopBaselineHeap is BenchmarkEventLoop on the baseline
-// heap engine; the ratio of the two is the engines' per-event speedup.
-func BenchmarkEventLoopBaselineHeap(b *testing.B) {
-	e := eventLoopEngine(NewBaselineHeap())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
 	}
 }

@@ -132,14 +132,7 @@ func TestCrashingWorkersStillDrain(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
-	crashers := 0
-	for i := 0; i < 12; i++ {
-		cfg := WorkerConfig{ID: fmt.Sprintf("c%02d", i), Poll: time.Millisecond}
-		if i%3 == 0 {
-			cfg.CrashProb = 1 // dies silently on its first assignment
-			crashers++
-		}
-		w := NewSimWorker(c, cfg, rng.Root(11, fmt.Sprintf("crash-%d", i)))
+	start := func(w *SimWorker) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -147,6 +140,32 @@ func TestCrashingWorkersStillDrain(t *testing.T) {
 				t.Error(err)
 			}
 		}()
+	}
+	// The crashers take their assignments before any healthy worker
+	// starts, so each one really holds a task hostage; otherwise the
+	// healthy workers can drain the bag before a slow-starting crasher
+	// ever fetches.
+	var crashed []*SimWorker
+	for i := 0; i < 12; i += 3 {
+		cfg := WorkerConfig{ID: fmt.Sprintf("c%02d", i), Poll: time.Millisecond}
+		cfg.CrashProb = 1 // dies silently on its first assignment
+		w := NewSimWorker(c, cfg, rng.Root(11, fmt.Sprintf("crash-%d", i)))
+		crashed = append(crashed, w)
+		start(w)
+	}
+	wg.Wait()
+	for _, w := range crashed {
+		if !w.Crashed() {
+			t.Fatalf("worker %s returned without crashing", w.cfg.ID)
+		}
+	}
+	crashers := len(crashed)
+	for i := 0; i < 12; i++ {
+		if i%3 == 0 {
+			continue
+		}
+		cfg := WorkerConfig{ID: fmt.Sprintf("c%02d", i), Poll: time.Millisecond}
+		start(NewSimWorker(c, cfg, rng.Root(11, fmt.Sprintf("crash-%d", i))))
 	}
 
 	for {

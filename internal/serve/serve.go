@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -671,7 +673,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.StaleReports += p.met.StaleReports
 		st.Bags = append(st.Bags, p.bags...)
 	}
-	sortBagStatuses(st.Bags)
+	// Global IDs interleave across shards (local·N + shard); order the
+	// merged list by ID, i.e. submission order, as one shard reports it.
+	slices.SortFunc(st.Bags, func(a, b BagStatus) int { return cmp.Compare(a.Bag, b.Bag) })
 	if len(s.shards) == 1 {
 		// Single shard: the legacy wire shape, byte-compatible with the
 		// pre-sharding server.
@@ -754,16 +758,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	doc.DecisionLatency = s.decisionLatency()
 	writeJSON(w, http.StatusOK, doc)
-}
-
-// sortBagStatuses orders merged bag statuses by global ID (submission
-// order, matching the single-shard wire format).
-func sortBagStatuses(bags []BagStatus) {
-	for i := 1; i < len(bags); i++ {
-		for j := i; j > 0 && bags[j].Bag < bags[j-1].Bag; j-- {
-			bags[j], bags[j-1] = bags[j-1], bags[j]
-		}
-	}
 }
 
 // readJSON decodes a small JSON body; an empty body decodes to the zero
