@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,29 +30,45 @@ import (
 	"botgrid/internal/analysislint"
 )
 
-func main() {
-	quiet := flag.Bool("q", false, "suppress the applied-suppressions listing")
-	rules := flag.Bool("rules", false, "print the rule reference and exit")
-	only := flag.String("only", "", "comma-separated rule subset to report and gate on")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, lints the module containing the working directory and
+// returns the exit status; the report goes to stdout, errors to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("botlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quiet := fs.Bool("q", false, "suppress the applied-suppressions listing")
+	rules := fs.Bool("rules", false, "print the rule reference and exit")
+	only := fs.String("only", "", "comma-separated rule subset to report and gate on")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *rules {
 		for _, r := range analysislint.Rules {
-			fmt.Printf("%-12s %s\n", r.Name, r.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", r.Name, r.Doc)
 		}
-		return
+		return 0
 	}
 
 	keep, err := ruleFilter(*only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "botlint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "botlint:", err)
+		return 2
 	}
 
-	if err := run(*quiet, keep); err != nil {
-		fmt.Fprintln(os.Stderr, "botlint:", err)
-		os.Exit(2)
+	findings, err := lint(stdout, *quiet, keep)
+	if err != nil {
+		fmt.Fprintln(stderr, "botlint:", err)
+		return 2
 	}
+	if findings > 0 {
+		return 1
+	}
+	return 0
 }
 
 // ruleFilter parses -only into a keep-set (nil means every rule).
@@ -76,18 +94,20 @@ func ruleFilter(only string) (map[string]bool, error) {
 	return keep, nil
 }
 
-func run(quiet bool, keep map[string]bool) error {
+// lint runs every rule over the module, writes the report to w and
+// returns the number of findings it reported.
+func lint(w io.Writer, quiet bool, keep map[string]bool) (int, error) {
 	root, err := analysislint.FindModuleRoot(".")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	m, err := analysislint.LoadModule(root)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	res, err := analysislint.RunAll(m, analysislint.DefaultConfig(m.Path))
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	findings := res.Findings
@@ -114,17 +134,14 @@ func run(quiet bool, keep map[string]bool) error {
 		return name
 	}
 	for _, d := range findings {
-		fmt.Printf("%s:%d: [%s] %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Rule, d.Msg)
+		fmt.Fprintf(w, "%s:%d: [%s] %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Rule, d.Msg)
 	}
 	if !quiet {
 		for _, s := range suppressed {
-			fmt.Printf("%s:%d: suppressed [%s]: %s\n", rel(s.Pos.Filename), s.Pos.Line, s.Rule, s.Reason)
+			fmt.Fprintf(w, "%s:%d: suppressed [%s]: %s\n", rel(s.Pos.Filename), s.Pos.Line, s.Rule, s.Reason)
 		}
 	}
-	fmt.Printf("botlint: %d packages, %d findings, %d suppressed\n",
+	fmt.Fprintf(w, "botlint: %d packages, %d findings, %d suppressed\n",
 		len(m.Pkgs), len(findings), len(suppressed))
-	if len(findings) > 0 {
-		os.Exit(1)
-	}
-	return nil
+	return len(findings), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"botgrid/internal/grid"
 	"botgrid/internal/rng"
 )
 
@@ -106,5 +107,35 @@ func TestDispatchDecisionZeroAlloc(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRecycledSubmitZeroAlloc gates the recycling Submit at 0 allocations:
+// on a warm simulation scheduler, a bag that takes the storage of a
+// completed bag of equal or larger size allocates nothing, and neither do
+// its dispatch and completion, which hand the storage back.
+func TestRecycledSubmitZeroAlloc(t *testing.T) {
+	big := []float64{100, 200, 300, 400, 500, 600, 700, 800}
+	small := big[:5]
+	for _, k := range Kinds {
+		t.Run(k.String(), func(t *testing.T) {
+			eng, _, s := fixture(t, []float64{10, 10, 10, 10}, k, DefaultSchedConfig(), grid.AlwaysUp, 0)
+			s.recycle = true
+			cycle := func(works []float64) {
+				s.Submit(1000, works)
+				eng.Run()
+				if s.Completed() != s.Submitted() {
+					t.Fatal("bag did not complete")
+				}
+			}
+			cycle(big) // the storage every measured Submit reuses
+			allocs := testing.AllocsPerRun(100, func() {
+				cycle(big)
+				cycle(small)
+			})
+			if allocs != 0 {
+				t.Fatalf("recycled submit-to-completion cycle allocates %.0f times", allocs)
+			}
+		})
 	}
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"strconv"
 	"testing"
+
+	"botgrid/internal/des"
+	"botgrid/internal/grid"
 )
 
 // refSelect is the rule an indexed policy implements, as the linear scan
@@ -101,4 +104,94 @@ func bagName(b *Bag) string {
 		return "none"
 	}
 	return strconv.Itoa(b.ID)
+}
+
+// TestStaleEntryNeverSelectedAfterReuse gives bag A's storage to a new
+// bag B and then puts back into the policy's index every entry A's life
+// left there. A's entries outrank the live ones (A is the oldest bag, its
+// task the longest idle, its remaining work the smallest), so an entry
+// that matched again would make the index select B where the rule selects
+// C. It cannot match: the stamp and the pending epochs carry over.
+func TestStaleEntryNeverSelectedAfterReuse(t *testing.T) {
+	for _, kind := range []PolicyKind{FCFSShare, FairShare, SJFKB, LongIdle} {
+		t.Run(kind.String(), func(t *testing.T) {
+			eng, _, s := fixture(t, []float64{10}, kind, defaultSC(), grid.AlwaysUp, 0)
+			s.recycle = true
+			var a, b *Bag
+			var aTask *Task
+			// The entries A's life left in each heap, in the order first seen.
+			type heapEntry struct {
+				h *bagHeap
+				e bagEntry
+			}
+			var oldBags []heapEntry
+			var oldIdle []idleEntry
+			seenBag := map[heapEntry]bool{}
+			seenIdle := map[idleEntry]bool{}
+			eng.ScheduleAt(0, func(*des.Engine) {
+				a = s.Submit(1000, []float64{100}) // runs alone until t=10
+				aTask = a.Tasks[0]
+			})
+			submitAt(eng, s, 1, 1000, []float64{100, 100, 100}, nil)
+			eng.ScheduleAt(11, func(*des.Engine) {
+				b = s.Submit(1000, []float64{1000})
+				if b != a {
+					t.Fatal("B did not reuse A's storage")
+				}
+				_, idle := indexHeaps(s.policy)
+				for _, he := range oldBags {
+					he.h.es = append(he.h.es, he.e)
+					he.h.up(len(he.h.es) - 1)
+				}
+				for _, e := range oldIdle {
+					idle.es = append(idle.es, e)
+					idle.up(len(idle.es) - 1)
+				}
+			})
+			for eng.Step() {
+				if b == nil {
+					bags, idle := indexHeaps(s.policy)
+					for _, h := range bags {
+						for _, e := range h.es {
+							if he := (heapEntry{h, e}); e.b == a && !seenBag[he] {
+								seenBag[he] = true
+								oldBags = append(oldBags, he)
+							}
+						}
+					}
+					for _, e := range idle.es {
+						if e.t == aTask && !seenIdle[e] {
+							seenIdle[e] = true
+							oldIdle = append(oldIdle, e)
+						}
+					}
+				}
+				s.CheckInvariants()
+				checkIndex(t, kind, s)
+			}
+			if s.Completed() != 3 {
+				t.Fatalf("completed %d/3 bags", s.Completed())
+			}
+			if len(oldBags)+len(oldIdle) == 0 {
+				t.Fatal("A's life left no index entries to replay")
+			}
+		})
+	}
+}
+
+// indexHeaps returns the lazy heaps of an indexed policy; idle is an
+// empty stand-in for the policies without a task index.
+func indexHeaps(p Policy) (bags []*bagHeap, idle *idleIdx) {
+	idle = new(idleIdx)
+	switch p := p.(type) {
+	case *fcfsShare:
+		bags = []*bagHeap{&p.idx.pend, &p.idx.repl}
+	case *fairShare:
+		bags = []*bagHeap{&p.idx.pend, &p.idx.repl}
+	case *sjfKB:
+		bags = []*bagHeap{&p.idx.pend, &p.idx.repl}
+	case *longIdle:
+		bags, idle = []*bagHeap{&p.repl}, &p.idle
+	}
+	return bags, idle
 }

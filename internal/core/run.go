@@ -240,8 +240,10 @@ func run(cfg RunConfig, eng *des.Engine) (Result, error) {
 	}
 
 	// Schedule the arrival chain — a replayed trace or a generated
-	// stream. Each arrival submits its bag and books the next one.
+	// stream. Each arrival submits its bag and books the next one through
+	// the same bound handler; the last one ends the scheduler's recycling.
 	var horizon float64
+	var next func() *workload.BoT
 	if len(cfg.Bots) > 0 {
 		totalWork, maxWork := 0.0, 0.0
 		for _, b := range cfg.Bots {
@@ -263,32 +265,31 @@ func run(cfg RunConfig, eng *des.Engine) (Result, error) {
 		// critical path of the largest task on the slowest machine,
 		// scaled by the horizon factor.
 		horizon = cfg.HorizonFactor * (last + totalWork/g.TotalPower() + maxWork/minPower + 1)
-		var arrive func(i int)
-		arrive = func(i int) {
-			b := cfg.Bots[i]
-			eng.ScheduleAt(b.Arrival, func(*des.Engine) {
-				sched.Submit(b.Granularity, b.TaskWork)
-				if i+1 < len(cfg.Bots) {
-					arrive(i + 1)
-				}
-			})
-		}
-		arrive(0)
+		next = func() *workload.BoT { return cfg.Bots[sched.Submitted()] }
 	} else {
 		gen := workload.NewGenerator(cfg.Workload,
 			rng.Root(cfg.Seed, "tasks"), rng.Root(cfg.Seed, "arrivals"))
 		horizon = cfg.HorizonFactor * float64(numBots) / cfg.Workload.Lambda
-		var arrive func(b *workload.BoT)
-		arrive = func(b *workload.BoT) {
-			eng.ScheduleAt(b.Arrival, func(*des.Engine) {
-				sched.Submit(b.Granularity, b.TaskWork)
-				if sched.Submitted() < numBots {
-					arrive(gen.Next())
-				}
-			})
+		// Submit copies the task works, so one BoT serves the stream.
+		var bot workload.BoT
+		next = func() *workload.BoT {
+			gen.NextInto(&bot)
+			return &bot
 		}
-		arrive(gen.Next())
 	}
+	sched.recycle = true
+	b := next()
+	var arrive func(*des.Engine)
+	arrive = func(*des.Engine) {
+		sched.Submit(b.Granularity, b.TaskWork)
+		if sched.Submitted() == numBots {
+			sched.endRecycling()
+			return
+		}
+		b = next()
+		eng.ScheduleAt(b.Arrival, arrive)
+	}
+	eng.ScheduleAt(b.Arrival, arrive)
 
 	// Hard horizon: if the grid cannot drain the workload, stop and flag
 	// saturation rather than simulating forever.

@@ -58,6 +58,11 @@ func (r *Replica) Progress() float64 { return r.done }
 
 // Observer receives scheduling events; implementations must not mutate the
 // arguments. All methods are called synchronously from the simulation loop.
+//
+// In runs started by Run or Runner.Run, the *Bag, *Task and *Replica
+// arguments are valid only during the callback: the scheduler reuses their
+// storage for later bags, tasks and replicas. An observer that needs them
+// afterwards copies what it needs.
 type Observer interface {
 	BagSubmitted(now float64, b *Bag)
 	BagCompleted(now float64, b *Bag)
@@ -200,7 +205,8 @@ type Scheduler struct {
 	saveDoneFn     func(any)
 
 	// OnBagDone, when non-nil, fires after a bag completes (after the
-	// Observer callback). The runner uses it to stop the simulation.
+	// Observer callback). The runner uses it to stop the simulation. The
+	// Observer's pointer contract applies to its argument.
 	OnBagDone func(*Bag)
 
 	ckptInterval float64
@@ -230,6 +236,15 @@ type Scheduler struct {
 	// kills and validate staleness by pointer identity (see ReplicaOn),
 	// which reuse would break.
 	replicaPool []*Replica
+
+	// recycle, set by run until its last arrival is submitted, keeps a
+	// completed bag's storage for the next Submit: the Bag on bagPool, its
+	// Task structs on taskPool. Only run turns it on, because only run
+	// keeps Submit's *Bag to itself; see DESIGN.md, "Bag and task storage
+	// lifecycle".
+	recycle  bool
+	bagPool  []*Bag
+	taskPool []*Task
 }
 
 // newReplica takes a Replica from the pool or allocates one.
@@ -252,6 +267,78 @@ func (s *Scheduler) freeReplica(r *Replica) {
 	}
 	*r = Replica{}
 	s.replicaPool = append(s.replicaPool, r)
+}
+
+// takeBag returns storage for a bag of n tasks: the most recently freed
+// bag and n pooled tasks, or growBag's fresh storage when the pools fall
+// short.
+//
+//botlint:hotpath
+func (s *Scheduler) takeBag(n int) *Bag {
+	var b *Bag
+	if k := len(s.bagPool); k > 0 {
+		b = s.bagPool[k-1]
+		s.bagPool[k-1] = nil
+		s.bagPool = s.bagPool[:k-1]
+	}
+	if b == nil || cap(b.Tasks) < n || len(s.taskPool) < n {
+		return s.growBag(b, n)
+	}
+	s.takeTasks(b, n)
+	return b
+}
+
+// takeTasks moves the last k pooled tasks into b.Tasks.
+//
+//botlint:hotpath
+func (s *Scheduler) takeTasks(b *Bag, k int) {
+	m := len(s.taskPool) - k
+	b.Tasks = append(b.Tasks, s.taskPool[m:]...)
+	clear(s.taskPool[m:])
+	s.taskPool = s.taskPool[:m]
+}
+
+// growBag is takeBag's miss path: b (a new Bag when nil) with room for n
+// tasks, the pooled tasks there are and one slab for the rest. Kept out of
+// takeBag (and out of the inliner) so its allocations stay off the reuse
+// path's escape profile. A scheduler that does not recycle takes every
+// bag from here.
+//
+//go:noinline
+func (s *Scheduler) growBag(b *Bag, n int) *Bag {
+	if b == nil {
+		b = new(Bag)
+	}
+	if cap(b.Tasks) < n {
+		b.Tasks = make([]*Task, 0, n)
+	}
+	s.takeTasks(b, min(n, len(s.taskPool)))
+	slab := make([]Task, n-len(b.Tasks))
+	for i := range slab {
+		b.Tasks = append(b.Tasks, &slab[i])
+	}
+	return b
+}
+
+// freeBag returns a completed bag's storage to the pools when the
+// scheduler recycles. Callers guarantee no reference remains: the bag has
+// left s.bags, its tasks hold no replica and the observers have returned.
+func (s *Scheduler) freeBag(b *Bag) {
+	if !s.recycle {
+		return
+	}
+	s.taskPool = append(s.taskPool, b.Tasks...)
+	clear(b.Tasks)
+	b.Tasks = b.Tasks[:0]
+	s.bagPool = append(s.bagPool, b)
+}
+
+// endRecycling stops recycling and drops the pools: once the last arrival
+// is submitted no Submit can reuse the storage, and keeping it would only
+// raise the heap.
+func (s *Scheduler) endRecycling() {
+	s.recycle = false
+	s.bagPool, s.taskPool = nil, nil
 }
 
 // NewScheduler wires a scheduler to an engine, grid and checkpoint server.
@@ -407,7 +494,8 @@ func (s *Scheduler) Submit(granularity float64, works []float64) *Bag {
 	case ShortestFirst:
 		works = sortedWorks(works, func(a, b float64) bool { return a < b })
 	}
-	b := newBag(s.nextBagID, s.clock.Now(), granularity, works)
+	b := s.takeBag(len(works))
+	b.reset(s.nextBagID, s.clock.Now(), granularity, works)
 	s.nextBagID++
 	s.submitted++
 	s.bags = append(s.bags, b)
@@ -656,7 +744,11 @@ func (s *Scheduler) completeTask(r *Replica) {
 		}
 	}
 	k := len(reps)
-	t.Replicas = nil
+	if s.recycle {
+		t.Replicas = reps[:0] // the task's next life reuses the capacity
+	} else {
+		t.Replicas = nil
+	}
 	b.running -= k
 	s.totalRunning -= k
 	s.tasksCompleted++
@@ -666,7 +758,8 @@ func (s *Scheduler) completeTask(r *Replica) {
 		s.emit(Mutation{Kind: MutTaskCompleted, Time: now, Bag: b.ID, Task: t.ID, Seq: r.Seq})
 	}
 	s.obs.TaskCompleted(now, t, killed)
-	if b.Complete() {
+	bagDone := b.Complete()
+	if bagDone {
 		b.DoneAt = now
 		s.removeBag(b)
 		s.completed++
@@ -678,10 +771,14 @@ func (s *Scheduler) completeTask(r *Replica) {
 			s.OnBagDone(b)
 		}
 	}
-	// The replicas are unreferenced now (emit and observers above copy
-	// what they need), so their storage can back the dispatches below.
+	// The replicas, and a completed bag, are unreferenced now (emit and
+	// observers above copy what they need), so their storage can back the
+	// dispatches and submissions to come.
 	for _, rep := range reps {
 		s.freeReplica(rep)
+	}
+	if bagDone {
+		s.freeBag(b)
 	}
 	s.dispatch()
 }

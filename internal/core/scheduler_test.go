@@ -708,49 +708,87 @@ func TestInvariantsUnderChaos(t *testing.T) {
 	// Full random availability churn with invariants checked after every
 	// event, and the indexed policies' selections checked against the
 	// linear scans of the rules they implement.
-	gcfg := grid.DefaultConfig(grid.Hom, grid.LowAvail)
-	gcfg.TotalPower = 100 // 10 machines
 	for _, kind := range Kinds {
 		for _, suspend := range []bool{false, true} {
-			kind, suspend := kind, suspend
-			name := kind.String()
-			if suspend {
-				name += "/suspend"
-			}
-			t.Run(name, func(t *testing.T) {
-				eng := des.New()
-				g := grid.Build(gcfg, rng.New(3))
-				ck := checkpoint.NewServer(checkpoint.DefaultConfig(), rng.New(4))
-				sc := defaultSC()
-				sc.SuspendOnFailure = suspend
-				s := NewScheduler(eng, g, ck, NewPolicy(kind, rng.New(5)), sc, nil)
-				g.Start(eng, rng.New(6), s)
-				works := rng.New(7)
-				for i := 0; i < 8; i++ {
-					tasks := make([]float64, 5+works.IntN(10))
-					for j := range tasks {
-						tasks[j] = works.Uniform(500, 20000)
-					}
-					submitAt(eng, s, works.Uniform(0, 5000), 1000, tasks, nil)
-				}
-				steps := 0
-				for eng.Step() {
-					steps++
-					s.CheckInvariants()
-					checkIndex(t, kind, s)
-					if s.Completed() == 8 {
-						break
-					}
-					if eng.Now() > 5e6 {
-						t.Fatalf("workload did not drain by t=5e6 (completed %d/8)", s.Completed())
-					}
-				}
-				if s.Completed() != 8 {
-					t.Fatalf("completed %d/8 bags after %d steps", s.Completed(), steps)
+			t.Run(chaosName(kind, suspend), func(t *testing.T) {
+				chaos(t, kind, suspend, false, 8, 5000)
+			})
+		}
+	}
+}
+
+// TestInvariantsUnderChaosRecycled is TestInvariantsUnderChaos on a
+// recycling scheduler, with arrivals spread out far enough that completed
+// bags' storage backs later submissions.
+func TestInvariantsUnderChaosRecycled(t *testing.T) {
+	for _, kind := range Kinds {
+		for _, suspend := range []bool{false, true} {
+			t.Run(chaosName(kind, suspend), func(t *testing.T) {
+				reused := chaos(t, kind, suspend, true, 24, 5e4)
+				t.Logf("%d of 24 submissions reused storage", reused)
+				if reused == 0 {
+					t.Fatal("no submission reused a completed bag's storage")
 				}
 			})
 		}
 	}
+}
+
+func chaosName(kind PolicyKind, suspend bool) string {
+	if suspend {
+		return kind.String() + "/suspend"
+	}
+	return kind.String()
+}
+
+// chaos submits bags of random tasks at uniform times in [0, spread) to a
+// 10-machine LowAvail grid under full availability churn, and checks the
+// scheduler's invariants and index after every event until all bags
+// complete. It returns how many submissions got storage a completed bag
+// had used before.
+func chaos(t *testing.T, kind PolicyKind, suspend, recycle bool, bags int, spread float64) (reused int) {
+	t.Helper()
+	gcfg := grid.DefaultConfig(grid.Hom, grid.LowAvail)
+	gcfg.TotalPower = 100 // 10 machines
+	eng := des.New()
+	g := grid.Build(gcfg, rng.New(3))
+	ck := checkpoint.NewServer(checkpoint.DefaultConfig(), rng.New(4))
+	sc := defaultSC()
+	sc.SuspendOnFailure = suspend
+	s := NewScheduler(eng, g, ck, NewPolicy(kind, rng.New(5)), sc, nil)
+	s.recycle = recycle
+	g.Start(eng, rng.New(6), s)
+	seen := map[*Bag]bool{}
+	works := rng.New(7)
+	for i := 0; i < bags; i++ {
+		tasks := make([]float64, 5+works.IntN(10))
+		for j := range tasks {
+			tasks[j] = works.Uniform(500, 20000)
+		}
+		eng.ScheduleAt(works.Uniform(0, spread), func(*des.Engine) {
+			b := s.Submit(1000, tasks)
+			if seen[b] {
+				reused++
+			}
+			seen[b] = true
+		})
+	}
+	steps := 0
+	for eng.Step() {
+		steps++
+		s.CheckInvariants()
+		checkIndex(t, kind, s)
+		if s.Completed() == bags {
+			break
+		}
+		if eng.Now() > 5e6 {
+			t.Fatalf("workload did not drain by t=5e6 (completed %d/%d)", s.Completed(), bags)
+		}
+	}
+	if s.Completed() != bags {
+		t.Fatalf("completed %d/%d bags after %d steps", s.Completed(), bags, steps)
+	}
+	return reused
 }
 
 func TestSubmitEmptyBagPanics(t *testing.T) {

@@ -130,31 +130,43 @@ type Bag struct {
 	stamp uint64
 }
 
-// newBag wraps task works into a Bag with all tasks pending as of now.
-func newBag(id int, arrival, granularity float64, works []float64) *Bag {
-	b := &Bag{
+// reset readies b's storage as a new bag of works with every task pending
+// as of arrival. b.Tasks must already hold len(works) tasks, fresh or
+// recycled (see Scheduler.takeBag). A recycled bag keeps its pending ring
+// and run-heap capacity, and a recycled task its Replicas capacity. The
+// bag's stamp and each task's pending epoch carry over and are never reset:
+// index entries left from the storage's earlier life then stay stale for
+// good (bagEntry.valid, idleEntry.valid).
+//
+//botlint:hotpath
+func (b *Bag) reset(id int, arrival, granularity float64, works []float64) {
+	*b = Bag{
 		ID:          id,
 		Arrival:     arrival,
 		Granularity: granularity,
+		Tasks:       b.Tasks,
 		FirstStart:  -1,
 		DoneAt:      -1,
+		pending:     pendingQueue{buf: b.pending.buf},
+		runHeap:     runHeap{es: b.runHeap.es[:0]},
+		stamp:       b.stamp,
 	}
-	b.Tasks = make([]*Task, len(works))
 	for i, w := range works {
-		t := &Task{
-			ID:         i,
-			Bag:        b,
-			Work:       w,
-			FirstStart: -1,
-			DoneAt:     -1,
-			idleSince:  arrival,
-			runIdx:     -1,
+		t := b.Tasks[i]
+		*t = Task{
+			ID:           i,
+			Bag:          b,
+			Work:         w,
+			Replicas:     t.Replicas[:0],
+			FirstStart:   -1,
+			DoneAt:       -1,
+			idleSince:    arrival,
+			pendingEpoch: t.pendingEpoch,
+			runIdx:       -1,
 		}
-		b.Tasks[i] = t
 		b.totalWork += w
 		b.enqueuePending(t, false)
 	}
-	return b
 }
 
 // enqueuePending puts t into the bag's queue; front selects resubmission

@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+// newBag builds a bag of works on fresh storage, outside any scheduler,
+// with all tasks pending as of arrival.
+func newBag(id int, arrival, granularity float64, works []float64) *Bag {
+	var s Scheduler
+	b := s.takeBag(len(works))
+	b.reset(id, arrival, granularity, works)
+	return b
+}
+
 func TestPendingQueueFIFO(t *testing.T) {
 	var q pendingQueue
 	tasks := make([]*Task, 20)

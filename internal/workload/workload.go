@@ -201,12 +201,22 @@ func NewGenerator(cfg Config, taskStream, arrivalStream *rng.Stream) *Generator 
 
 // Next produces the next BoT in the arrival stream.
 func (g *Generator) Next() *BoT {
+	b := new(BoT)
+	g.NextInto(b)
+	return b
+}
+
+// NextInto overwrites b with the next BoT in the arrival stream, reusing
+// b.TaskWork's storage. It draws exactly what Next draws, so a caller that
+// is done with each BoT before asking for the next one can use a single
+// BoT for the whole stream.
+func (g *Generator) NextInto(b *BoT) {
 	g.nextArrival += g.arrivals.Exponential(1 / g.cfg.Lambda)
 	gran := g.cfg.Granularities[0]
 	if len(g.cfg.Granularities) > 1 {
 		gran = g.cfg.Granularities[g.tasks.IntN(len(g.cfg.Granularities))]
 	}
-	b := &BoT{ID: g.nextID, Arrival: g.nextArrival, Granularity: gran}
+	*b = BoT{ID: g.nextID, Arrival: g.nextArrival, Granularity: gran, TaskWork: b.TaskWork[:0]}
 	g.nextID++
 	total := 0.0
 	for total < g.cfg.AppSize {
@@ -214,7 +224,6 @@ func (g *Generator) Next() *BoT {
 		b.TaskWork = append(b.TaskWork, w)
 		total += w
 	}
-	return b
 }
 
 // drawDuration samples one task duration with mean gran under the

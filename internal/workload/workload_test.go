@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +167,28 @@ func TestGeneratorDeterminism(t *testing.T) {
 				t.Fatal("same seed produced different task durations")
 			}
 		}
+	}
+}
+
+func TestNextIntoMatchesNext(t *testing.T) {
+	c := Config{Granularities: DefaultGranularities, AppSize: 2e5, Spread: 0.5, Lambda: 1e-3}
+	a, b := newGen(c, 9), newGen(c, 9)
+	var bot BoT
+	grown := 0
+	for i := 0; i < 50; i++ {
+		want := a.Next()
+		before := cap(bot.TaskWork)
+		b.NextInto(&bot)
+		if bot.ID != want.ID || bot.Arrival != want.Arrival || bot.Granularity != want.Granularity ||
+			!slices.Equal(bot.TaskWork, want.TaskWork) {
+			t.Fatalf("BoT %d: NextInto gives %+v, Next gives %+v", i, bot, *want)
+		}
+		if cap(bot.TaskWork) != before {
+			grown++
+		}
+	}
+	if grown > 10 {
+		t.Fatalf("TaskWork storage grew on %d of 50 draws: NextInto does not reuse it", grown)
 	}
 }
 
