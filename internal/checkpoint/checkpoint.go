@@ -87,10 +87,20 @@ type Server struct {
 
 // NewServer builds a server drawing transfer times from str.
 func NewServer(cfg Config, str *rng.Stream) *Server {
+	s := new(Server)
+	s.Reset(cfg, str)
+	return s
+}
+
+// Reset makes s the server NewServer(cfg, str) returns, except that it
+// keeps the transfer pool. Call it only once the engine that ran s's
+// transfers has been reset: transfers still queued or running are dropped
+// with their callbacks, and their handles go stale.
+func (s *Server) Reset(cfg Config, str *rng.Stream) {
 	if cfg.TransferHi < cfg.TransferLo {
 		panic("checkpoint: transfer bounds inverted")
 	}
-	return &Server{cfg: cfg, str: str}
+	*s = Server{cfg: cfg, str: str, pool: s.pool}
 }
 
 // Enabled reports whether checkpointing is active.

@@ -137,3 +137,37 @@ func TestNegativeDurationPanics(t *testing.T) {
 	}()
 	capServer(1).StartTransfer(des.New(), -1, func(any) {}, nil)
 }
+
+// TestResetKeepsPoolOnly resets a server that has finished, running and
+// queued transfers: it then reads like a new server of the new config, and
+// its next transfer reuses a finished transfer's storage.
+func TestResetKeepsPoolOnly(t *testing.T) {
+	s := capServer(1)
+	e := des.New()
+	first := s.StartTransfer(e, 100, func(any) {}, nil)
+	for i := 0; i < 2; i++ {
+		s.StartTransfer(e, 100, func(any) {}, nil)
+	}
+	s.SaveTime()
+	e.Run() // all three finish; first is the deepest in the pool
+	s.StartTransfer(e, 100, func(any) {}, nil)
+	s.StartTransfer(e, 100, func(any) {}, nil) // queued behind the running one
+	if s.Active() != 1 || s.Queued() != 1 || s.MaxQueue() != 2 {
+		t.Fatalf("before reset: active %d queued %d max queue %d", s.Active(), s.Queued(), s.MaxQueue())
+	}
+
+	e.Reset()
+	cfg := Config{Enabled: true, TransferLo: 50, TransferHi: 60}
+	s.Reset(cfg, rng.New(2))
+	if saves, retrieves := s.Stats(); saves != 0 || retrieves != 0 || s.Active() != 0 ||
+		s.Queued() != 0 || s.MaxQueue() != 0 {
+		t.Fatalf("after reset: stats %d/%d active %d queued %d max queue %d",
+			saves, retrieves, s.Active(), s.Queued(), s.MaxQueue())
+	}
+	if got, want := s.SaveTime(), NewServer(cfg, rng.New(2)).SaveTime(); got != want {
+		t.Fatalf("after reset the first save takes %v, a new server's %v", got, want)
+	}
+	if tr := s.StartTransfer(e, 10, func(any) {}, nil); tr != first {
+		t.Fatal("the transfer after a reset did not reuse pooled storage")
+	}
+}

@@ -172,44 +172,64 @@ func (r Result) Turnarounds() []float64 {
 	return out
 }
 
-// Runner executes simulations on one reused engine: the event arena, the
-// queue-tier capacities and the rung free-list grown by a run stay warm
-// for the next, so a caller that executes many replications back-to-back
-// (a sweep cell, a replication benchmark) pays the allocator's growth
-// cost once rather than once per run. Results are bit-identical to Run —
-// des.Engine.Reset carries capacity forward, never state. The zero value
-// is ready to use. A Runner is not safe for concurrent use; give each
-// worker goroutine its own.
+// Runner executes simulations on one reused world. What a replication
+// builds in proportion to the grid stays warm for the next: the event
+// engine's arena, queue-tier capacities and rung free-list, the grid and
+// its Machine structs, the scheduler's per-machine state, free stack and
+// replica pool, and the checkpoint server's transfer pool. A caller that
+// executes many replications back-to-back (a sweep cell, a replication
+// benchmark) pays the allocator's growth cost once rather than once per
+// run. What scales with the workload (bags, tasks, the policy and its
+// indexes) is built afresh by every run, and the scheduler lets go of it
+// when the run ends, so the carried storage holds no workload.
+//
+// Results are bit-identical to Run: the reused storage carries capacity
+// forward, never state. One consequence reaches observers: a *grid.Machine
+// passed to a callback of one run is a machine of the next run's grid too,
+// with another power and history, so an observer keeps machine IDs, not
+// pointers (see Observer). The zero value is ready to use. A Runner is not
+// safe for concurrent use; give each worker goroutine its own.
 type Runner struct {
-	eng *des.Engine
+	eng  *des.Engine
+	grid grid.Grid
+	ckpt checkpoint.Server
+	// sched is the last run's scheduler, retired to the grid-sized storage
+	// the next run's scheduler is built on.
+	sched *Scheduler
 }
 
-// Run executes one simulation like the package-level Run, on the warm
-// engine.
+// Run executes one simulation like the package-level Run, in the warm
+// world.
 func (r *Runner) Run(cfg RunConfig) (Result, error) {
 	if r.eng == nil {
 		r.eng = des.New()
 	}
 	r.eng.Reset()
-	return run(cfg, r.eng)
+	return r.run(cfg)
 }
 
 // Run executes one simulation and returns its results. It is deterministic
 // in cfg (including Seed) and safe to call from multiple goroutines with
 // distinct configs.
-func Run(cfg RunConfig) (Result, error) { return run(cfg, des.New()) }
+func Run(cfg RunConfig) (Result, error) {
+	var r Runner
+	return r.Run(cfg)
+}
 
-// run executes one simulation on eng, which must be fresh or reset.
-func run(cfg RunConfig, eng *des.Engine) (Result, error) {
+// run executes one simulation on r's engine, which must be fresh or reset.
+func (r *Runner) run(cfg RunConfig) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 
-	g := grid.Build(cfg.Grid, rng.Root(cfg.Seed, "grid-build"))
-	ck := checkpoint.NewServer(cfg.Checkpoint, rng.Root(cfg.Seed, "checkpoint"))
+	eng, g, ck := r.eng, &r.grid, &r.ckpt
+	g.Rebuild(cfg.Grid, rng.Root(cfg.Seed, "grid-build"))
+	ck.Reset(cfg.Checkpoint, rng.Root(cfg.Seed, "checkpoint"))
 	pol := NewPolicy(cfg.Policy, rng.Root(cfg.Seed, "policy"))
-	sched := NewScheduler(eng, g, ck, pol, cfg.Sched, cfg.Observer)
+	sched := newScheduler(eng, g, ck, pol, cfg.Sched, cfg.Observer, r.sched)
+	r.sched = sched
+	defer sched.retire()
 
 	numBots := cfg.numBots()
 	res := Result{Lambda: cfg.Workload.Lambda}

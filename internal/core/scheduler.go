@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"botgrid/internal/checkpoint"
@@ -61,8 +62,11 @@ func (r *Replica) Progress() float64 { return r.done }
 //
 // In runs started by Run or Runner.Run, the *Bag, *Task and *Replica
 // arguments are valid only during the callback: the scheduler reuses their
-// storage for later bags, tasks and replicas. An observer that needs them
-// afterwards copies what it needs.
+// storage for later bags, tasks and replicas. In Runner.Run runs the same
+// holds for a *grid.Machine across runs: the next run reuses it as a
+// machine of its own grid, with another power and history. An observer
+// that needs any of them afterwards copies what it needs, such as IDs and
+// counts.
 type Observer interface {
 	BagSubmitted(now float64, b *Bag)
 	BagCompleted(now float64, b *Bag)
@@ -234,7 +238,8 @@ type Scheduler struct {
 	// its machine fails, so the storage can back the next dispatch. Live
 	// mode never pools: external workers hold replica pointers across
 	// kills and validate staleness by pointer identity (see ReplicaOn),
-	// which reuse would break.
+	// which reuse would break. In a Runner the pool, like mstate and
+	// freeStack, passes to the next replication's scheduler (see retire).
 	replicaPool []*Replica
 
 	// recycle, set by run until its last arrival is submitted, keeps a
@@ -345,6 +350,12 @@ func (s *Scheduler) endRecycling() {
 // The checkpoint interval follows Young's formula using the grid's MTBF.
 // obs may be nil.
 func NewScheduler(eng *des.Engine, g *grid.Grid, ck *checkpoint.Server, p Policy, cfg SchedConfig, obs Observer) *Scheduler {
+	return newScheduler(eng, g, ck, p, cfg, obs, nil)
+}
+
+// newScheduler is NewScheduler built, when prev is not nil, on the storage
+// of prev, the retired scheduler of an earlier replication (see retire).
+func newScheduler(eng *des.Engine, g *grid.Grid, ck *checkpoint.Server, p Policy, cfg SchedConfig, obs Observer, prev *Scheduler) *Scheduler {
 	if cfg.Threshold < 1 {
 		panic(fmt.Sprintf("core: replication threshold %d must be >= 1", cfg.Threshold))
 	}
@@ -360,8 +371,11 @@ func NewScheduler(eng *des.Engine, g *grid.Grid, ck *checkpoint.Server, p Policy
 		cfg:          cfg,
 		obs:          obs,
 		ckptInterval: ck.Interval(g.Config.MTBF()),
-		mstate:       make([]machState, len(g.Machines)),
 	}
+	if prev != nil {
+		s.mstate, s.freeStack, s.replicaPool = prev.mstate, prev.freeStack, prev.replicaPool
+	}
+	s.mstate = slices.Grow(s.mstate, len(g.Machines))[:len(g.Machines)]
 	s.segDoneFn = s.onSegmentDone
 	s.ckptDueFn = s.onCheckpointDue
 	s.retrieveDoneFn = s.onRetrieveDone
@@ -373,6 +387,23 @@ func NewScheduler(eng *des.Engine, g *grid.Grid, ck *checkpoint.Server, p Policy
 	}
 	s.attachPolicy(p)
 	return s
+}
+
+// retire ends a simulation scheduler's replication and strips it to the
+// storage whose size follows the grid, for newScheduler to build the next
+// replication's scheduler on: the per-machine state, zeroed and emptied, the
+// emptied free stack, and the replica pool, which takes back the replicas
+// still running. Everything that scales with the workload (bags, tasks, the
+// policy and its indexes) is dropped, so a retired scheduler keeps no
+// workload storage alive between replications.
+func (s *Scheduler) retire() {
+	for i := range s.mstate {
+		if r := s.mstate[i].replica; r != nil {
+			s.freeReplica(r)
+		}
+	}
+	clear(s.mstate)
+	*s = Scheduler{mstate: s.mstate[:0], freeStack: s.freeStack[:0], replicaPool: s.replicaPool}
 }
 
 // NewLiveScheduler wires a scheduler in live mode: time is read from clock
@@ -821,15 +852,25 @@ func (s *Scheduler) cancelReplicaWork(r *Replica) {
 	}
 }
 
-// removeBag deletes b from the active list, preserving arrival order.
+// removeBag deletes b from the active list, preserving arrival order. The
+// list is ID-ordered, so a binary search finds b; the shorter side of the
+// list shifts over the gap, and the vacated slot is cleared so the backing
+// array does not keep the dead bag alive.
 func (s *Scheduler) removeBag(b *Bag) {
-	for i, x := range s.bags {
-		if x == b {
-			s.bags = append(s.bags[:i], s.bags[i+1:]...)
-			return
-		}
+	bags := s.bags
+	i := sort.Search(len(bags), func(i int) bool { return bags[i].ID >= b.ID })
+	if i == len(bags) || bags[i] != b {
+		panic("core: removing unknown bag")
 	}
-	panic("core: removing unknown bag")
+	if last := len(bags) - 1; i < last-i {
+		copy(bags[1:i+1], bags[:i])
+		bags[0] = nil
+		s.bags = bags[1:]
+	} else {
+		copy(bags[i:], bags[i+1:])
+		bags[last] = nil
+		s.bags = bags[:last]
+	}
 }
 
 // MachineFailed implements grid.Listener: the machine's replica (if any) is
@@ -953,7 +994,10 @@ func removeReplica(t *Task, r *Replica) {
 func (s *Scheduler) CheckInvariants() {
 	running := 0
 	pending := 0
-	for _, b := range s.bags {
+	for i, b := range s.bags {
+		if i > 0 && b.ID <= s.bags[i-1].ID {
+			panic(fmt.Sprintf("core: active bags out of ID order: %d after %d", b.ID, s.bags[i-1].ID))
+		}
 		br := 0
 		runTasks := 0
 		for _, t := range b.Tasks {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"botgrid/internal/checkpoint"
@@ -961,5 +962,63 @@ func TestIdleTimeAccounting(t *testing.T) {
 	eng.Run()
 	if got := b.Tasks[0].IdleTime(1000); got != 99 {
 		t.Fatalf("final IdleTime = %v, want 99", got)
+	}
+}
+
+// TestRemoveBag removes bags at the front, in the middle and at the back of
+// the active list: the others keep their ID order, no slot of the backing
+// array outside the list still references a bag, and removing a bag twice
+// panics.
+func TestRemoveBag(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove []int
+	}{
+		{"front", []int{0, 1}},
+		{"middle", []int{3, 2, 4}},
+		{"back", []int{6, 5}},
+		{"mixed", []int{3, 0, 6, 1, 5, 2, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all := make([]*Bag, 7)
+			for i := range all {
+				all[i] = newBag(i, float64(i), 1000, []float64{100})
+			}
+			backing := append([]*Bag(nil), all...)
+			s := &Scheduler{bags: backing}
+			gone := make(map[int]bool)
+			for _, id := range tc.remove {
+				s.removeBag(all[id])
+				gone[id] = true
+				var want []int
+				for i := range all {
+					if !gone[i] {
+						want = append(want, i)
+					}
+				}
+				var got []int
+				for _, b := range s.bags {
+					got = append(got, b.ID)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("after removing %d: bags %v, want %v", id, got, want)
+				}
+				held := 0
+				for _, b := range backing {
+					if b != nil {
+						held++
+					}
+				}
+				if held != len(s.bags) {
+					t.Fatalf("after removing %d: the backing array holds %d bags, the list %d", id, held, len(s.bags))
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("removing a removed bag did not panic")
+				}
+			}()
+			s.removeBag(all[tc.remove[0]])
+		})
 	}
 }

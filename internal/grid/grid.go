@@ -233,10 +233,23 @@ type Grid struct {
 // Build draws the machine population for cfg using stream str. Powers are
 // drawn once at build time; availability processes start with Start.
 func Build(cfg Config, str *rng.Stream) *Grid {
+	g := new(Grid)
+	g.Rebuild(cfg, str)
+	return g
+}
+
+// Rebuild redraws g in place as the grid Build(cfg, str) returns: it draws
+// exactly what Build draws from str, into the Machine structs g already
+// holds. A larger population grows the slice; a smaller one reslices it and
+// keeps the spare machines for a later Rebuild. Every *Machine of g's
+// earlier population may come back as a machine of the new one, so a
+// caller that rebuilds must drop, or stop reading, its machine pointers.
+func (g *Grid) Rebuild(cfg Config, str *rng.Stream) {
 	if cfg.TotalPower <= 0 {
 		panic("grid: TotalPower must be positive")
 	}
-	g := &Grid{Config: cfg}
+	g.Config = cfg
+	ms := g.Machines[:0]
 	total := 0.0
 	for total < cfg.TotalPower {
 		var p float64
@@ -248,10 +261,18 @@ func Build(cfg Config, str *rng.Stream) *Grid {
 		default:
 			panic(fmt.Sprintf("grid: unknown heterogeneity %d", int(cfg.Heterogeneity)))
 		}
-		g.Machines = append(g.Machines, &Machine{ID: len(g.Machines), Power: p, up: true})
+		var m *Machine
+		if n := len(ms); n < cap(ms) {
+			m = ms[:n+1][n] // a spare machine of an earlier population
+		}
+		if m == nil {
+			m = new(Machine)
+		}
+		*m = Machine{ID: len(ms), Power: p, up: true}
+		ms = append(ms, m)
 		total += p
 	}
-	return g
+	g.Machines = ms
 }
 
 // NewCustom builds a grid with exactly the given machine powers, all up.

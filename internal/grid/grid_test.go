@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -377,5 +378,41 @@ func TestDiurnalDisabledByDefault(t *testing.T) {
 	cfg.DiurnalPeakFactor = 4
 	if !cfg.diurnal() {
 		t.Fatal("factor > 1 with period should enable modulation")
+	}
+}
+
+// TestRebuildMatchesBuild rebuilds one grid through populations that grow
+// and shrink, each after a stretch of availability churn: every rebuilt
+// grid equals a fresh Build from the same stream, leaves the stream where
+// Build leaves it, and reuses the machines it already held.
+func TestRebuildMatchesBuild(t *testing.T) {
+	var g Grid
+	for i, cfg := range []Config{
+		DefaultConfig(Het, LowAvail),
+		DefaultConfig(Hom, MedAvail),
+		func() Config { c := DefaultConfig(Het, HighAvail); c.TotalPower = 2500; return c }(),
+		func() Config { c := DefaultConfig(Hom, LowAvail); c.TotalPower = 300; return c }(),
+		DefaultConfig(Het, LowAvail),
+	} {
+		before := append([]*Machine(nil), g.Machines...)
+		str, ref := rng.New(uint64(i)), rng.New(uint64(i))
+		g.Rebuild(cfg, str)
+		want := Build(cfg, ref)
+		if !reflect.DeepEqual(&g, want) {
+			t.Fatalf("population %d: the rebuilt grid differs from Build", i)
+		}
+		if str.Uint64() != ref.Uint64() {
+			t.Fatalf("population %d: Rebuild left its stream elsewhere than Build", i)
+		}
+		for j := 0; j < min(len(before), len(g.Machines)); j++ {
+			if g.Machines[j] != before[j] {
+				t.Fatalf("population %d: machine %d was reallocated", i, j)
+			}
+		}
+		// Churn, so the next rebuild starts from failed, repaired and
+		// mid-transition machines.
+		e := des.New()
+		g.Start(e, rng.New(99), nil)
+		e.RunUntil(2e5)
 	}
 }
