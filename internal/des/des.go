@@ -298,9 +298,12 @@ func (e *Engine) RunUntil(t float64) {
 
 // Reset returns the engine to its initial state — clock at zero, queue
 // empty, not stopped — while keeping the allocator warm: the event arena,
-// the tier capacities and the ladder's rung free-list persist, so a worker
-// that executes many simulations back-to-back (a sweep worker, a
-// replication benchmark) pays the growth cost once instead of every run.
+// the bottom and top tier arrays, the ladder's retired rungs and its pool
+// of bucket arrays persist, so a worker that executes many simulations
+// back-to-back (a sweep worker, a replication benchmark) pays the growth
+// cost once instead of every run. For a deep queue, what the ladder keeps
+// follows its peak queued population, not every rung slot's largest
+// bucket (see ladder.go).
 // Pending events are discarded and every outstanding EventRef goes stale,
 // exactly as if the events had been cancelled. Sequence numbers keep
 // rising across Reset — uniqueness for the life of the engine is what

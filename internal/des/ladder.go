@@ -24,6 +24,16 @@
 // invisible to the garbage collector: shifting, sorting and re-bucketing
 // them incurs no write barriers and the arrays are never scanned.
 //
+// Rung buckets share their item arrays through one ladder-wide pool kept
+// by capacity class. A bucket array always has a power-of-two capacity,
+// and a full bucket trades its array for one twice as large from the
+// pool. When a bucket of a wide rung (more than narrowRung buckets, what
+// a deep queue spawns) drains, an array above poolMin items goes back to
+// the pool, so a deep queue's ladder retains a small multiple of its peak
+// queued population instead of the sum of thousands of slot high-water
+// marks. Small arrays, and every array of a narrow rung, stay in their
+// slots: a shallow queue refills them in place, spawn after spawn.
+//
 // Cancellation is eager when cheap, lazy when not. An event's (tier, b,
 // slot) is stamped once, at insert, while the struct is cache-hot; the
 // consume/spawn cascades that move items between tiers never write it
@@ -60,7 +70,10 @@
 // when its bucket's turn comes.
 package des
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 const (
 	// spawnThresh is the bucket size above which consumption spawns a
@@ -71,8 +84,8 @@ const (
 	// maxRungs bounds the spine depth. Once reached, oversized buckets
 	// are sorted wholesale — still correct, just a bigger batch.
 	maxRungs = 8
-	// maxSpawnBuckets caps a rung's bucket count, bounding the memory
-	// retained by the rung free-list. It is sized so that even a
+	// maxSpawnBuckets caps a rung's bucket count, and so the size of the
+	// slot table every rung carries. It is sized so that even a
 	// many-thousand-event spawn (a wide grid's pending machine transitions,
 	// say) lands near bucketDensity events per bucket and drains without
 	// cascading into sub-rungs.
@@ -87,6 +100,19 @@ const (
 	// (refill walk, slice bookkeeping, botLimit update) per event; a small
 	// batch sorts in-cache for the same cost, so fatter buckets win.
 	bucketDensity = 8
+	// poolMin is the bucket capacity above which a drained bucket of a
+	// wide rung returns its array to the ladder's pool. Arrays this small
+	// stay in their slot and are refilled in place without pool traffic
+	// or re-growing.
+	poolMin = 2 * bucketDensity
+	// narrowRung is the bucket count up to which a rung's slots keep
+	// their arrays whatever their size. A narrow rung serves a shallow
+	// queue, or refines one oversized bucket, and its few slots refill
+	// with similar sizes spawn after spawn: re-growing them from the pool
+	// each time cost up to a third more per event, while all of them
+	// together hold little. The slot tables of wide rungs are where
+	// per-slot high-water marks add up.
+	narrowRung = 256
 )
 
 // item is one tier entry: an event's arena index with its total-order key
@@ -147,8 +173,11 @@ type ladder struct {
 	rungs    []*rung // stack; rungs[len-1] is the innermost
 	top      []item  // unsorted far-future overflow
 	count    int     // queued events across all tiers
-	free     []*rung // recycled rungs, buckets kept for reuse
+	free     []*rung // recycled rungs; their buckets are empty
 	pref     uint64  // sink for popMin's next-event prefetch load
+	// pool holds the empty bucket arrays no slot is using, by capacity
+	// class: pool[k] holds arrays of capacity 1<<k.
+	pool [bits.UintSize][][]item
 }
 
 func (l *ladder) init(mem *arena) {
@@ -156,15 +185,15 @@ func (l *ladder) init(mem *arena) {
 	l.botLimit = math.Inf(-1)
 }
 
-// reset empties every tier, truncating in place and retiring live rungs to
-// the free-list with their bucket capacity intact, so the next run's spawn
-// cycles reuse everything this one grew.
+// reset empties every tier: bottom and top truncate in place, and live
+// rungs release their buckets to the pool and retire to the free-list, so
+// the next run's spawn cycles reuse the rungs and arrays this one grew.
 func (l *ladder) reset() {
 	l.bottom = l.bottom[:0]
 	l.top = l.top[:0]
 	for i, r := range l.rungs {
 		for b := r.cur; b < r.nb; b++ {
-			r.bucket[b] = r.bucket[b][:0]
+			l.release(r, b)
 		}
 		l.free = append(l.free, r)
 		l.rungs[i] = nil
@@ -189,7 +218,7 @@ func (l *ladder) insert(ev *event) {
 		if r := l.rungs[i]; it.time < r.limit {
 			b := r.bucketFor(it.time)
 			ev.tier, ev.b, ev.slot = tierRung0+int32(i), int32(b), int32(len(r.bucket[b]))
-			r.bucket[b] = append(r.bucket[b], it)
+			l.push(&r.bucket[b], it)
 			return
 		}
 	}
@@ -255,21 +284,67 @@ func (l *ladder) spawnFromBottom() {
 	r.start, r.width, r.invw, r.limit = lo, width, 1/width, l.botLimit
 	l.rungs = append(l.rungs, r)
 	for _, it := range evs {
-		r.add(it)
+		l.push(&r.bucket[r.bucketFor(it.time)], it)
 	}
 	l.bottom = evs[:0]
 	l.botLimit = lo
 }
 
-// add appends an event to the bucket covering its time. A pure item
-// operation for the re-bucketing cascades: the event structs are never
-// touched and insert-time stamps go stale, degrading a later Cancel of a
-// moved event from eager removal to lazy discard.
+// push appends an item to a rung bucket. The re-bucketing cascades call
+// it as a pure item operation: the event structs are never touched and
+// insert-time stamps go stale, degrading a later Cancel of a moved event
+// from eager removal to lazy discard.
 //
 //botlint:hotpath
-func (r *rung) add(it item) {
-	b := r.bucketFor(it.time)
-	r.bucket[b] = append(r.bucket[b], it)
+func (l *ladder) push(bk *[]item, it item) {
+	if len(*bk) == cap(*bk) {
+		l.grow(bk)
+	}
+	*bk = append(*bk, it)
+}
+
+// grow moves a full bucket into an array of twice its capacity (one for
+// an empty slot), taken from the pool when one is free, and pools the
+// outgrown array. Kept out of the inliner so push, which inlines into
+// every insert and spawn loop, stays a compare and an append.
+//
+//go:noinline
+func (l *ladder) grow(bk *[]item) {
+	old := *bk
+	k := bits.Len(uint(cap(old)))
+	var s []item
+	if n := len(l.pool[k]); n > 0 {
+		s, l.pool[k] = l.pool[k][n-1], l.pool[k][:n-1]
+	} else {
+		s = make([]item, 0, 1<<k)
+	}
+	*bk = append(s, old...)
+	if cap(old) > 0 {
+		l.put(old)
+	}
+}
+
+// put adds an array, emptied, to the pool's class for its capacity.
+//
+//botlint:hotpath
+func (l *ladder) put(s []item) {
+	k := bits.TrailingZeros(uint(cap(s)))
+	l.pool[k] = append(l.pool[k], s[:0])
+}
+
+// release empties bucket k of r, a bucket that has drained. In a rung
+// wider than narrowRung an array above poolMin goes back to the pool and
+// the slot starts over from nothing; otherwise the array stays in the
+// slot, truncated.
+//
+//botlint:hotpath
+func (l *ladder) release(r *rung, k int) {
+	if s := r.bucket[k]; cap(s) > poolMin && r.nb > narrowRung {
+		l.put(s)
+		r.bucket[k] = nil
+		return
+	}
+	r.bucket[k] = r.bucket[k][:0]
 }
 
 // bucketFor maps a fire time to a bucket index. Times below the first
@@ -375,7 +450,12 @@ func (l *ladder) refill() bool {
 			continue
 		}
 		r := l.rungs[nr-1]
+		// The walk over empty buckets stays read-only unless one holds
+		// a pooled-size array (its items were all cancelled).
 		for r.cur < r.nb && len(r.bucket[r.cur]) == 0 {
+			if cap(r.bucket[r.cur]) > poolMin {
+				l.release(r, r.cur)
+			}
 			r.cur++
 		}
 		if r.cur >= r.nb {
@@ -401,7 +481,7 @@ func (l *ladder) consume(r *rung) {
 	b = append(b, evs...)
 	sortItemsDesc(b)
 	l.bottom = b
-	r.bucket[k] = evs[:0]
+	l.release(r, k)
 	r.cur = k + 1
 	l.botLimit = r.end(k)
 }
@@ -440,9 +520,9 @@ func (l *ladder) spawnSub(parent *rung) bool {
 	r.start, r.width, r.invw, r.limit = lo, width, 1/width, end
 	l.rungs = append(l.rungs, r)
 	for _, it := range evs {
-		r.add(it)
+		l.push(&r.bucket[r.bucketFor(it.time)], it)
 	}
-	parent.bucket[k] = evs[:0]
+	l.release(parent, k)
 	parent.cur = k + 1
 	return true
 }
@@ -495,7 +575,7 @@ func (l *ladder) spawnFromTop() {
 	l.rungs = append(l.rungs, r)
 	if limit >= hi {
 		for _, it := range evs {
-			r.add(it)
+			l.push(&r.bucket[r.bucketFor(it.time)], it)
 		}
 		l.top = evs[:0]
 		return
@@ -508,7 +588,7 @@ func (l *ladder) spawnFromTop() {
 	n := 0
 	for _, it := range evs {
 		if it.time < limit {
-			r.add(it)
+			l.push(&r.bucket[r.bucketFor(it.time)], it)
 		} else {
 			if ev := l.mem.at(it.idx); ev.seq == it.seq {
 				ev.slot = int32(n)
@@ -537,11 +617,11 @@ func (l *ladder) popRung() {
 
 // getRung takes a rung from the free-list or makes one. Every rung carries
 // a full maxSpawnBuckets-slot bucket table, so a recycled rung serves any
-// nb without reshaping, and each slot's item array grows once to its
-// steady-state size — the spawn/drain cycle then allocates nothing even
-// when small and large rungs alternate. Retired rungs always hold empty
-// buckets (consume and the spawns truncate in place), so no reset loop is
-// needed here.
+// nb without reshaping, and its slots draw larger arrays from the pool as
+// buckets fill — the spawn/drain cycle then allocates nothing even when
+// small and large rungs alternate. Retired rungs always hold empty
+// buckets (consume, the spawns and refill's skip release every bucket
+// they pass), so no reset loop is needed here.
 //
 //botlint:hotpath
 func (l *ladder) getRung(nb int) *rung {

@@ -241,6 +241,93 @@ func TestLadderReusesRungs(t *testing.T) {
 	}
 }
 
+// retained totals the item arrays the ladder holds on to — bottom, top,
+// every slot of every live and free rung, and the pool — as capacity and
+// as queued length, both in items.
+func (l *ladder) retained() (capacity, length int) {
+	add := func(s []item) {
+		capacity += cap(s)
+		length += len(s)
+	}
+	add(l.bottom)
+	add(l.top)
+	for _, rs := range [][]*rung{l.rungs, l.free} {
+		for _, r := range rs {
+			for _, bk := range r.bucket {
+				add(bk)
+			}
+		}
+	}
+	for _, class := range l.pool {
+		for _, s := range class {
+			add(s)
+		}
+	}
+	return capacity, length
+}
+
+// churnCycle is one warm-run-shaped load: streams self-rescheduling
+// event streams, seeded from a far-future spread so the first Step
+// re-buckets them out of top, each firing scheduling its successor after
+// an exponential delay with an occasional heavy-tail stretch, plus a
+// short timer that is cancelled straight away. The run stops after
+// steps events with the whole population still queued, as a replication
+// does when its workload completes.
+func churnCycle(e *Engine, seed int64, streams, steps int) {
+	r := rand.New(rand.NewSource(seed))
+	mean := 50 + r.Float64()*950
+	var next Handler
+	next = func(en *Engine) {
+		d := r.ExpFloat64() * mean
+		if r.Intn(16) == 0 {
+			d *= 40
+		}
+		en.Schedule(d, next)
+		en.Cancel(en.Schedule(r.Float64()*mean, next))
+	}
+	for i := 0; i < streams; i++ {
+		e.Schedule(r.ExpFloat64()*mean*4, next)
+	}
+	for i := 0; i < steps && e.Step(); i++ {
+	}
+}
+
+// TestWarmLadderRetentionBounded gates what a warm engine keeps across
+// Reset: over eight differently seeded churn cycles on one engine, the
+// item capacity the ladder retains stays within a small multiple of the
+// peak queued population, plus poolMin items per rung slot (the small
+// array a wide rung's slot keeps), and stops growing after the second
+// cycle. "Stops growing" allows 2 %: the pool keeps each capacity class's
+// peak simultaneous demand, and a new seed can nudge a peak up by a few
+// arrays, where per-slot high-water marks grow by a tenth over the same
+// cycles. Every retained array is empty after Reset: pooled storage never
+// carries items into the next run.
+func TestWarmLadderRetentionBounded(t *testing.T) {
+	const streams, cycles = 50000, 8
+	e := New()
+	var after2 int
+	for c := 1; c <= cycles; c++ {
+		churnCycle(e, int64(c), streams, 4*streams)
+		peak := e.Len()
+		e.Reset()
+		capacity, length := e.lq.retained()
+		if length != 0 {
+			t.Fatalf("cycle %d: %d items still held after Reset", c, length)
+		}
+		slots := maxSpawnBuckets * (len(e.lq.rungs) + len(e.lq.free))
+		if bound := 4*peak + poolMin*slots; capacity > bound {
+			t.Errorf("cycle %d: ladder retains %d items, bound 4×%d queued + %d×%d slots = %d",
+				c, capacity, peak, poolMin, slots, bound)
+		}
+		switch {
+		case c == 2:
+			after2 = capacity
+		case c > 2 && capacity > after2+after2/50:
+			t.Errorf("cycle %d: ladder retains %d items, up more than 2%% from %d after cycle 2", c, capacity, after2)
+		}
+	}
+}
+
 // TestPeekDoesNotDisturbOrder runs RunUntil in tiny increments (forcing
 // peek-driven refills between firings) and checks the firing order and
 // count match a plain Run of the same schedule.

@@ -1,7 +1,7 @@
 // Package stats provides the output-analysis machinery for the simulation
 // study: streaming mean/variance accumulators, Student-t confidence
 // intervals (the paper reports 95 % intervals with ≤2.5 % relative error),
-// batch-means estimators and simple histograms.
+// Welch's t-test, percentiles and Jain's fairness index.
 package stats
 
 import (

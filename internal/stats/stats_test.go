@@ -200,93 +200,6 @@ func TestQuickMergeAssociative(t *testing.T) {
 	}
 }
 
-func TestBatchMeans(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 100; i++ {
-		b.Add(float64(i % 10)) // each batch holds 0..9, mean 4.5
-	}
-	if b.Batches() != 10 {
-		t.Fatalf("batches = %d, want 10", b.Batches())
-	}
-	if !almost(b.Mean(), 4.5, 1e-12) {
-		t.Fatalf("mean = %v, want 4.5", b.Mean())
-	}
-	ci := b.CI(0.95)
-	if ci.HalfWidth != 0 {
-		t.Fatalf("identical batches should give zero half-width, got %v", ci.HalfWidth)
-	}
-}
-
-func TestBatchMeansPartialBatchIgnored(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 15; i++ {
-		b.Add(1)
-	}
-	if b.Batches() != 1 {
-		t.Fatalf("batches = %d, want 1 (partial batch open)", b.Batches())
-	}
-}
-
-func TestBatchMeansMinimumSize(t *testing.T) {
-	b := NewBatchMeans(0) // clamped to 1
-	b.Add(5)
-	if b.Batches() != 1 {
-		t.Fatalf("batches = %d, want 1", b.Batches())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	h.Add(-5)
-	h.Add(1000)
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 10 {
-			t.Fatalf("bucket %d = %d, want 10", i, h.Count(i))
-		}
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 1 {
-		t.Fatalf("out of range = %d/%d, want 1/1", under, over)
-	}
-	if h.Total() != 102 {
-		t.Fatalf("total = %d, want 102", h.Total())
-	}
-	lo, hi := h.BucketBounds(3)
-	if lo != 30 || hi != 40 {
-		t.Fatalf("bucket 3 bounds = [%v,%v), want [30,40)", lo, hi)
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %v, want ≈50", med)
-	}
-}
-
-func TestHistogramEdgeCases(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("quantile of empty histogram should be NaN")
-	}
-	h.Add(math.Nextafter(1, 0)) // just below hi must not panic
-	if h.Count(3) != 1 {
-		t.Fatalf("top-edge value should land in last bucket")
-	}
-	if !math.IsNaN(h.Quantile(-0.1)) || !math.IsNaN(h.Quantile(1.1)) {
-		t.Fatal("out-of-range quantile should be NaN")
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(1, 1, 10)
-}
-
 func TestJainIndex(t *testing.T) {
 	if got := JainIndex([]float64{5, 5, 5, 5}); !almost(got, 1, 1e-12) {
 		t.Fatalf("equal values index = %v, want 1", got)
