@@ -4,11 +4,12 @@
 #   make test    run the full test suite
 #   make race    run the full suite under the race detector
 #   make vet     static checks
-#   make lint    botlint, the in-tree analysis suite, all eight rules:
-#                determinism, lock discipline, lock ordering, atomic
-#                access, hot-path hygiene, the compiler-backed escape
-#                gate, wire/JSON protocol parity and error strictness
-#                (see DESIGN.md "Static guarantees")
+#   make lint    go vet, then botlint, the in-tree analysis suite, all
+#                eight rules: determinism, lock discipline, lock ordering,
+#                typed atomics (vet's copylocks check backs this rule),
+#                hot-path hygiene, the compiler-backed escape gate,
+#                wire/JSON protocol parity and error strictness (see
+#                DESIGN.md "Static guarantees")
 #   make escape-gate  just the escape rule: go build -gcflags=-m over the
 #                module, failing on heap escapes in //botlint:hotpath
 #                functions (the CI lint job runs this even when the unit
@@ -37,7 +38,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-lint:
+lint: vet
 	$(GO) run ./cmd/botlint ./...
 
 escape-gate:

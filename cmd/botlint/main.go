@@ -1,7 +1,7 @@
 // Command botlint runs the repo's custom static-analysis suite (see
 // internal/analysislint) over every package of the module and reports
-// violations of the determinism, lock-discipline, lock-ordering, atomic-
-// access, hot-path, compiler-verified escape, wire/JSON protocol-parity
+// violations of the determinism, lock-discipline, lock-ordering, typed-
+// atomics, hot-path, compiler-verified escape, wire/JSON protocol-parity
 // and error-strictness invariants as `file:line: [rule] message`. Run with
 // -rules for the per-rule reference.
 //

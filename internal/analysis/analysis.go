@@ -138,9 +138,3 @@ func MakespanLowerBound(works, powers []float64) float64 {
 	}
 	return math.Max(totalW/totalP, maxW/maxP)
 }
-
-// TurnaroundLowerBound bounds a bag's turnaround from below: it can never
-// beat its own makespan lower bound (waiting time ≥ 0).
-func TurnaroundLowerBound(works, powers []float64) float64 {
-	return MakespanLowerBound(works, powers)
-}

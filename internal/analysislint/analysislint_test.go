@@ -129,9 +129,9 @@ func TestRules(t *testing.T) {
 			},
 		},
 		{
-			// The lockless-router shape: typed, annotated and inferred
-			// atomic fields (internal/serve's ring/slots/nextSubmit and the
-			// cluster Gate's srv pointer).
+			// The lockless-router shape: typed atomic fields
+			// (internal/serve's ring/slots/nextSubmit and the cluster
+			// Gate's srv pointer) and the two misuses vet accepts.
 			name:     "atomics",
 			fixtures: []string{"atomicpos", "atomicneg"},
 			cfg:      func([]string) Config { return Config{} },

@@ -1,20 +1,16 @@
 package analysislint
 
-// The atomics rule: a struct field is an atomic field when (a) its type is
-// declared in sync/atomic (atomic.Int64, atomic.Pointer[T], ...), (b) it
-// is annotated //botlint:atomic, or (c) any code in the module passes its
-// address to a sync/atomic function. Atomic fields may only be touched
-// through atomic operations — method calls on the field for class (a),
-// `atomic.Xxx(&s.f, ...)` calls for classes (b) and (c). A plain read or
-// write of such a field anywhere is a data race waiting for a compiler or
-// scheduler to expose it; mixing atomic and plain access to one field is
-// the exact bug class the lockless router's ring/slots/nextSubmit fields
-// invite.
+// The atomics rule: the only atomics are typed ones (atomic.Int64,
+// atomic.Pointer[T], ...), used through their methods. A plain read or
+// arithmetic on a typed atomic does not compile, and copying one is a
+// `go vet` copylocks finding, so the rule reports only what both accept:
 //
-// Composite-literal keys are exempt: `T{f: v}` initializes a not-yet-shared
-// value. A //botlint:atomic annotation on something that is not a plain
-// struct field (or on a field that already has a sync/atomic type) is
-// itself a finding, so directives cannot silently rot.
+//   - a call to a package-level sync/atomic function (atomic.AddInt64,
+//     ...), which makes a plain field atomic at one site and leaves it
+//     plain, and racy, at every other;
+//   - an `=` assignment to a sync/atomic value (`s.slots = atomic.Int64{}`),
+//     which overwrites a shared atomic non-atomically. `:=` declares a
+//     fresh, unshared local and is exempt, as are composite-literal keys.
 
 import (
 	"go/ast"
@@ -24,46 +20,21 @@ import (
 
 const atomicsRule = "atomics"
 
-// atomicClass says how an atomic field must be accessed.
-type atomicClass int
-
-const (
-	atomicTyped     atomicClass = iota // sync/atomic type: method calls only
-	atomicAnnotated                    // plain type: &f passed to sync/atomic funcs only
-)
-
 func checkAtomics(p *pass) {
-	fields := map[*types.Var]atomicClass{}
-
-	// Pass 1a: typed and annotated fields, plus directive placement.
-	// consumed tracks //botlint:atomic comments that annotate a real field.
-	consumed := map[token.Pos]bool{}
 	for _, pkg := range p.m.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					dirPos, hasDir := fieldDirectivePos(field, "atomic")
-					if hasDir {
-						consumed[dirPos] = true
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if p.isAtomicFuncCall(n) {
+						p.report(n.Pos(), atomicsRule,
+							"package-level sync/atomic call; declare the field as a typed atomic (atomic.Int64, atomic.Pointer[T], ...) and use its methods")
 					}
-					for _, name := range field.Names {
-						v, ok := p.m.Info.Defs[name].(*types.Var)
-						if !ok {
-							continue
-						}
-						switch {
-						case isAtomicType(v.Type()):
-							fields[v] = atomicTyped
-							if hasDir {
-								p.report(dirPos, atomicsRule,
-									"redundant //botlint:atomic: field "+name.Name+" already has a sync/atomic type")
-							}
-						case hasDir:
-							fields[v] = atomicAnnotated
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if n.Tok == token.ASSIGN && isAtomicType(p.m.Info.TypeOf(lhs)) {
+							p.report(lhs.Pos(), atomicsRule,
+								"assignment overwrites a sync/atomic value non-atomically; use its Store or Swap method")
 						}
 					}
 				}
@@ -71,114 +42,6 @@ func checkAtomics(p *pass) {
 			})
 		}
 	}
-	// Any //botlint:atomic comment not consumed by a struct field is
-	// misplaced (on a var, a func, an interface method, ...).
-	for _, pkg := range p.m.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if v, _, ok := splitDirective(c.Text); ok && v == "atomic" && !consumed[c.Pos()] {
-						p.report(c.Pos(), atomicsRule,
-							"//botlint:atomic must annotate a struct field")
-					}
-				}
-			}
-		}
-	}
-
-	// Pass 1b: inferred fields — any field whose address reaches a
-	// sync/atomic function anywhere is atomic everywhere.
-	for _, pkg := range p.m.Pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !p.isAtomicFuncCall(call) {
-					return true
-				}
-				for _, arg := range call.Args {
-					if v := p.addressedField(arg); v != nil {
-						if _, known := fields[v]; !known {
-							fields[v] = atomicAnnotated
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	if len(fields) == 0 {
-		return
-	}
-
-	// Pass 2: every selector resolving to an atomic field must appear in a
-	// legal context.
-	for _, pkg := range p.m.Pkgs {
-		for _, f := range pkg.Files {
-			var stack []ast.Node
-			ast.Inspect(f, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return false
-				}
-				stack = append(stack, n)
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				v, ok := p.m.Info.Uses[sel.Sel].(*types.Var)
-				if !ok || !v.IsField() {
-					return true
-				}
-				class, ok := fields[v]
-				if !ok {
-					return true
-				}
-				if p.legalAtomicUse(stack, sel, class) {
-					return true
-				}
-				how := "through its sync/atomic methods"
-				if class == atomicAnnotated {
-					how = "via sync/atomic functions on its address"
-				}
-				p.report(sel.Sel.Pos(), atomicsRule,
-					"atomic field "+v.Name()+" accessed plainly; it must only be accessed "+how)
-				return true
-			})
-		}
-	}
-}
-
-// legalAtomicUse reports whether the selector sel (resolving to an atomic
-// field) sits in a context the rule allows. stack is the ancestor chain
-// ending at sel.
-func (p *pass) legalAtomicUse(stack []ast.Node, sel *ast.SelectorExpr, class atomicClass) bool {
-	parent := nthAncestor(stack, 1)
-	switch class {
-	case atomicTyped:
-		// s.f.Load(...): parent is the method selector, grandparent the call.
-		if ps, ok := parent.(*ast.SelectorExpr); ok && ps.X == sel {
-			if call, ok := nthAncestor(stack, 2).(*ast.CallExpr); ok && call.Fun == ps {
-				return true
-			}
-		}
-	case atomicAnnotated:
-		// atomic.Xxx(&s.f, ...): parent is &, grandparent the sync/atomic call.
-		if u, ok := parent.(*ast.UnaryExpr); ok && u.Op == token.AND && u.X == sel {
-			if call, ok := nthAncestor(stack, 2).(*ast.CallExpr); ok && p.isAtomicFuncCall(call) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// nthAncestor returns the node n levels above the top of the stack (the
-// stack's last element is the current node itself).
-func nthAncestor(stack []ast.Node, n int) ast.Node {
-	if len(stack) <= n {
-		return nil
-	}
-	return stack[len(stack)-1-n]
 }
 
 // isAtomicFuncCall reports whether call invokes a package-level function
@@ -193,22 +56,6 @@ func (p *pass) isAtomicFuncCall(call *ast.CallExpr) bool {
 		return false
 	}
 	return fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil
-}
-
-// addressedField returns the struct-field variable when arg is `&x.f`.
-func (p *pass) addressedField(arg ast.Expr) *types.Var {
-	u, ok := arg.(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	sel, ok := u.X.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if v, ok := p.m.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
 }
 
 // isAtomicType reports whether t is (an instantiation of) a type declared

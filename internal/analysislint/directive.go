@@ -13,7 +13,6 @@ import (
 //	//botlint:holds <mu>                  (func doc) callers must hold <mu>
 //	//botlint:guarded-by <mu>             (field doc/comment) accesses must hold <mu>
 //	//botlint:hotpath                     (func doc) zero-alloc hygiene rules apply
-//	//botlint:atomic                      (field doc/comment) sync/atomic access only
 //	//botlint:wire-skip [p] -- <reason>   (field or func doc) exempt field/param p
 //	                                      from wireparity field matching
 const directivePrefix = "//botlint:"

@@ -15,10 +15,9 @@ func TestSplitDirective(t *testing.T) {
 		ok         bool
 	}{
 		{"//botlint:ignore determinism -- seeded", "ignore", "determinism -- seeded", true},
-		{"//botlint:atomic", "atomic", "", true},
-		{"//botlint:atomic // want atomics", "atomic", "// want atomics", true},
 		{"//botlint:holds mu", "holds", "mu", true},
 		{"//botlint:wire-skip worker -- carried in the URL", "wire-skip", "worker -- carried in the URL", true},
+		{"//botlint:wire-skip // want wireparity", "wire-skip", "// want wireparity", true},
 		{"// ordinary comment", "", "", false},
 		{"//botlint", "", "", false},
 		{"// botlint:ignore escape -- space breaks the prefix", "", "", false},
@@ -108,22 +107,9 @@ func TestKnownRule(t *testing.T) {
 }
 
 // TestDirectiveEdgeFindings drives the defective-directive paths through
-// real fixtures: a misplaced //botlint:atomic, a reasonless wire-skip,
-// and an unknown-rule suppression naming one of the new analyzers.
+// real fixtures: a reasonless wire-skip and an unknown-rule suppression
+// naming one of the new analyzers.
 func TestDirectiveEdgeFindings(t *testing.T) {
-	t.Run("atomic on non-field", func(t *testing.T) {
-		m := loadFixture(t, "atomicpos")
-		res := Run(m, Config{})
-		var found bool
-		for _, d := range res.Findings {
-			if strings.Contains(d.Msg, "must annotate a struct field") {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("misplaced //botlint:atomic on a package var produced no finding")
-		}
-	})
 	t.Run("wire-skip without reason", func(t *testing.T) {
 		m := loadFixture(t, "wireparpos")
 		res := Run(m, wireParityFixtureConfig())

@@ -12,9 +12,10 @@
 //     only touched with mu held (rule "locks");
 //   - lock ordering: the acquisition graph built from syntactic Lock sites
 //     and the annotations above must stay acyclic (rule "lockorder");
-//   - atomic discipline: struct fields of sync/atomic types, annotated
-//     //botlint:atomic, or passed to sync/atomic operations anywhere may
-//     never also be read or written plainly (rule "atomics");
+//   - atomic discipline: atomics are typed (atomic.Int64, ...), so no
+//     package-level sync/atomic call and no `=` overwrite of a sync/atomic
+//     value; the compiler and go vet's copylocks check catch the rest
+//     (rule "atomics");
 //   - hot-path allocation hygiene: functions annotated //botlint:hotpath
 //     avoid the constructs that put allocations or hidden costs on the
 //     dispatch path (rule "hotpath");
@@ -48,7 +49,7 @@ var Rules = []struct{ Name, Doc string }{
 	{"determinism", "no time.Now, global math/rand, constant-seeded rand sources, or unsorted map ranges in simulation-reachable code"},
 	{"locks", "//botlint:holds and //botlint:guarded-by mutex annotations are respected"},
 	{"lockorder", "the lock-acquisition graph built from Lock sites and annotations has no cycle"},
-	{"atomics", "fields of sync/atomic types or annotated //botlint:atomic are never read or written plainly"},
+	{"atomics", "no package-level sync/atomic calls and no = assignment to a sync/atomic value; go vet's copylocks backs the rest"},
 	{"hotpath", "//botlint:hotpath functions avoid fmt, defer, escaping appends, closures and boxing interface conversions"},
 	{"escape", "//botlint:hotpath functions report no heap escapes under go build -gcflags=-m"},
 	{"wireparity", "wire message constants have encode and dispatch arms; wire messages stay field-parallel with their JSON twins"},

@@ -1,17 +1,15 @@
 // Package atomicneg is the clean-negative fixture for the atomics rule:
-// typed fields used only through their methods, an annotated field only
-// through sync/atomic functions, composite-literal initialization, and an
-// ordinary field accessed freely.
+// typed atomics used only through their methods, composite-literal
+// initialization, a fresh local declared with :=, and an ordinary field
+// accessed freely.
 package atomicneg
 
 import "sync/atomic"
 
-// Gate mirrors the cluster gate: a swapped server pointer plus counters.
+// Gate mirrors the cluster gate: a swapped server pointer plus a counter.
 type Gate struct {
 	srv   atomic.Pointer[Srv]
 	moves atomic.Int64
-	// polls is only touched through sync/atomic functions.
-	polls uint64 //botlint:atomic
 	// name is an ordinary field; plain access stays legal.
 	name string
 }
@@ -22,7 +20,7 @@ type Srv struct{ Addr string }
 // NewGate initializes through a composite literal, which is exempt: the
 // value is not shared yet.
 func NewGate(name string) *Gate {
-	return &Gate{name: name, polls: 0}
+	return &Gate{name: name, moves: atomic.Int64{}}
 }
 
 // Serve routes through the pointer's methods.
@@ -35,11 +33,14 @@ func (g *Gate) Promote(s *Srv) {
 	}
 }
 
-// Poll counts atomically.
-func (g *Gate) Poll() uint64 { return atomic.AddUint64(&g.polls, 1) }
+// Tally counts into a fresh local, which nothing else can see yet.
+func Tally(k int) int64 {
+	n := atomic.Int64{}
+	for i := 0; i < k; i++ {
+		n.Add(1)
+	}
+	return n.Load()
+}
 
-// Polls reads the annotated counter atomically.
-func (g *Gate) Polls() uint64 { return atomic.LoadUint64(&g.polls) }
-
-// Name reads the ordinary field plainly.
-func (g *Gate) Name() string { return g.name }
+// Rename writes the ordinary field plainly.
+func (g *Gate) Rename(name string) { g.name = name }

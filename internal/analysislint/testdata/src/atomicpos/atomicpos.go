@@ -1,6 +1,5 @@
 // Package atomicpos is the caught-positive fixture for the atomics rule:
-// typed, annotated and inferred atomic fields touched plainly, plus a
-// misplaced and a redundant //botlint:atomic directive.
+// the two atomic misuses the compiler and go vet both accept.
 package atomicpos
 
 import "sync/atomic"
@@ -9,50 +8,26 @@ import "sync/atomic"
 type Router struct {
 	ring  atomic.Pointer[Ring]
 	slots atomic.Int64
-	// hits is counted atomically by Observe.
-	hits int64 //botlint:atomic
-	// seq is inferred atomic: Bump reaches it through sync/atomic.
-	seq int64
-	// ready already has a sync/atomic type, so the directive is redundant.
-	ready atomic.Bool //botlint:atomic // want atomics
+	// hits is a plain field made atomic at one site only.
+	hits int64
 }
 
 // Ring is the swapped-in routing table.
 type Ring struct{ N int }
 
-// The directive below annotates a package var, not a struct field.
-//
-//botlint:atomic // want atomics
-var looseCounter int64
-
-// Load is the legal typed pattern: a method call on the field.
-func (r *Router) Load() *Ring { return r.ring.Load() }
-
-// Install swaps the table and counts the slot change.
+// Install is the legal pattern: method calls on typed atomics.
 func (r *Router) Install(n *Ring, delta int64) {
 	r.ring.Store(n)
 	r.slots.Add(delta)
 }
 
-// Observe is the legal annotated pattern: the address goes to sync/atomic.
-func (r *Router) Observe() { atomic.AddInt64(&r.hits, 1) }
-
-// Bump makes seq an inferred atomic field.
-func (r *Router) Bump() { atomic.AddInt64(&r.seq, 1) }
-
-// Steal copies the typed pointer field plainly.
-func (r *Router) Steal() atomic.Pointer[Ring] {
-	return r.ring // want atomics
+// Observe counts through a package-level sync/atomic function, which
+// leaves every other access to hits plain.
+func (r *Router) Observe() {
+	atomic.AddInt64(&r.hits, 1) // want atomics
 }
 
-// Leak reads the annotated field plainly.
-func (r *Router) Leak() int64 {
-	return r.hits // want atomics
+// Reset overwrites the shared counter non-atomically.
+func (r *Router) Reset() {
+	r.slots = atomic.Int64{} // want atomics
 }
-
-// Race increments the inferred field plainly.
-func (r *Router) Race() {
-	r.seq++ // want atomics
-}
-
-func init() { looseCounter++ }

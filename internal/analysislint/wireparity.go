@@ -363,3 +363,12 @@ func (p *pass) checkWireConsts(path string) {
 		}
 	}
 }
+
+// nthAncestor returns the node n levels above the top of the stack (the
+// stack's last element is the current node itself).
+func nthAncestor(stack []ast.Node, n int) ast.Node {
+	if len(stack) <= n {
+		return nil
+	}
+	return stack[len(stack)-1-n]
+}

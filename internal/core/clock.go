@@ -29,9 +29,6 @@ func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
 // timeline (downtime included) instead of restarting from zero.
 func NewWallClockAt(origin time.Time) *WallClock { return &WallClock{start: origin} }
 
-// Origin returns the instant the clock measures from.
-func (c *WallClock) Origin() time.Time { return c.start }
-
 // Now implements Clock using the monotonic reading of the system clock.
 //
 //botlint:ignore determinism -- live-mode time source; sim runs read the virtual clock through the same Clock interface

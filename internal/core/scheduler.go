@@ -52,11 +52,6 @@ type Replica struct {
 	xfer     *checkpoint.Transfer
 }
 
-// Progress returns the replica's completed reference-seconds as of its last
-// phase boundary (progress inside the current compute segment is realized
-// at the segment's end).
-func (r *Replica) Progress() float64 { return r.done }
-
 // Observer receives scheduling events; implementations must not mutate the
 // arguments. All methods are called synchronously from the simulation loop.
 //

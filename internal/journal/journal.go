@@ -403,9 +403,6 @@ func (j *Journal) LastLSN() uint64 {
 	return j.nextLSN - 1
 }
 
-// Mode returns the journal's fsync mode.
-func (j *Journal) Mode() FsyncMode { return j.opts.Fsync }
-
 // Close drains pending records, fsyncs, and closes the active segment.
 // Safe to call twice.
 func (j *Journal) Close() error {

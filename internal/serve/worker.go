@@ -49,9 +49,7 @@ type SimWorker struct {
 	// RTT, when non-nil, receives one sample per fetch round-trip.
 	RTT *LatencyRecorder
 
-	tasksDone   atomic.Int64
-	tasksFailed atomic.Int64
-	crashed     atomic.Bool
+	crashed atomic.Bool
 }
 
 // NewSimWorker wires a worker to a client. str drives failure injection
@@ -65,12 +63,6 @@ func NewSimWorker(c *Client, cfg WorkerConfig, str *rng.Stream) *SimWorker {
 	}
 	return &SimWorker{cfg: cfg, c: c, str: str}
 }
-
-// TasksDone returns the number of tasks this worker completed.
-func (w *SimWorker) TasksDone() int { return int(w.tasksDone.Load()) }
-
-// TasksFailed returns the number of injected failure reports.
-func (w *SimWorker) TasksFailed() int { return int(w.tasksFailed.Load()) }
 
 // Crashed reports whether the worker went silent via CrashProb.
 func (w *SimWorker) Crashed() bool { return w.crashed.Load() }
@@ -122,19 +114,11 @@ func (w *SimWorker) Run(ctx context.Context) error {
 		if err := sleepCtx(ctx, w.cfg.RequestLatency); err != nil {
 			return nil
 		}
-		ack, err := w.c.Report(w.cfg.ID, a.Replica, status)
-		if err != nil {
+		if _, err := w.c.Report(w.cfg.ID, a.Replica, status); err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
 			return err
-		}
-		if ack == AckOK {
-			if status == StatusDone {
-				w.tasksDone.Add(1)
-			} else {
-				w.tasksFailed.Add(1)
-			}
 		}
 	}
 }

@@ -128,13 +128,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// ConnCount reports the number of open connections (metrics).
-func (s *Server) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 // connState is one connection's reusable buffers: staged response frames,
 // the payload under construction, the decoded works vector, and the
 // burst's accumulated durability obligations.
