@@ -210,9 +210,9 @@ func runCluster(ctx context.Context, ln net.Listener, cfg serve.Config, rcfg rep
 }
 
 // run serves cfg on ln until ctx is cancelled, then drains: the listener
-// closes, in-flight requests finish (up to grace), the lease sweeper
-// stops, and — when journaling — a final snapshot is written so the next
-// start recovers with zero log replay. It returns nil on a clean drain.
+// closes, in-flight requests finish (up to grace), the server's periodic
+// loop stops, and — when journaling — a final snapshot is written so the
+// next start recovers with zero log replay. It returns nil on a clean drain.
 // With wireAddr set, the binary wire protocol is served alongside HTTP;
 // its persistent connections are cut at drain (clients treat the drop
 // like any other — fetch is idempotent, unacked reports retry).

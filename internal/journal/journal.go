@@ -502,8 +502,8 @@ func (j *Journal) rotateSegment(lsn uint64) error {
 	return j.openActiveSegment(lsn)
 }
 
-// noteError records a non-fatal background error (snapshot failures) for
-// Metrics; the log itself keeps running.
+// noteError records a non-fatal error (snapshot failures) for Metrics;
+// the log itself keeps running.
 func (j *Journal) noteError(err error) {
 	j.mu.Lock()
 	if j.snapErr == nil {

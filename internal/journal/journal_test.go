@@ -479,6 +479,71 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	checkScriptState(t, rec.State)
 }
 
+// TestSnapshotDue: no snapshot is due without appends since the last one
+// (or since Open); after appends, one is due once the Young's-formula
+// interval has passed.
+func TestSnapshotDue(t *testing.T) {
+	opts := testOptions(t)
+	opts.SnapshotMTBF = 1000 * time.Hour // an interval of minutes: real time never makes one due here
+	j, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	recs := script()
+	var last uint64
+	for round := 0; round < 2; round++ {
+		if j.SnapshotDue() {
+			t.Fatalf("round %d: due with no appends since the last snapshot", round)
+		}
+		last = mustAppend(t, j, recs[round:round+1])
+		if j.SnapshotDue() {
+			t.Fatalf("round %d: due before the interval passed", round)
+		}
+		passInterval(j)
+		if !j.SnapshotDue() {
+			t.Fatalf("round %d: not due after appends once the interval passed", round)
+		}
+		if err := j.WriteSnapshot(last, NewState()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// passInterval moves the last snapshot back by the longest interval
+// Young's formula can pick.
+func passInterval(j *Journal) {
+	j.mu.Lock()
+	j.lastSnapAt = j.lastSnapAt.Add(-maxSnapInterval)
+	j.mu.Unlock()
+}
+
+// TestWriteSnapshotErrorInMetrics: a failed snapshot is kept for
+// Metrics.Err and stays due, so the next poll retries it.
+func TestWriteSnapshotErrorInMetrics(t *testing.T) {
+	opts := testOptions(t)
+	j, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	last := mustAppend(t, j, script()[:2])
+	passInterval(j)
+	// A directory where the temp file goes makes the write fail.
+	if err := os.Mkdir(filepath.Join(opts.Dir, "snap.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteSnapshot(last, NewState()); err == nil {
+		t.Fatal("snapshot over a directory succeeded")
+	}
+	if m := j.Metrics(); m.Err == "" || m.Snapshots != 0 {
+		t.Fatalf("metrics after a failed snapshot: %+v", m)
+	}
+	if !j.SnapshotDue() {
+		t.Fatal("a failed snapshot is no longer due")
+	}
+}
+
 func TestFsyncModes(t *testing.T) {
 	for _, mode := range []FsyncMode{FsyncAlways, FsyncBatch, FsyncOff} {
 		t.Run(mode.String(), func(t *testing.T) {

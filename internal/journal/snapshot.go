@@ -173,11 +173,17 @@ func InstallSnapshot(dir string, data []byte) (uint64, error) {
 
 // WriteSnapshot persists st as the snapshot covering everything up to and
 // including lsn, then prunes: segments whose records all fall at or below
-// lsn are deleted, as are all but the two most recent snapshots. Callers
-// must serialize WriteSnapshot calls (the service's snapshot loop is the
-// only caller while running; the final shutdown snapshot happens after the
-// loop stops).
-func (j *Journal) WriteSnapshot(lsn uint64, st *State) error {
+// lsn are deleted, as are all but the two most recent snapshots. A failure
+// is returned and also kept for Metrics.Err; the log itself keeps running.
+// Callers must serialize WriteSnapshot calls (the service's periodic step
+// is the only caller while running; the final shutdown snapshot happens
+// after it stops).
+func (j *Journal) WriteSnapshot(lsn uint64, st *State) (err error) {
+	defer func() {
+		if err != nil {
+			j.noteError(err)
+		}
+	}()
 	buf, err := encodeSnapshot(lsn, st)
 	if err != nil {
 		return err
@@ -259,46 +265,21 @@ func (j *Journal) snapshotInterval() time.Duration {
 const (
 	minSnapInterval = time.Second
 	maxSnapInterval = 5 * time.Minute
-	snapPollEvery   = 250 * time.Millisecond
 )
 
-// SnapshotLoop takes snapshots until stop is closed. The cadence follows
-// Young's formula τ = sqrt(2·C·MTBF) with C the EWMA of measured snapshot
-// cost and MTBF the configured expected crash interval — the same
+// SnapshotDue reports whether a snapshot should be taken now. The cadence
+// follows Young's formula τ = sqrt(2·C·MTBF) with C the EWMA of measured
+// snapshot cost and MTBF the configured expected crash interval — the same
 // first-order optimum internal/checkpoint applies to task checkpoint
 // intervals, here balancing snapshot work against replay length after a
-// crash. Snapshots are skipped while the journal has no appends since the
-// last one. capture must return a consistent (State, last-LSN) pair.
-func (j *Journal) SnapshotLoop(stop <-chan struct{}, capture func() (*State, uint64)) {
-	j.SnapshotLoopVia(stop, capture, j.WriteSnapshot)
-}
-
-// SnapshotLoopVia is SnapshotLoop with the persistence step delegated:
-// write is called with each captured (lsn, state) pair in place of
-// WriteSnapshot. The replication leader routes the loop through its own
-// WriteSnapshot so the in-memory log tail it streams to catching-up
-// followers is pruned in the same step that moves the snapshot anchor.
-func (j *Journal) SnapshotLoopVia(stop <-chan struct{}, capture func() (*State, uint64), write func(lsn uint64, st *State) error) {
-	tick := time.NewTicker(snapPollEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		j.mu.Lock()
-		due := j.appends > j.snapAppends
-		last := j.lastSnapAt
-		j.mu.Unlock()
-		if !due || time.Since(last) < j.snapshotInterval() {
-			continue
-		}
-		st, lsn := capture()
-		if err := write(lsn, st); err != nil {
-			j.noteError(err)
-		}
-	}
+// crash. No snapshot is due while the journal has no appends since the
+// last one. τ runs on the wall clock, because C is measured on it.
+func (j *Journal) SnapshotDue() bool {
+	j.mu.Lock()
+	fresh := j.appends > j.snapAppends
+	last := j.lastSnapAt
+	j.mu.Unlock()
+	return fresh && time.Since(last) >= j.snapshotInterval()
 }
 
 // writeFileSync writes data to path and fsyncs it.

@@ -33,7 +33,7 @@ var ErrDeposed = errors.New("replicate: leadership lost")
 
 // Replica is the leader's replicated record log. It implements the serve
 // layer's Log interface: Append/WaitDurable/Metrics/WriteSnapshot/
-// SnapshotLoop/Close, with WaitDurable meaning quorum-durable.
+// SnapshotDue/Close, with WaitDurable meaning quorum-durable.
 type Replica struct {
 	nodeID   string
 	term     uint64
@@ -274,14 +274,15 @@ func (r *Replica) Deposed() bool {
 // WriteSnapshot persists st as the snapshot covering lsn through the
 // journal, keeps the encoded image for follower bootstrap, and prunes the
 // wire tail up to lsn — the tail invariant tailBase == snapLSN+1 holds
-// across the call. Snapshot calls are serialized by the caller (the
-// snapshot loop, or promotion before start).
+// across the call. The journal writes first, so it keeps any failure for
+// Metrics.Err. Snapshot calls are serialized by the caller (the server's
+// periodic step, or promotion before start).
 func (r *Replica) WriteSnapshot(lsn uint64, st *journal.State) error {
-	image, err := journal.EncodeSnapshot(lsn, st)
-	if err != nil {
+	if err := r.jnl.WriteSnapshot(lsn, st); err != nil {
 		return err
 	}
-	if err := r.jnl.WriteSnapshot(lsn, st); err != nil {
+	image, err := journal.EncodeSnapshot(lsn, st)
+	if err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -297,11 +298,9 @@ func (r *Replica) WriteSnapshot(lsn uint64, st *journal.State) error {
 	return nil
 }
 
-// SnapshotLoop runs the journal's Young-formula snapshot cadence with
-// writes routed through WriteSnapshot, so tail pruning rides along.
-func (r *Replica) SnapshotLoop(stop <-chan struct{}, capture func() (*journal.State, uint64)) {
-	r.jnl.SnapshotLoopVia(stop, capture, r.WriteSnapshot)
-}
+// SnapshotDue reports whether the journal's Young-formula cadence calls for
+// a snapshot.
+func (r *Replica) SnapshotDue() bool { return r.jnl.SnapshotDue() }
 
 // Metrics returns the underlying journal's counters.
 func (r *Replica) Metrics() journal.Metrics { return r.jnl.Metrics() }

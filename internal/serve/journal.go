@@ -22,14 +22,15 @@ import (
 // the standalone implementation (WaitDurable = local fsync); the
 // replication layer's *replicate.Replica is the clustered one (WaitDurable
 // = durable on a quorum of nodes). The shard treats both identically:
-// append under mu, wait for durability before acking, snapshot on the
-// Young-formula cadence, close on shutdown.
+// append under mu, wait for durability before acking, snapshot when the
+// log reports one due on its Young-formula cadence, close on shutdown.
+// WriteSnapshot keeps a failure for Metrics().Err as well as returning it.
 type Log interface {
 	Append(r *journal.Record) (uint64, error)
 	WaitDurable(lsn uint64) error
 	Metrics() journal.Metrics
 	WriteSnapshot(lsn uint64, st *journal.State) error
-	SnapshotLoop(stop <-chan struct{}, capture func() (*journal.State, uint64))
+	SnapshotDue() bool
 	Close() error
 }
 
@@ -126,6 +127,7 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 			lastSeen:   wsnap.LastSeen,
 			lastLogged: wsnap.LastSeen,
 		}
+		sh.slots = append(sh.slots, sh.workers[wsnap.ID])
 	}
 	sh.completed = slices.Clone(st.Completed)
 	for _, cb := range st.Completed {
@@ -252,12 +254,12 @@ func (sh *shard) waitDurable(lsn uint64) error {
 	return sh.jnl.WaitDurable(lsn)
 }
 
-// captureState snapshots the complete shard state for the journal's
-// snapshot loop.
-func (sh *shard) captureState() (*journal.State, uint64) {
+// snapshot writes the complete shard state as a journal snapshot.
+func (sh *shard) snapshot() error {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.captureStateLocked()
+	st, lsn := sh.captureStateLocked()
+	sh.mu.Unlock()
+	return sh.jnl.WriteSnapshot(lsn, st)
 }
 
 // captureStateLocked builds the durable State and the LSN it covers: all
@@ -269,10 +271,11 @@ func (sh *shard) captureStateLocked() (*journal.State, uint64) {
 	st := &journal.State{
 		Time:      sh.clock.Now(),
 		Sched:     sh.sched.SnapshotState(),
-		Workers:   make([]journal.WorkerSnapshot, 0, len(sh.workers)),
+		Workers:   make([]journal.WorkerSnapshot, 0, len(sh.slots)),
 		Completed: slices.Clone(sh.completed),
 	}
-	for _, ws := range sh.workers {
+	// Slot order == registration order; restore depends on it.
+	for _, ws := range sh.slots {
 		st.Workers = append(st.Workers, journal.WorkerSnapshot{
 			ID:       ws.id,
 			Machine:  ws.m.ID,
@@ -280,8 +283,6 @@ func (sh *shard) captureStateLocked() (*journal.State, uint64) {
 			LastSeen: ws.lastSeen,
 		})
 	}
-	// Slot order == registration order; restore depends on it.
-	slices.SortFunc(st.Workers, func(a, b journal.WorkerSnapshot) int { return a.Machine - b.Machine })
 	if blob, err := json.Marshal(sh.met); err == nil {
 		st.Service = blob
 	}
@@ -294,10 +295,7 @@ func (sh *shard) finalize() error {
 	if sh.jnl == nil {
 		return nil
 	}
-	sh.mu.Lock()
-	st, lsn := sh.captureStateLocked()
-	sh.mu.Unlock()
-	snapErr := sh.jnl.WriteSnapshot(lsn, st)
+	snapErr := sh.snapshot()
 	closeErr := sh.jnl.Close()
 	if snapErr != nil {
 		return fmt.Errorf("final snapshot: %w", snapErr)

@@ -5,10 +5,10 @@ package serve
 // equal share of all machines; LongIdle's gives the next machine to the
 // globally longest-idle task. A shard alone sees neither the global bag
 // count nor the global idle maximum, so every Rebalance interval the
-// server collects one coarse core.DemandSummary per shard (each under its
-// own lock, one at a time — never a global stop) and reweights the worker
-// ring so shards with outsized demand attract more of the worker
-// population. Individual dispatch decisions stay shard-local and
+// server's periodic step (tick) collects one coarse core.DemandSummary per
+// shard (each under its own lock, one at a time — never a global stop) and
+// reweights the worker ring so shards with outsized demand attract more of
+// the worker population. Individual dispatch decisions stay shard-local and
 // knowledge-free; only capacity moves, and only at idle-fetch boundaries.
 //
 // The computation is pure integer/float arithmetic over the summaries in
@@ -16,14 +16,12 @@ package serve
 // weight trajectory — the seeded golden determinism test depends on that.
 
 import (
-	"time"
-
 	"botgrid/internal/core"
 	ring "botgrid/internal/shard"
 )
 
-// rebalancing reports whether this server runs the rebalance loop: only
-// a sharded plane under a globally-coupled policy needs one.
+// rebalancing reports whether this server rebalances: only a sharded
+// plane under a globally-coupled policy needs it.
 func (s *Server) rebalancing() bool {
 	if len(s.shards) <= 1 || s.cfg.Rebalance < 0 {
 		return false
@@ -31,26 +29,11 @@ func (s *Server) rebalancing() bool {
 	return s.cfg.Policy == core.FairShare || s.cfg.Policy == core.LongIdle
 }
 
-// rebalanceLoop reweights the ring every cfg.Rebalance until Close.
-func (s *Server) rebalanceLoop() {
-	defer close(s.rebalDone)
-	t := time.NewTicker(s.cfg.Rebalance)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.RebalanceOnce()
-		}
-	}
-}
-
-// RebalanceOnce performs one rebalance round: collect per-shard demand
-// summaries, derive weights, swap in the reweighted ring. Exported so
-// tests (and the golden determinism test in particular) can drive rounds
-// explicitly instead of racing the ticker.
-func (s *Server) RebalanceOnce() {
+// rebalance performs one rebalance round: collect per-shard demand
+// summaries, derive weights, swap in the reweighted ring. tick runs one
+// every cfg.Rebalance; tests (the golden determinism test in particular)
+// call it directly.
+func (s *Server) rebalance() {
 	demands := make([]core.DemandSummary, len(s.shards))
 	for i, sh := range s.shards {
 		demands[i] = sh.demand()

@@ -170,12 +170,12 @@ func TestRecoveredLeaseExpiresOnSchedule(t *testing.T) {
 	if ack, err := c.Heartbeat("w0", r.Assignment.Replica); err != nil || ack != AckOK {
 		t.Fatalf("recovered-lease heartbeat = %q, %v", ack, err)
 	}
-	if n := s.ExpireLeases(); n != 0 {
+	if n := s.shards[0].expireLeases(); n != 0 {
 		t.Fatalf("expired %d leases while renewed", n)
 	}
 	// Silence past the lease now expires it, exactly like a machine failure.
 	clk.advance(10.5)
-	if n := s.ExpireLeases(); n != 1 {
+	if n := s.shards[0].expireLeases(); n != 1 {
 		t.Fatalf("expired %d leases, want 1", n)
 	}
 	st := mustStats(t, c)

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -59,8 +60,8 @@ type Config struct {
 	// Sched tunes WQR-FT (zero value: threshold 2, static replication).
 	Sched core.SchedConfig
 	// Lease is how long a worker may stay silent before it is declared
-	// failed (default 30s). Zero or negative disables the background
-	// sweeper; ExpireLeases may still be called explicitly.
+	// failed (default 30s). Leases are checked every quarter lease (at
+	// least every 10ms); negative disables lease expiry.
 	Lease time.Duration
 	// RetryMs is the poll-again hint returned to idle workers
 	// (default 100).
@@ -86,10 +87,10 @@ type Config struct {
 	// is refused until the directory is resharded (Reshard).
 	Shards int
 	// Rebalance is the cross-shard rebalance cadence for the globally-
-	// coupled policies (FairShare, LongIdle): every interval, coarse
-	// per-shard demand summaries reweight the worker ring so starved
-	// shards attract capacity. Zero picks the default (1s); negative
-	// disables rebalancing. Meaningless with Shards <= 1.
+	// coupled policies (FairShare, LongIdle): every interval, a tick
+	// reweights the worker ring from coarse per-shard demand summaries so
+	// starved shards attract capacity. Zero picks the default (1s);
+	// negative disables rebalancing. Meaningless with Shards <= 1.
 	Rebalance time.Duration
 
 	// DataDir enables the durability journal: every scheduler state
@@ -167,20 +168,25 @@ type Server struct {
 	rebalances atomic.Int64
 	moves      atomic.Int64
 
+	// tickMu serializes tick; the next* fields are the server-clock
+	// deadlines of its next lease sweep and rebalance round.
+	tickMu        sync.Mutex
+	nextSweep     float64 //botlint:guarded-by tickMu
+	nextRebalance float64 //botlint:guarded-by tickMu
+
 	stopOnce  sync.Once
 	finalOnce sync.Once
 	finalErr  error
 	stop      chan struct{}
 	done      chan struct{}
-	rebalDone chan struct{}
-	snapDone  chan struct{}
 }
 
-// NewServer builds a server and, when cfg.Lease > 0, starts the lease
-// sweeper goroutine. With cfg.DataDir set it first recovers all state from
-// the per-shard journals found there (or initializes fresh ones and the
-// layout manifest) and starts the snapshot loops. Call Close to stop the
-// background work — and, when journaling, to write the final snapshots.
+// NewServer builds a server and, when it has periodic work (leases,
+// rebalancing or a journal), starts the one goroutine that runs it. With
+// cfg.DataDir set it first recovers all state from the per-shard journals
+// found there (or initializes fresh ones and the layout manifest). Call
+// Close to stop the background work — and, when journaling, to write the
+// final snapshots.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Shards
@@ -220,14 +226,17 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 
+	// The periodic deadlines step on grids anchored at the start, which
+	// is also the phase of the ticker that drives them.
+	now := clock.Now()
 	s := &Server{
-		cfg:       cfg,
-		clock:     clock,
-		mux:       http.NewServeMux(),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		rebalDone: make(chan struct{}),
-		snapDone:  make(chan struct{}),
+		cfg:           cfg,
+		clock:         clock,
+		mux:           http.NewServeMux(),
+		nextSweep:     now + cfg.sweepEvery().Seconds(),
+		nextRebalance: now + cfg.Rebalance.Seconds(),
+		stop:          make(chan struct{}),
+		done:          make(chan struct{}),
 	}
 	s.ring.Store(ring.NewRing(n, nil))
 	for i := 0; i < n; i++ {
@@ -269,31 +278,22 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		}
 	}
+	// One goroutine runs the periodic work, if there is any, ticking at
+	// its shortest cadence.
+	var cadences []time.Duration
 	if cfg.Lease > 0 {
-		go s.sweep()
-	} else {
-		close(s.done)
-	}
-	if journaled {
-		var wg sync.WaitGroup
-		for _, sh := range s.shards {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.jnl.SnapshotLoop(s.stop, sh.captureState)
-			}(sh)
-		}
-		go func() {
-			wg.Wait()
-			close(s.snapDone)
-		}()
-	} else {
-		close(s.snapDone)
+		cadences = append(cadences, cfg.sweepEvery())
 	}
 	if s.rebalancing() {
-		go s.rebalanceLoop()
+		cadences = append(cadences, cfg.Rebalance)
+	}
+	if journaled {
+		cadences = append(cadences, snapshotPoll)
+	}
+	if len(cadences) > 0 {
+		go s.run(slices.Min(cadences))
 	} else {
-		close(s.rebalDone)
+		close(s.done)
 	}
 	return s, nil
 }
@@ -465,15 +465,13 @@ func dirHasJournal(dir string) bool {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the background goroutines and, when journaling, writes each
+// Close stops the background goroutine and, when journaling, writes each
 // shard's final snapshot and closes its journal so the next start recovers
 // with zero replay. The HTTP handler stays usable for in-memory servers; a
 // journaled server must not serve requests after Close.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
-	<-s.rebalDone
-	<-s.snapDone
 	s.finalOnce.Do(func() {
 		var errs []error
 		for _, sh := range s.shards {
@@ -523,13 +521,19 @@ func (s *Server) Recovery() *RecoveryInfo {
 	return agg
 }
 
-// sweep expires leases every quarter lease.
-func (s *Server) sweep() {
+// snapshotPoll is how often the periodic step asks each journal whether a
+// snapshot is due.
+const snapshotPoll = 250 * time.Millisecond
+
+// sweepEvery is the lease-expiry cadence: a quarter lease, at least 10ms.
+func (c Config) sweepEvery() time.Duration {
+	return max(c.Lease/4, 10*time.Millisecond)
+}
+
+// run is the server's one background goroutine: it calls tick on the
+// wall clock every interval until Close.
+func (s *Server) run(every time.Duration) {
 	defer close(s.done)
-	every := s.cfg.Lease / 4
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -537,22 +541,44 @@ func (s *Server) sweep() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			s.ExpireLeases()
+			s.tick(s.clock.Now())
 		}
 	}
 }
 
-// ExpireLeases declares every worker silent for longer than the lease
-// failed — replica killed, task resubmitted, slot removed from the free
-// pool — and returns how many expired. The sweeper calls it periodically;
-// tests call it directly for determinism. Shards are swept one at a time:
-// no lock is ever held across shards.
-func (s *Server) ExpireLeases() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.expireLeases()
+// tick runs the periodic work due at now, in server-clock seconds: a lease
+// sweep every sweepEvery, a rebalance round every cfg.Rebalance, and a
+// snapshot of each journaled shard whose journal reports one due. Calls
+// are serialized, which also serializes each journal's WriteSnapshot calls
+// as the journal requires.
+func (s *Server) tick(now float64) {
+	s.tickMu.Lock()
+	defer s.tickMu.Unlock()
+	if s.cfg.Lease > 0 && now >= s.nextSweep {
+		s.nextSweep = nextDeadline(s.nextSweep, now, s.cfg.sweepEvery())
+		for _, sh := range s.shards {
+			sh.expireLeases()
+		}
 	}
-	return n
+	if s.rebalancing() && now >= s.nextRebalance {
+		s.nextRebalance = nextDeadline(s.nextRebalance, now, s.cfg.Rebalance)
+		s.rebalance()
+	}
+	for _, sh := range s.shards {
+		if sh.jnl != nil && sh.jnl.SnapshotDue() {
+			// Nothing to do on failure: the log keeps the error for
+			// Metrics.Err and the snapshot stays due for the next tick.
+			_ = sh.snapshot()
+		}
+	}
+}
+
+// nextDeadline returns the first step after now on the grid of steps of
+// every from deadline: a late tick does not shift the cadence, and a clock
+// jump runs the missed work once.
+func nextDeadline(deadline, now float64, every time.Duration) float64 {
+	step := every.Seconds()
+	return deadline + (math.Floor((now-deadline)/step)+1)*step
 }
 
 // The four worker handlers are JSON adapters over the operation layer

@@ -28,7 +28,7 @@ func (c *fakeClock) advance(d float64) {
 }
 
 // newTestServer wires a server (fake clock, long wall lease so the
-// background sweeper never interferes) and a client over httptest.
+// background loop never interferes) and a client over httptest.
 // checkInvariants runs the scheduler's internal consistency checks on
 // every shard, one shard lock at a time.
 func checkInvariants(s *Server) {
@@ -178,11 +178,11 @@ func TestLeaseExpiryKillsReplicaAndResubmits(t *testing.T) {
 	// Within the lease nothing expires; past it the silent worker is a
 	// machine failure: replica killed, task resubmitted.
 	clk.advance(9)
-	if n := s.ExpireLeases(); n != 0 {
+	if n := s.shards[0].expireLeases(); n != 0 {
 		t.Fatalf("%d premature expiries", n)
 	}
 	clk.advance(2)
-	if n := s.ExpireLeases(); n != 1 {
+	if n := s.shards[0].expireLeases(); n != 1 {
 		t.Fatalf("%d expiries, want 1", n)
 	}
 	stats, _ := c.Stats()
@@ -219,11 +219,11 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 		t.Fatal("wrong-token heartbeat not stale")
 	}
 	clk.advance(6) // 12s since fetch, 6s since heartbeat
-	if n := s.ExpireLeases(); n != 0 {
+	if n := s.shards[0].expireLeases(); n != 0 {
 		t.Fatalf("lease expired despite heartbeat (%d)", n)
 	}
 	clk.advance(11)
-	if n := s.ExpireLeases(); n != 1 {
+	if n := s.shards[0].expireLeases(); n != 1 {
 		t.Fatalf("%d expiries after silence, want 1", n)
 	}
 }

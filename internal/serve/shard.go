@@ -64,6 +64,8 @@ type shard struct {
 	//botlint:guarded-by mu
 	workers map[string]*workerState
 	//botlint:guarded-by mu
+	slots []*workerState // workers by slot (machine ID), i.e. registration order
+	//botlint:guarded-by mu
 	bags map[int]*core.Bag // live bags by local ID; bags finished pre-recovery are only in doneBags
 	//botlint:guarded-by mu
 	bagIDs []int // local IDs in submission order, completed included
@@ -118,6 +120,7 @@ func (sh *shard) worker(id string) (*workerState, error) {
 	}
 	w := &workerState{id: id, m: sh.g.Machines[slot], power: sh.cfg.WorkerPower}
 	sh.workers[id] = w
+	sh.slots = append(sh.slots, w)
 	sh.journalWorker(w)
 	return w, nil
 }
@@ -279,14 +282,15 @@ func (sh *shard) bagStatus(b *core.Bag) BagStatus {
 // expireLeases declares every worker silent for longer than the lease
 // failed — replica killed, task resubmitted, slot removed from the free
 // pool — and returns how many expired. Released slots are already down
-// and do not count.
+// and do not count. Workers expire in slot order, so the order in which
+// their resubmitted tasks re-enter the queue front is reproducible.
 func (sh *shard) expireLeases() int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	now := sh.clock.Now()
 	lease := sh.cfg.Lease.Seconds()
 	n := 0
-	for _, w := range sh.workers {
+	for _, w := range sh.slots {
 		if w.m.Up() && now-w.lastSeen > lease {
 			w.m.ForceFail(now)
 			sh.sched.MachineFailed(w.m)
@@ -299,7 +303,7 @@ func (sh *shard) expireLeases() int {
 
 // releaseIfIdle hands worker id off the shard when it holds no replica:
 // the slot is failed out of the free pool (so nothing gets dispatched to
-// it) and marked released so reports for it stay stale and the sweeper
+// it) and marked released so reports for it stay stale and lease expiry
 // ignores it. Returns false — and changes nothing — while the worker
 // still computes a replica here, or was never registered here.
 func (sh *shard) releaseIfIdle(id string) bool {

@@ -400,7 +400,7 @@ func digestServer(t *testing.T, k core.PolicyKind) string {
 		Shards:     4,
 		MaxWorkers: 32,
 		Clock:      clk,
-		Lease:      -1, // no sweeper: fully scripted time
+		Lease:      -1, // no lease expiry: fully scripted time
 		Seed:       7,
 		Policy:     k,
 		Rebalance:  -1, // rounds driven explicitly below
@@ -439,7 +439,7 @@ func digestServer(t *testing.T, k core.PolicyKind) string {
 				fmt.Fprintf(h, "r%d %s@%d idle\n", round, id, sh.idx)
 			}
 		}
-		s.RebalanceOnce()
+		s.rebalance()
 		fmt.Fprintf(h, "r%d weights %v\n", round, s.ring.Load().Weights())
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))

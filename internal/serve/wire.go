@@ -79,5 +79,5 @@ func (ws *wireSession) Flush(pending []wire.Pending) error { return ws.s.flush(p
 // Close implements wire.Session. Worker registrations outlive their
 // connection on purpose — a wire worker that reconnects is the same
 // worker, exactly like an HTTP worker between polls — so there is
-// nothing to release; silent workers are reaped by the lease sweeper.
+// nothing to release; silent workers are reaped by lease expiry.
 func (ws *wireSession) Close() {}

@@ -229,7 +229,7 @@ func runTransportTrace(t *testing.T, useWire bool) (StatsResponse, map[int][]jou
 		Clock:        clk,
 		DataDir:      dir,
 		SnapshotMTBF: 1000 * time.Hour, // no mid-run snapshots
-		Lease:        -1,               // no background sweeper
+		Lease:        -1,               // no lease expiry
 		Rebalance:    -1,               // no rebalancer
 		Seed:         7,
 	})
