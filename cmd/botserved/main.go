@@ -80,7 +80,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "seed for the Random policy")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown drain timeout")
 		dataDir  = flag.String("data-dir", "", "journal directory for crash recovery (empty: in-memory only)")
-		fsync    = flag.String("fsync", "batch", "journal durability: always, batch or off")
+		fsync    = flag.String("fsync", "batch", "journal durability: batch (fsync before every ack; always is the same) or off")
 		mtbf     = flag.Duration("snapshot-mtbf", 10*time.Minute, "expected crash interval driving the snapshot cadence")
 		shards   = flag.Int("shards", 1, "scheduler shards (independent lock + journal each)")
 		rebal    = flag.Duration("rebalance", time.Second, "cross-shard rebalance cadence for FairShare/LongIdle (negative: off)")

@@ -16,43 +16,36 @@ import (
 type FsyncMode int
 
 const (
-	// FsyncBatch groups records that arrive within BatchDelay of each
-	// other into one fsync (group commit). The default: near-always
-	// durability at a small fraction of the per-record fsync cost.
+	// FsyncBatch fsyncs every flush (group commit). The syncer flushes as
+	// soon as anything is pending, so a batch is whatever arrived during
+	// the previous write+fsync and its size follows the disk's fsync cost.
+	// The default; WaitDurable returns only once lsn's fsync is done.
 	FsyncBatch FsyncMode = iota
-	// FsyncAlways fsyncs as soon as any record is pending; callers never
-	// observe an acknowledged record lost to a crash.
-	FsyncAlways
 	// FsyncOff writes records to the OS without ever fsyncing. An OS
 	// crash can lose the tail; a process crash cannot. WaitDurable
 	// returns immediately in this mode.
 	FsyncOff
 )
 
-// ParseFsyncMode parses "always", "batch" or "off".
+// ParseFsyncMode parses "batch" or "off". "always" is accepted as batch:
+// every flush is already fsynced as soon as a record is pending.
 func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
-	case "always":
-		return FsyncAlways, nil
-	case "batch":
+	case "batch", "always":
 		return FsyncBatch, nil
 	case "off":
 		return FsyncOff, nil
 	default:
-		return FsyncBatch, fmt.Errorf("journal: unknown fsync mode %q (want always, batch or off)", s)
+		return FsyncBatch, fmt.Errorf("journal: unknown fsync mode %q (want batch or off)", s)
 	}
 }
 
 // String names the mode.
 func (m FsyncMode) String() string {
-	switch m {
-	case FsyncAlways:
-		return "always"
-	case FsyncOff:
+	if m == FsyncOff {
 		return "off"
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
 // Options configures a Journal.
@@ -64,9 +57,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// Default 4 MiB.
 	SegmentBytes int64
-	// BatchDelay is the group-commit accumulation window in FsyncBatch
-	// mode. Default 2ms.
-	BatchDelay time.Duration
 	// SnapshotMTBF is the expected time between service crashes, the MTBF
 	// input to Young's formula for the snapshot cadence. Default 10min.
 	SnapshotMTBF time.Duration
@@ -79,9 +69,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.BatchDelay <= 0 {
-		o.BatchDelay = 2 * time.Millisecond
 	}
 	if o.SnapshotMTBF <= 0 {
 		o.SnapshotMTBF = 10 * time.Minute
@@ -375,7 +362,7 @@ func EncodeRecordFramed(dst []byte, r *Record) []byte {
 }
 
 // WaitDurable blocks until record lsn is durable under the journal's
-// fsync mode: fsynced (always/batch), or merely accepted (off, returns
+// fsync mode: fsynced (batch), or merely accepted (off, returns
 // immediately). It returns the journal's fatal error, if any.
 func (j *Journal) WaitDurable(lsn uint64) error {
 	j.mu.Lock()
@@ -429,6 +416,8 @@ func (j *Journal) Close() error {
 // syncLoop is the group-commit syncer: it swaps out the pending buffer,
 // writes it to the active segment (rotating first when full), fsyncs per
 // the mode, and publishes the new durable LSN. One goroutine per journal.
+// It never waits on a timer: the records that arrive while one write+fsync
+// runs are the next batch, so the batch grows with the fsync cost.
 func (j *Journal) syncLoop() {
 	j.mu.Lock()
 	for {
@@ -437,12 +426,6 @@ func (j *Journal) syncLoop() {
 		}
 		if j.err != nil || (j.closed && j.pendCount == 0) {
 			break
-		}
-		if j.opts.Fsync != FsyncAlways && !j.closed {
-			// Group commit: let more records pile in behind this flush.
-			j.mu.Unlock()
-			time.Sleep(j.opts.BatchDelay)
-			j.mu.Lock()
 		}
 		batch := j.pend
 		count := j.pendCount

@@ -2,10 +2,12 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,9 +19,8 @@ import (
 func testOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
-		Dir:        t.TempDir(),
-		Fsync:      FsyncOff, // unit tests don't need real fsyncs
-		BatchDelay: 100 * time.Microsecond,
+		Dir:   t.TempDir(),
+		Fsync: FsyncOff, // unit tests don't need real fsyncs
 	}
 }
 
@@ -300,8 +301,8 @@ func TestTrailingGarbageTruncated(t *testing.T) {
 
 func TestMidLogCorruptionRefused(t *testing.T) {
 	opts := testOptions(t)
-	opts.SegmentBytes = 64   // rotate after every couple of records
-	opts.Fsync = FsyncAlways // WaitDurable forces one flush per record
+	opts.SegmentBytes = 64  // rotate after every couple of records
+	opts.Fsync = FsyncBatch // WaitDurable forces one flush per record
 	j, _, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +343,7 @@ func TestMidLogCorruptionRefused(t *testing.T) {
 func TestSnapshotRecoveryAndPruning(t *testing.T) {
 	opts := testOptions(t)
 	opts.SegmentBytes = 64
-	opts.Fsync = FsyncAlways // WaitDurable forces one flush per record
+	opts.Fsync = FsyncBatch // WaitDurable forces one flush per record
 	j, _, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +546,7 @@ func TestWriteSnapshotErrorInMetrics(t *testing.T) {
 }
 
 func TestFsyncModes(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncAlways, FsyncBatch, FsyncOff} {
+	for _, mode := range []FsyncMode{FsyncBatch, FsyncOff} {
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := testOptions(t)
 			opts.Fsync = mode
@@ -579,12 +580,116 @@ func TestFsyncModes(t *testing.T) {
 	}
 }
 
+// TestConcurrentDurableAppendsSurviveCrashImage pins the ack contract
+// under concurrent appenders: every record whose WaitDurable returned is
+// in a copy of the directory taken before Close, across many segment
+// rotations.
+func TestConcurrentDurableAppendsSurviveCrashImage(t *testing.T) {
+	const (
+		workers = 8
+		perWork = 250
+	)
+	opts := testOptions(t)
+	opts.Fsync = FsyncBatch
+	opts.SegmentBytes = 512
+	j, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	// Register every machine first so each seen record replays.
+	regs := make([]Record, workers)
+	for m := range regs {
+		regs[m] = Record{Kind: KindWorkerRegistered, Time: 1, Machine: m,
+			Worker: fmt.Sprintf("w%d", m), Power: 1}
+	}
+	maxAcked := mustAppend(t, j, regs)
+	acked := len(regs)
+
+	var wg sync.WaitGroup
+	lasts := make([]uint64, workers)
+	errs := make([]error, workers)
+	for m := 0; m < workers; m++ {
+		wg.Add(1)
+		go func(m int) {
+			defer wg.Done()
+			for i := 0; i < perWork; i++ {
+				r := Record{Kind: KindWorkerSeen, Time: float64(2 + i), Machine: m}
+				lsn, err := j.Append(&r)
+				if err == nil {
+					err = j.WaitDurable(lsn)
+				}
+				if err != nil {
+					errs[m] = err
+					return
+				}
+				lasts[m] = lsn
+			}
+		}(m)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, lsn := range lasts {
+		maxAcked = max(maxAcked, lsn)
+	}
+	acked += workers * perWork
+
+	// The crash image: the directory as a crash would leave it, copied
+	// file by file while the journal is still open.
+	image := t.TempDir()
+	ents, err := os.ReadDir(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := 0
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(opts.Dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Ext(e.Name()) == ".wal" {
+			segs++
+		}
+	}
+	if segs < 3 {
+		t.Fatalf("wanted segment rotation, got %d segments", segs)
+	}
+	m := j.Metrics()
+	if m.Fsyncs == 0 || m.Fsyncs > m.Appends {
+		t.Fatalf("fsyncs = %d for %d appends", m.Fsyncs, m.Appends)
+	}
+
+	img := opts
+	img.Dir = image
+	j2, rec, err := Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if rec.LastLSN < maxAcked {
+		t.Fatalf("recovered up to LSN %d, acknowledged up to %d", rec.LastLSN, maxAcked)
+	}
+	if rec.Records < acked {
+		t.Fatalf("replayed %d records, acknowledged %d", rec.Records, acked)
+	}
+}
+
 func TestParseFsyncMode(t *testing.T) {
-	for _, s := range []string{"always", "batch", "off"} {
+	for _, s := range []string{"batch", "off"} {
 		m, err := ParseFsyncMode(s)
 		if err != nil || m.String() != s {
 			t.Fatalf("ParseFsyncMode(%q) = %v, %v", s, m, err)
 		}
+	}
+	// "always" names the same behaviour as batch: every flush is fsynced
+	// as soon as a record is pending.
+	if m, err := ParseFsyncMode("always"); err != nil || m != FsyncBatch || m.String() != "batch" {
+		t.Fatalf("ParseFsyncMode(\"always\") = %v, %v", m, err)
 	}
 	if _, err := ParseFsyncMode("sometimes"); err == nil {
 		t.Fatal("ParseFsyncMode accepted garbage")
