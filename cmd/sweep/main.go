@@ -236,11 +236,11 @@ func (r renderer) runFigures(spec string, opts experiment.Options) (map[string]*
 			figs = append(figs, f)
 		}
 	}
-	// One RunFigures call: every requested panel's cells feed the shared
+	// One RunSweep call: every requested panel's cells feed the shared
 	// worker pool, so a multi-figure sweep keeps all workers busy end to
 	// end instead of draining one figure at a time.
 	start := time.Now()
-	results, err := experiment.RunFigures(figs, opts)
+	results, err := experiment.RunSweep(figs, opts)
 	if err != nil {
 		return nil, err
 	}

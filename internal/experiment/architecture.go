@@ -1,11 +1,8 @@
 package experiment
 
 import (
-	"fmt"
-
 	"botgrid/internal/core"
 	"botgrid/internal/multisite"
-	"botgrid/internal/stats"
 )
 
 // AblationArchitecture is experiment A11: the centralized scheduler the
@@ -25,72 +22,41 @@ func AblationArchitecture(o Options) (*AblationResult, error) {
 		return nil, err
 	}
 	const gran = 25000.0
-	ar := &AblationResult{
-		Name:    "A11",
-		Caption: "centralized vs distributed sites (Hom-HighAvail, U=0.50, gran=25000)",
-	}
 
-	type variant struct {
+	variants := []struct {
 		label    string
 		sites    int
 		dispatch multisite.Dispatch
-	}
-	variants := []variant{
+	}{
 		{"centralized (paper)", 0, 0},
 		{"2 sites, rr-site", 2, multisite.RoundRobinSite},
 		{"5 sites, rr-site", 5, multisite.RoundRobinSite},
 		{"5 sites, least-loaded", 5, multisite.LeastLoadedSite},
 	}
-	for _, v := range variants {
-		var acc, overhead stats.Accumulator
-		row := AblationRow{Label: v.label}
-		for rep := 0; rep < o.MinReps; rep++ {
+	labels := make([]string, len(variants))
+	for i, v := range variants {
+		labels[i] = v.label
+	}
+	return tabulate("A11", "centralized vs distributed sites (Hom-HighAvail, U=0.50, gran=25000)", o, labels,
+		func(v int, r *core.Runner, rep int) (core.Result, error) {
 			base := o.CellConfig(f, gran, core.FCFSShare, rep)
-			if v.sites == 0 {
-				res, err := core.Run(base)
-				if err != nil {
-					return nil, err
-				}
-				if res.Saturated {
-					row.SaturatedReps++
-				}
-				if len(res.Bags) > 0 {
-					acc.Add(res.MeanTurnaround())
-				}
-				if res.TasksCompleted > 0 {
-					overhead.Add(float64(res.ReplicasStarted) / float64(res.TasksCompleted))
-				}
-			} else {
-				res, err := multisite.Run(multisite.Config{
-					Seed:       base.Seed,
-					Grid:       base.Grid,
-					Sites:      v.sites,
-					Dispatch:   v.dispatch,
-					Policy:     base.Policy,
-					Sched:      base.Sched,
-					Checkpoint: base.Checkpoint,
-					Workload:   base.Workload,
-					NumBoTs:    base.NumBoTs,
-					Warmup:     base.Warmup,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if res.Saturated {
-					row.SaturatedReps++
-				}
-				if len(res.Bags) > 0 {
-					acc.Add(res.MeanTurnaround())
-				}
+			if variants[v].sites == 0 {
+				return r.Run(base)
 			}
-			row.Reps++
-		}
-		row.CI = acc.CI(o.Confidence)
-		row.ReplicaOverhead = overhead.Mean()
-		ar.Rows = append(ar.Rows, row)
-	}
-	if len(ar.Rows) == 0 {
-		return nil, fmt.Errorf("experiment: architecture study produced no rows")
-	}
-	return ar, nil
+			res, err := multisite.Run(multisite.Config{
+				Seed:       base.Seed,
+				Grid:       base.Grid,
+				Sites:      variants[v].sites,
+				Dispatch:   variants[v].dispatch,
+				Policy:     base.Policy,
+				Sched:      base.Sched,
+				Checkpoint: base.Checkpoint,
+				Workload:   base.Workload,
+				NumBoTs:    base.NumBoTs,
+				Warmup:     base.Warmup,
+			})
+			// TasksCompleted stays 0: multisite counts no replicas, so the
+			// row's replicas/task is NaN and prints as "-".
+			return core.Result{Bags: res.Bags, Saturated: res.Saturated}, err
+		})
 }

@@ -2,12 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"botgrid/internal/core"
 	"botgrid/internal/grid"
 	"botgrid/internal/rng"
+	"botgrid/internal/stats"
 	"botgrid/internal/workload"
 )
 
@@ -286,6 +288,28 @@ func TestAblationThresholdQuick(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "threshold=2") {
 		t.Fatal("ablation table incomplete")
+	}
+}
+
+// TestAblationTableUnmeasuredRow renders a row where no replication
+// measured a bag (every one saturated before the warmup ended): both
+// statistics columns print "-" rather than "NaN ± +Inf".
+func TestAblationTableUnmeasuredRow(t *testing.T) {
+	var none stats.Accumulator
+	ar := &AblationResult{Name: "AX", Caption: "unmeasured", Rows: []AblationRow{
+		{Label: "measured", CI: stats.Interval{Mean: 1234, HalfWidth: 56, N: 4}, ReplicaOverhead: 1.5, Reps: 4},
+		{Label: "saturated", CI: none.CI(0.95), ReplicaOverhead: math.NaN(), SaturatedReps: 4, Reps: 4},
+	}}
+	var buf bytes.Buffer
+	if err := ar.WriteTable(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if got := strings.Fields(lines[2]); strings.Join(got, " ") != "measured 1234 ± 56 1.50 0/4" {
+		t.Fatalf("measured row = %q", lines[2])
+	}
+	if got := strings.Fields(lines[3]); strings.Join(got, " ") != "saturated - - 4/4" {
+		t.Fatalf("unmeasured row = %q", lines[3])
 	}
 }
 

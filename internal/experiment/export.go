@@ -3,7 +3,6 @@ package experiment
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -101,29 +100,4 @@ func (fr *FigureResult) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// ReadFigureCSV parses rows written by WriteCSV, returning the cell
-// exports. It is the counterpart used by plotting/verification pipelines.
-func ReadFigureCSV(r io.Reader) ([]map[string]string, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("experiment: empty CSV")
-	}
-	header := records[0]
-	var out []map[string]string
-	for _, rec := range records[1:] {
-		m := make(map[string]string, len(header))
-		for i, h := range header {
-			if i < len(rec) {
-				m[h] = rec[i]
-			}
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

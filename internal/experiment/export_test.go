@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"math"
 	"strings"
@@ -32,20 +33,24 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	if err := fr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := ReadFigureCSV(&buf)
+	records, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 { // 2 granularities × 2 policies
-		t.Fatalf("CSV has %d data rows, want 4", len(rows))
+	if len(records) != 5 { // header + 2 granularities × 2 policies
+		t.Fatalf("CSV has %d records, want 5", len(records))
+	}
+	col := map[string]int{}
+	for i, h := range records[0] {
+		col[h] = i
 	}
 	seen := map[string]bool{}
-	for _, r := range rows {
-		if r["figure"] != "F1a" {
-			t.Fatalf("figure column = %q", r["figure"])
+	for _, r := range records[1:] {
+		if r[col["figure"]] != "F1a" {
+			t.Fatalf("figure column = %q", r[col["figure"]])
 		}
-		seen[r["policy"]+"/"+r["granularity"]] = true
-		if r["mean_turnaround"] == "" || r["reps"] != "2" {
+		seen[r[col["policy"]]+"/"+r[col["granularity"]]] = true
+		if r[col["mean_turnaround"]] == "" || r[col["reps"]] != "2" {
 			t.Fatalf("row incomplete: %v", r)
 		}
 	}
@@ -85,12 +90,6 @@ func TestWriteJSON(t *testing.T) {
 		if !c.Saturated && c.MeanTurnaround <= 0 {
 			t.Fatalf("cell %+v implausible", c)
 		}
-	}
-}
-
-func TestReadFigureCSVEmpty(t *testing.T) {
-	if _, err := ReadFigureCSV(strings.NewReader("")); err == nil {
-		t.Fatal("empty CSV accepted")
 	}
 }
 

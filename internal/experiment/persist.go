@@ -27,7 +27,7 @@ type savedOptions struct {
 	Seed          uint64    `json:"seed"`
 }
 
-// SaveResults serializes a result set (as returned by RunFigures) to JSON.
+// SaveResults serializes a result set (as returned by RunSweep) to JSON.
 // Long sweeps persist their output so rendering, comparison and EXPERIMENTS
 // bookkeeping do not require re-simulation.
 func SaveResults(w io.Writer, results map[string]*FigureResult) error {

@@ -8,9 +8,8 @@ import (
 	"botgrid/internal/core"
 )
 
-// persistFixture runs one tiny figure sweep shaped like the dashboard's
-// quick run: enough structure (two policies, two granularities) to
-// exercise every renderer.
+// persistFixture runs one tiny figure sweep: enough structure (two
+// policies, two granularities) to exercise every renderer.
 func persistFixture(t *testing.T) map[string]*FigureResult {
 	t.Helper()
 	o := QuickOptions(17)
@@ -23,7 +22,7 @@ func persistFixture(t *testing.T) map[string]*FigureResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunFigures([]Figure{f}, o)
+	results, err := RunSweep([]Figure{f}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,14 +155,6 @@ func RunFigure(f Figure, o Options) (*FigureResult, error) {
 	return rs[f.ID], err
 }
 
-// RunFigures runs several panels and returns them keyed by figure ID. All
-// panels' cells feed one work queue served by one worker pool, so a
-// multi-figure sweep saturates Options.Parallelism workers end to end
-// instead of draining one figure at a time.
-func RunFigures(figs []Figure, o Options) (map[string]*FigureResult, error) {
-	return RunSweep(figs, o)
-}
-
 // SortedIDs returns the figure IDs of a result map in catalog order.
 func SortedIDs(m map[string]*FigureResult) []string {
 	ids := make([]string, 0, len(m))

@@ -9,12 +9,14 @@ import (
 	"botgrid/internal/stats"
 )
 
-// This file is the parallel sweep engine: every (figure × granularity ×
-// policy × replication) unit of a sweep flows through one global work queue
-// served by a pool of workers, each owning a warm core.Runner whose event
-// arena and queue-tier capacities carry from one replication to the next
-// via Engine.Reset — across cells and across figures, so a worker pays the
-// allocator's growth cost once per sweep rather than once per cell.
+// This file is the parallel sweep engine, the package's only code that
+// runs and folds replications. A cell is a (figure × granularity × policy)
+// point or one ablation variant; every (cell × replication) unit flows
+// through one global work queue served by a pool of workers, each owning a
+// warm core.Runner whose event arena and queue-tier capacities carry from
+// one replication to the next via Engine.Reset — across cells and across
+// figures, so a worker pays the allocator's growth cost once per sweep
+// rather than once per cell.
 //
 // The hard requirement is that results are bit-identical at any
 // parallelism. Per-replication seeds derive deterministically from the
@@ -45,16 +47,20 @@ type sweepUnit struct {
 	rep  int
 }
 
-// cellState tracks one (figure, granularity, policy) cell through the
-// deterministic wave procedure. All fields are guarded by the owning
-// pool's mutex; the fold/decision logic itself is single-threaded by
-// construction (whoever delivers a result folds under the lock).
+// cellState tracks one replicated cell — a figure's (granularity,
+// policy) point or an ablation variant — through the deterministic wave
+// procedure. All fields are guarded by the owning pool's mutex; the
+// fold/decision logic itself is single-threaded by construction (whoever
+// delivers a result folds under the lock).
 type cellState struct {
-	fig  Figure
-	gran float64
-	pol  core.PolicyKind
-	// out is the publication slot inside the FigureResult; it is written
-	// exactly once, by finalize or fail.
+	// label names the cell in error text.
+	label string
+	// run simulates replication rep on the worker's warm Runner.
+	run func(r *core.Runner, rep int) (core.Result, error)
+	// observe, when set, sees every folded result in replication order.
+	observe func(core.Result)
+	// out is the publication slot; it carries the cell's coordinates in
+	// and is written exactly once more, by finalize or fail.
 	out *Cell
 
 	minReps, maxReps   int
@@ -93,6 +99,9 @@ func (c *cellState) fold(res core.Result) {
 		m.Add(b.Makespan)
 		c.pooled = append(c.pooled, b.Turnaround)
 		c.slowdowns = append(c.slowdowns, b.Slowdown)
+	}
+	if c.observe != nil {
+		c.observe(res)
 	}
 	if res.Saturated {
 		c.saturatedReps++
@@ -158,12 +167,9 @@ func (c *cellState) offer(rep int, res core.Result) (launch []int, finished bool
 func (c *cellState) finalize() {
 	c.done = true
 	c.buffered = nil
-	cell := Cell{
-		Granularity:   c.gran,
-		Policy:        c.pol,
-		Reps:          c.reps,
-		SaturatedReps: c.saturatedReps,
-	}
+	cell := c.out
+	cell.Reps = c.reps
+	cell.SaturatedReps = c.saturatedReps
 	cell.CI = c.acc.CI(c.confidence)
 	cell.Saturated = c.saturatedReps*2 > c.reps
 	cell.MeanWaiting = c.waiting.Mean()
@@ -175,7 +181,6 @@ func (c *cellState) finalize() {
 	sd.AddAll(c.slowdowns)
 	cell.MeanSlowdown = sd.Mean()
 	cell.Fairness = stats.JainIndex(c.slowdowns)
-	*c.out = cell
 }
 
 // fail publishes the cell in its partial state (coordinates and
@@ -183,19 +188,13 @@ func (c *cellState) finalize() {
 func (c *cellState) fail(rep int, err error) {
 	c.done = true
 	c.buffered = nil
-	c.err = fmt.Errorf("experiment: %s gran=%g %s rep %d: %w", c.fig.ID, c.gran, c.pol, rep, err)
-	*c.out = Cell{
-		Granularity:   c.gran,
-		Policy:        c.pol,
-		Reps:          c.reps,
-		SaturatedReps: c.saturatedReps,
-	}
+	c.err = fmt.Errorf("experiment: %s rep %d: %w", c.label, rep, err)
+	c.out.Reps = c.reps
+	c.out.SaturatedReps = c.saturatedReps
 }
 
 // sweepPool is the shared work queue and its termination state.
 type sweepPool struct {
-	opts Options
-
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []sweepUnit
@@ -228,7 +227,7 @@ func (p *sweepPool) work() {
 		}
 		p.mu.Unlock()
 
-		res, err := runner.Run(p.opts.CellConfig(u.cell.fig, u.cell.gran, u.cell.pol, u.rep))
+		res, err := u.cell.run(&runner, u.rep)
 
 		p.mu.Lock()
 		if err != nil {
@@ -250,13 +249,47 @@ func (p *sweepPool) work() {
 	}
 }
 
+// runCells runs every cell to publication through one pool of at most
+// parallelism workers. Results are bit-identical at any parallelism (see
+// the file comment for the wave procedure). Cell errors are joined in
+// cell order, so a multi-cell failure reports every broken cell
+// deterministically; failed cells are published in partial form.
+func runCells(cells []*cellState, parallelism int) error {
+	p := &sweepPool{open: len(cells)}
+	p.cond = sync.NewCond(&p.mu)
+	for _, c := range cells {
+		c.buffered = make(map[int]core.Result)
+		c.launched = c.firstWave()
+		for rep := 0; rep < c.launched; rep++ {
+			p.queue = append(p.queue, sweepUnit{c, rep})
+		}
+	}
+
+	workers := min(parallelism, len(p.queue))
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.work()
+		}()
+	}
+	wg.Wait()
+
+	var errs []error
+	for _, c := range cells {
+		if c.err != nil {
+			errs = append(errs, c.err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // RunSweep reproduces several figure panels through one shared pool: all
 // figures' cells feed a single work queue served by Options.Parallelism
-// workers, each with a warm engine. Results are bit-identical at any
-// parallelism (see the file comment for the wave procedure). Cell errors
-// are collected per cell and joined, so a multi-cell failure reports every
-// broken cell; the returned map still carries every figure, with failed
-// cells published in partial form.
+// workers, each with a warm engine. Cell errors are joined (see runCells);
+// the returned map still carries every figure, with failed cells published
+// in partial form.
 func RunSweep(figs []Figure, o Options) (map[string]*FigureResult, error) {
 	o = o.withDefaults()
 	if err := o.Validate(); err != nil {
@@ -273,52 +306,21 @@ func RunSweep(figs []Figure, o Options) (map[string]*FigureResult, error) {
 		for gi, gran := range o.Granularities {
 			fr.Cells[gi] = make([]Cell, len(o.Policies))
 			for pi, pol := range o.Policies {
+				fr.Cells[gi][pi] = Cell{Granularity: gran, Policy: pol}
 				cells = append(cells, &cellState{
-					fig:        f,
-					gran:       gran,
-					pol:        pol,
+					label: fmt.Sprintf("%s gran=%g %s", f.ID, gran, pol),
+					run: func(r *core.Runner, rep int) (core.Result, error) {
+						return r.Run(o.CellConfig(f, gran, pol, rep))
+					},
 					out:        &fr.Cells[gi][pi],
 					minReps:    o.MinReps,
 					maxReps:    o.MaxReps,
 					relErr:     o.RelErr,
 					confidence: o.Confidence,
-					buffered:   make(map[int]core.Result),
 				})
 			}
 		}
 		out[f.ID] = fr
 	}
-
-	p := &sweepPool{opts: o, open: len(cells)}
-	p.cond = sync.NewCond(&p.mu)
-	for _, c := range cells {
-		c.launched = c.firstWave()
-		for rep := 0; rep < c.launched; rep++ {
-			p.queue = append(p.queue, sweepUnit{c, rep})
-		}
-	}
-
-	workers := o.Parallelism
-	if workers > len(p.queue) {
-		workers = len(p.queue)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.work()
-		}()
-	}
-	wg.Wait()
-
-	// Join per-cell errors in cell-creation order, so a multi-cell
-	// failure reports every broken cell deterministically.
-	var errs []error
-	for _, c := range cells {
-		if c.err != nil {
-			errs = append(errs, c.err)
-		}
-	}
-	return out, errors.Join(errs...)
+	return out, runCells(cells, o.Parallelism)
 }

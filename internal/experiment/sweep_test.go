@@ -70,7 +70,7 @@ func TestSweepParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestRunFiguresSharedPool checks that the multi-figure entry point feeds
+// TestRunFiguresSharedPool checks that a multi-figure sweep feeds
 // every figure through the one pool and returns each panel fully
 // populated and identical to a solo run of the same panel.
 func TestRunFiguresSharedPool(t *testing.T) {
@@ -82,7 +82,7 @@ func TestRunFiguresSharedPool(t *testing.T) {
 	f1, _ := FigureByID("F1a")
 	f2, _ := FigureByID("F2a")
 
-	rs, err := RunFigures([]Figure{f1, f2}, o)
+	rs, err := RunSweep([]Figure{f1, f2}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,7 @@ func fakeResult(turnaround float64) core.Result {
 func TestSpeculativeOverrunDiscarded(t *testing.T) {
 	var out Cell
 	c := &cellState{
-		fig:        Figure{ID: "unit"},
-		gran:       1000,
-		pol:        core.FCFSShare,
+		label:      "unit",
 		out:        &out,
 		minReps:    2,
 		maxReps:    10,
@@ -172,7 +170,7 @@ func TestSpeculativeOverrunDiscarded(t *testing.T) {
 func TestSpeculationWindow(t *testing.T) {
 	var out Cell
 	c := &cellState{
-		gran: 1000, pol: core.RR, out: &out,
+		label: "unit", out: &out,
 		minReps: 2, maxReps: 10,
 		relErr: 1e-9, confidence: 0.95, // unreachable target: never stops early
 		buffered: make(map[int]core.Result),

@@ -302,10 +302,7 @@ func loadOrInitMeta(dir string, epoch time.Time) (time.Time, bool, error) {
 			epoch = time.Now()
 		}
 		content := fmt.Sprintf("botgrid-journal v1\nepoch %d\n", epoch.UnixNano())
-		if werr := writeFileSync(path, []byte(content)); werr != nil {
-			return time.Time{}, false, werr
-		}
-		if werr := syncDir(dir); werr != nil {
+		if werr := WriteFileAtomic(dir, "META", "META.tmp", []byte(content)); werr != nil {
 			return time.Time{}, false, werr
 		}
 		return epoch, true, nil

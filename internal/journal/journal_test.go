@@ -435,6 +435,68 @@ func TestSnapshotRecoveryAndPruning(t *testing.T) {
 	}
 }
 
+// TestLeftoverTmpIgnoredAndOverwritten plants the torn scratch files that
+// a crash inside WriteFileAtomic leaves behind — for META, the manifest
+// and a snapshot. Open, append, snapshot and recovery must ignore them,
+// and the next write of each file must reuse and consume its scratch file.
+func TestLeftoverTmpIgnoredAndOverwritten(t *testing.T) {
+	dir := t.TempDir()
+	scratch := []string{"META.tmp", ManifestName + ".tmp", "snap.tmp"}
+	plant := func() {
+		t.Helper()
+		for _, name := range scratch {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plant()
+	j, rec, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Fresh {
+		t.Fatalf("directory holding only scratch files recovered as non-fresh: %+v", rec)
+	}
+	if err := WriteManifest(dir, Manifest{Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recs := script()
+	last := mustAppend(t, j, recs)
+	st := NewState()
+	for i := range recs {
+		if err := st.Apply(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Time = recs[len(recs)-1].Time
+	if err := j.WriteSnapshot(last, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range scratch {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s survived the write it stands for: %v", name, err)
+		}
+	}
+
+	plant()
+	j2, rec2, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if rec2.SnapshotLSN != last || rec2.Records != 0 {
+		t.Fatalf("recovery with scratch files present: %+v", rec2)
+	}
+	checkScriptState(t, rec2.State)
+	if m, ok, err := ReadManifest(dir); err != nil || !ok || m.Shards != 1 {
+		t.Fatalf("manifest with scratch present: %+v ok=%v err=%v", m, ok, err)
+	}
+}
+
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	opts := testOptions(t)
 	j, _, err := Open(opts)

@@ -34,8 +34,8 @@ const ManifestVersion = 1
 // ShardDirName names shard s's journal subdirectory.
 func ShardDirName(s int) string { return fmt.Sprintf("shard-%04d", s) }
 
-// WriteManifest atomically writes dir's layout manifest (temp file +
-// rename, like snapshots: a crash never leaves a torn manifest).
+// WriteManifest atomically writes dir's layout manifest (WriteFileAtomic,
+// like snapshots: a crash never leaves a torn manifest).
 func WriteManifest(dir string, m Manifest) error {
 	if m.Shards < 1 {
 		return fmt.Errorf("journal: manifest shard count %d", m.Shards)
@@ -47,11 +47,7 @@ func WriteManifest(dir string, m Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, ManifestName))
+	return WriteFileAtomic(dir, ManifestName, ManifestName+".tmp", append(data, '\n'))
 }
 
 // RemoveManifest deletes dir's layout manifest, returning the directory to

@@ -151,14 +151,7 @@ func InstallSnapshot(dir string, data []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	tmp := filepath.Join(dir, "snap.tmp")
-	if err := writeFileSync(tmp, data); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapName(lsn))); err != nil {
-		return 0, err
-	}
-	if err := syncDir(dir); err != nil {
+	if err := WriteFileAtomic(dir, snapName(lsn), "snap.tmp", data); err != nil {
 		return 0, err
 	}
 	if snaps, err := listSnapshots(dir); err == nil {
@@ -189,14 +182,7 @@ func (j *Journal) WriteSnapshot(lsn uint64, st *State) (err error) {
 		return err
 	}
 	start := time.Now()
-	tmp := filepath.Join(j.dir, "snap.tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapName(lsn))); err != nil {
-		return err
-	}
-	if err := syncDir(j.dir); err != nil {
+	if err := WriteFileAtomic(j.dir, snapName(lsn), "snap.tmp", buf); err != nil {
 		return err
 	}
 	cost := time.Since(start)
@@ -282,9 +268,14 @@ func (j *Journal) SnapshotDue() bool {
 	return fresh && time.Since(last) >= j.snapshotInterval()
 }
 
-// writeFileSync writes data to path and fsyncs it.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// WriteFileAtomic replaces dir/name with data so that a crash leaves
+// either the old file or the complete new one, never a torn one: it writes
+// the scratch file dir/tmp, fsyncs it, renames it over name and fsyncs dir.
+// A scratch file left behind by an interrupted call is truncated and
+// reused by the next one; readers never look at it.
+func WriteFileAtomic(dir, name, tmp string, data []byte) error {
+	tmpPath := filepath.Join(dir, tmp)
+	f, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -296,7 +287,13 @@ func writeFileSync(path string, data []byte) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.

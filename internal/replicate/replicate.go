@@ -230,32 +230,5 @@ func loadTermState(dir string) (term uint64, votedFor string, appendTerm uint64,
 // saveTermState atomically rewrites the TERM file.
 func saveTermState(dir string, term uint64, votedFor string, appendTerm uint64) error {
 	content := fmt.Sprintf(termFileFormat, term, votedFor, appendTerm)
-	tmp := filepath.Join(dir, "TERM.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(content)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, "TERM")); err != nil {
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return journal.WriteFileAtomic(dir, "TERM", "TERM.tmp", []byte(content))
 }
