@@ -130,24 +130,12 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 		sh.slots = append(sh.slots, sh.workers[wsnap.ID])
 	}
 	sh.completed = slices.Clone(st.Completed)
-	for _, cb := range st.Completed {
-		sh.doneBags[cb.ID] = BagStatus{
-			Bag:         sh.globalBag(cb.ID),
-			Granularity: cb.Granularity,
-			Tasks:       cb.Tasks,
-			Done:        cb.Tasks,
-			Completed:   true,
-			Arrival:     cb.Arrival,
-			DoneAt:      cb.DoneAt,
-			Turnaround:  cb.DoneAt - cb.Arrival,
-		}
-		sh.bagIDs = append(sh.bagIDs, cb.ID)
+	for i, cb := range sh.completed {
+		sh.archived[cb.ID] = i
 	}
 	for _, b := range sched.Bags() {
 		sh.bags[b.ID] = b
-		sh.bagIDs = append(sh.bagIDs, b.ID)
 	}
-	slices.Sort(sh.bagIDs) // local bag IDs are issued in submission order
 	if len(st.Service) > 0 {
 		// Dispatch counters ride along in the snapshot's opaque service
 		// blob; best-effort — stats continuity never blocks recovery.
@@ -177,21 +165,6 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 //
 //botlint:holds mu
 func (sh *shard) journalMutation(m core.Mutation) {
-	if m.Kind == core.MutBagCompleted {
-		// The scheduler drops completed bags; archive the final status
-		// first so it survives both this process and restarts.
-		if b, ok := sh.bags[m.Bag]; ok {
-			sh.completed = append(sh.completed, journal.CompletedBag{
-				ID:          b.ID,
-				Arrival:     b.Arrival,
-				Granularity: b.Granularity,
-				DoneAt:      b.DoneAt,
-				Tasks:       len(b.Tasks),
-			})
-			sh.doneBags[m.Bag] = sh.bagStatus(b)
-			delete(sh.bags, m.Bag)
-		}
-	}
 	r := journal.FromMutation(m)
 	sh.appendRec(&r)
 }

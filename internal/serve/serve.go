@@ -344,7 +344,7 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 	sh.g = g
 	sh.workers = make(map[string]*workerState)
 	sh.bags = make(map[int]*core.Bag)
-	sh.doneBags = make(map[int]BagStatus)
+	sh.archived = make(map[int]int)
 	if jnl != nil {
 		// Coarsen journaled lease renewals to an eighth of the lease: fine
 		// enough that recovered expiry deadlines are within tolerance,
@@ -360,6 +360,7 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 	} else {
 		sh.sched = core.NewLiveScheduler(s.clock, g, pol, cfg.Sched, cfg.Observer)
 	}
+	sh.sched.OnBagDone = sh.archive
 	return sh, nil
 }
 

@@ -66,17 +66,15 @@ type shard struct {
 	//botlint:guarded-by mu
 	slots []*workerState // workers by slot (machine ID), i.e. registration order
 	//botlint:guarded-by mu
-	bags map[int]*core.Bag // live bags by local ID; bags finished pre-recovery are only in doneBags
-	//botlint:guarded-by mu
-	bagIDs []int // local IDs in submission order, completed included
-	//botlint:guarded-by mu
-	doneBags map[int]BagStatus // frozen snapshots (global IDs inside); a completed bag never changes
+	bags map[int]*core.Bag // live bags by local ID; archive drops a bag when it finishes
 	//botlint:guarded-by mu
 	met counters
 	//botlint:guarded-by mu
 	lastLSN uint64 // LSN of the newest record covering this shard's state
 	//botlint:guarded-by mu
-	completed []journal.CompletedBag // durable record of finished bags (local IDs)
+	completed []journal.CompletedBag // archive of finished bags in completion order (local IDs)
+	//botlint:guarded-by mu
+	archived map[int]int // local bag ID → index in completed
 }
 
 // globalBag translates a shard-local bag ID to the global ID on the wire.
@@ -88,7 +86,6 @@ func (sh *shard) submit(granularity float64, works []float64) (wire.SubmitResult
 	sh.mu.Lock()
 	b := sh.sched.Submit(granularity, works)
 	sh.bags[b.ID] = b
-	sh.bagIDs = append(sh.bagIDs, b.ID)
 	sh.met.Submits++
 	wait := wire.Pending{Shard: sh.idx, LSN: sh.lastLSN}
 	sh.mu.Unlock()
@@ -238,45 +235,68 @@ func (sh *shard) bagStatusLocal(local int) (BagStatus, bool) {
 	return st, ok
 }
 
-// bagStatusByID returns the bag's status, serving completed bags from the
-// frozen-snapshot cache (a completed bag never changes, so its snapshot is
-// computed at most once; bags finished before a recovery only exist
-// there).
+// bagStatusByID returns the status of a live bag or of one in the
+// archive.
 //
 //botlint:holds mu
 func (sh *shard) bagStatusByID(local int) (BagStatus, bool) {
-	if bs, ok := sh.doneBags[local]; ok {
-		return bs, true
+	if i, ok := sh.archived[local]; ok {
+		return sh.completedStatus(sh.completed[i]), true
 	}
 	b, ok := sh.bags[local]
 	if !ok {
 		return BagStatus{}, false
 	}
-	bs := sh.bagStatus(b)
-	if bs.Completed {
-		sh.doneBags[local] = bs
-	}
-	return bs, true
+	return sh.liveStatus(b), true
 }
 
-// bagStatus snapshots b, translating its local ID to the global one.
+// liveStatus is the status of an unfinished bag, translating its local ID
+// to the global one.
 //
 //botlint:holds mu
-func (sh *shard) bagStatus(b *core.Bag) BagStatus {
-	st := BagStatus{
+func (sh *shard) liveStatus(b *core.Bag) BagStatus {
+	return BagStatus{
 		Bag:         sh.globalBag(b.ID),
 		Granularity: b.Granularity,
 		Tasks:       len(b.Tasks),
 		Done:        b.DoneTasks(),
-		Completed:   b.Complete(),
 		Arrival:     b.Arrival,
-		DoneAt:      b.DoneAt,
+		DoneAt:      -1,
 		Turnaround:  -1,
 	}
-	if st.Completed {
-		st.Turnaround = b.DoneAt - b.Arrival
+}
+
+// completedStatus is the status of an archived bag, translating its local
+// ID to the global one.
+func (sh *shard) completedStatus(cb journal.CompletedBag) BagStatus {
+	return BagStatus{
+		Bag:         sh.globalBag(cb.ID),
+		Granularity: cb.Granularity,
+		Tasks:       cb.Tasks,
+		Done:        cb.Tasks,
+		Completed:   true,
+		Arrival:     cb.Arrival,
+		DoneAt:      cb.DoneAt,
+		Turnaround:  cb.DoneAt - cb.Arrival,
 	}
-	return st
+}
+
+// archive is the scheduler's OnBagDone hook, in memory and journaled
+// alike: a finished bag's final status moves into the archive and its
+// *core.Bag, tasks and replica arrays leave memory. Runs under mu, inside
+// the scheduler call that completed the bag.
+//
+//botlint:holds mu
+func (sh *shard) archive(b *core.Bag) {
+	sh.archived[b.ID] = len(sh.completed)
+	sh.completed = append(sh.completed, journal.CompletedBag{
+		ID:          b.ID,
+		Arrival:     b.Arrival,
+		Granularity: b.Granularity,
+		DoneAt:      b.DoneAt,
+		Tasks:       len(b.Tasks),
+	})
+	delete(sh.bags, b.ID)
 }
 
 // expireLeases declares every worker silent for longer than the lease
@@ -396,11 +416,13 @@ func (sh *shard) partial(withBags bool) shardPartial {
 		}
 	}
 	if withBags {
-		p.bags = make([]BagStatus, 0, len(sh.bagIDs))
-		for _, id := range sh.bagIDs {
-			if bs, ok := sh.bagStatusByID(id); ok {
-				p.bags = append(p.bags, bs)
-			}
+		// Unordered: the router sorts the merged list by global ID.
+		p.bags = make([]BagStatus, 0, len(sh.completed)+len(sh.bags))
+		for _, cb := range sh.completed {
+			p.bags = append(p.bags, sh.completedStatus(cb))
+		}
+		for _, b := range sh.bags {
+			p.bags = append(p.bags, sh.liveStatus(b))
 		}
 	}
 	if sh.jnl != nil {
