@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"math/rand"
 	"testing"
 
 	"botgrid/internal/core"
@@ -153,9 +154,40 @@ func BenchmarkJournalAppend(b *testing.B) {
 // Open over a ~101k-record log (500 bags of 100 tasks dispatched and
 // completed) — the cost a restarting daemon pays before serving. A fleet
 // of 1 024 machines keeps that many replicas in flight: each machine takes
-// one task, then every start waits for the oldest running task to
-// complete and reuses its machine. It reports ns/record.
+// one task, then every start waits for a running task to complete and
+// reuses its machine. In "oldest-first" the oldest running task completes;
+// in "shuffled" each window of 1 024 starts completes the live replicas in
+// a seeded permutation, as closed-loop clients racing each other report
+// them. It reports ns/record.
 func BenchmarkRecoveryReplay(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		shuffle bool
+	}{{"oldest-first", false}, {"shuffled", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			dir, total := recoveryLog(b, c.shuffle)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, rec, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rec.Records != total {
+					b.Fatalf("replayed %d of %d records", rec.Records, total)
+				}
+				if err := j.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/record")
+		})
+	}
+}
+
+// recoveryLog writes BenchmarkRecoveryReplay's log into a fresh directory
+// and returns it with its record count.
+func recoveryLog(b *testing.B, shuffle bool) (string, int) {
 	const (
 		bags     = 500
 		tasks    = 100
@@ -180,44 +212,51 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		}
 		total++
 	}
-	// Task k is task k%tasks of bag k/tasks, runs on machine k%machines as
-	// replica k+1, and completes before task k+machines starts.
-	complete := func(k int) {
+	// Task k is task k%tasks of bag k/tasks and runs as replica k+1.
+	var running [machines]int // machine -> the task it runs
+	left := make([]int, bags) // bag -> tasks not yet completed
+	complete := func(m int) {
+		k := running[m]
 		put(Record{Kind: KindTaskCompleted, Bag: k / tasks, Task: k % tasks, Seq: uint64(k + 1)})
-		if k%tasks == tasks-1 {
+		if left[k/tasks]--; left[k/tasks] == 0 {
 			put(Record{Kind: KindBagCompleted, Bag: k / tasks})
+		}
+	}
+	// order lists the machines in the order their replicas complete within
+	// one window: as started, or a seeded permutation of that.
+	order := make([]int, machines)
+	rnd := rand.New(rand.NewSource(1))
+	window := func() {
+		for i := range order {
+			order[i] = i
+		}
+		if shuffle {
+			rnd.Shuffle(machines, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
 	}
 	for k := 0; k < bags*tasks; k++ {
 		if k%tasks == 0 {
 			put(Record{Kind: KindBagSubmitted, Bag: k / tasks, Granularity: 2000, Works: works})
+			left[k/tasks] = tasks
 		}
+		m := k % machines
 		if k >= machines {
-			complete(k - machines)
+			if m == 0 {
+				window()
+			}
+			m = order[m]
+			complete(m)
 		}
 		put(Record{Kind: KindReplicaStarted, Bag: k / tasks, Task: k % tasks,
-			Machine: k % machines, Seq: uint64(k + 1)})
+			Machine: m, Seq: uint64(k + 1)})
+		running[m] = k
 	}
-	for k := max(bags*tasks-machines, 0); k < bags*tasks; k++ {
-		complete(k)
+	window()
+	for i := range order { // the last window starts at machine bags*tasks % machines
+		complete(order[(i+bags*tasks)%machines])
 	}
 	if err := j.Close(); err != nil {
 		b.Fatal(err)
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j2, rec, err := Open(Options{Dir: dir, Fsync: FsyncOff})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rec.Records != total {
-			b.Fatalf("replayed %d of %d records", rec.Records, total)
-		}
-		if err := j2.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/record")
+	return dir, total
 }

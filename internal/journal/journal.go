@@ -242,6 +242,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 			next = res.nextLSN
 		}
 	}
+	st.publish()
 	rec.LastLSN = next - 1
 	rec.Elapsed = time.Since(start)
 

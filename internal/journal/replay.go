@@ -33,6 +33,10 @@ type CompletedBag struct {
 // the scheduler snapshot plus the service-level worker table and completed
 // bag archive. Recovery replays journal records into a State, then the
 // service promotes Sched via core.RestoreLiveScheduler.
+//
+// Apply keeps live replicas in a private index, not in Sched.Replicas.
+// Once a State has applied records, Sched.Replicas is current only after
+// Open returns it or EncodeSnapshot or WriteSnapshot encodes it.
 type State struct {
 	// Time is the service clock when the snapshot was captured.
 	Time float64 `json:"time"`
@@ -51,7 +55,7 @@ type State struct {
 	// replayed record; the recovered clock must not run behind it.
 	MaxTime float64 `json:"-"`
 
-	// ix is Apply's private lookup structure over Sched.Replicas and
+	// ix is Apply's private lookup structure over the live replicas and
 	// Workers, built on first use from whatever the State holds.
 	ix *replayIndex
 }
@@ -80,28 +84,23 @@ func (st *State) bag(id int) (*core.BagSnapshot, error) {
 // replayIndex lets Apply find a live replica by machine or by task, and a
 // worker by ID or slot, without scanning the live state.
 //
-// Sched.Replicas stays the one ordered list of live replicas — snapshots,
-// promotion and core.RestoreLiveScheduler read its order — and is always
-// reps[off : off+n]. meta runs parallel to reps and gives every entry a
-// stamp that increases along the list, so a replica named by its stamp is
-// found by binary search. Removing one shifts the shorter side of the list:
-// nothing for the oldest or newest replica, at most half the list for any
-// other. An append that finds the tail full first reclaims the
-// head-room those removals left, and grows the arrays only when that
-// head-room is smaller than the list itself, so appends are amortised O(1)
-// and a warm replay allocates nothing per replica.
+// Live replicas sit in a slot table. A removed replica's slot goes on a
+// free list for the next start to reuse, so nothing shifts and a warm
+// replay allocates nothing per replica. Each slot carries the stamp that
+// orders it among the live replicas and links to the next-older live
+// replica of its task. Sched.Replicas is not touched until publish
+// rebuilds it.
 type replayIndex struct {
 	sched *core.SchedulerSnapshot // the snapshot this index describes
+	pub   []core.ReplicaSnapshot  // Sched.Replicas as last built from or published
 
-	reps  []core.ReplicaSnapshot // backing array of Sched.Replicas
-	meta  []replicaMeta          // parallel to reps
-	off   int                    // Sched.Replicas starts at reps[off]
-	n     int                    // len(Sched.Replicas)
-	stamp uint64                 // the last stamp issued
+	slots []replicaSlot
+	free  []int  // empty slots
+	stamp uint64 // the last stamp issued
 
-	machine map[int]uint64   // machine -> stamp of the replica it runs
-	heads   map[int][]uint64 // bag -> per task, stamp of its newest replica (0: none)
-	spare   [][]uint64       // heads of completed bags, for later bags to reuse
+	machine map[int]int   // machine -> slot of the replica it runs
+	heads   map[int][]int // bag -> per task, slot+1 of its newest replica (0: none)
+	spare   [][]int       // heads of completed bags, for later bags to reuse
 
 	// Workers only ever grows, so positions are stable.
 	workers  []WorkerSnapshot // Workers as last indexed
@@ -109,34 +108,39 @@ type replayIndex struct {
 	slot     map[int]int      // machine -> position in Workers
 }
 
-type replicaMeta struct {
-	stamp uint64 // insertion order
-	prev  uint64 // the next-older live replica of the same task (0: none)
+type replicaSlot struct {
+	rep   core.ReplicaSnapshot
+	stamp uint64 // insertion order (0: free slot)
+	prev  int    // slot+1 of the next-older live replica of the same task (0: none)
 }
 
-// index returns st's replay index, (re)building it when the State was
-// handed a Sched, Replicas or Workers that Apply did not leave behind — a
-// decoded snapshot, a fresh State, a test's direct edit. In-place edits of
-// those slices between Apply calls are not detected.
+// describes reports whether ix still indexes st: st holds the Sched,
+// Replicas and Workers Apply last left behind, not a decoded snapshot, a
+// fresh State or a test's direct edit. In-place edits of those slices
+// between Apply calls are not detected.
+func (ix *replayIndex) describes(st *State) bool {
+	return ix != nil && ix.sched == st.Sched &&
+		sameSlice(st.Sched.Replicas, ix.pub) && sameSlice(st.Workers, ix.workers)
+}
+
+// index returns st's replay index, building it from the State's own
+// replicas and workers when it has none that describes it.
 func (st *State) index() (*replayIndex, error) {
-	if ix := st.ix; ix != nil && ix.sched == st.Sched &&
-		sameSlice(st.Sched.Replicas, ix.reps[ix.off:ix.off+ix.n]) &&
-		sameSlice(st.Workers, ix.workers) {
-		return ix, nil
+	if st.ix.describes(st) {
+		return st.ix, nil
 	}
 	s := st.Sched
 	ix := &replayIndex{
 		sched:    s,
-		reps:     s.Replicas[:cap(s.Replicas)],
-		meta:     make([]replicaMeta, cap(s.Replicas)),
-		n:        len(s.Replicas),
-		machine:  make(map[int]uint64, len(s.Replicas)),
-		heads:    make(map[int][]uint64),
+		pub:      s.Replicas,
+		slots:    make([]replicaSlot, 0, len(s.Replicas)),
+		machine:  make(map[int]int, len(s.Replicas)),
+		heads:    make(map[int][]int),
 		workers:  st.Workers,
 		workerID: make(map[string]int, len(st.Workers)),
 		slot:     make(map[int]int, len(st.Workers)),
 	}
-	for i, rep := range s.Replicas {
+	for _, rep := range s.Replicas {
 		if _, dup := ix.machine[rep.Machine]; dup {
 			return nil, fmt.Errorf("journal: replay: machine %d runs two replicas", rep.Machine)
 		}
@@ -147,11 +151,7 @@ func (st *State) index() (*replayIndex, error) {
 		if rep.Task < 0 || rep.Task >= len(b.Tasks) || b.Tasks[rep.Task].State != core.TaskRunning {
 			return nil, fmt.Errorf("journal: replay: replica on task %d/%d, which is not running", rep.Bag, rep.Task)
 		}
-		heads := ix.taskHeads(rep.Bag, len(b.Tasks))
-		ix.stamp++
-		ix.meta[i] = replicaMeta{stamp: ix.stamp, prev: heads[rep.Task]}
-		heads[rep.Task] = ix.stamp
-		ix.machine[rep.Machine] = ix.stamp
+		ix.add(rep, ix.taskHeads(rep.Bag, len(b.Tasks)))
 	}
 	// Apply resolves a duplicated ID or slot to its first entry, as a scan
 	// would.
@@ -167,22 +167,50 @@ func (st *State) index() (*replayIndex, error) {
 	return ix, nil
 }
 
+// publish rebuilds Sched.Replicas from the replay index: the live
+// replicas in the order they started, which snapshots and
+// core.RestoreLiveScheduler keep as each task's replica order. Every
+// reader of a replayed State calls it first; Apply never does.
+func (st *State) publish() {
+	ix := st.ix
+	if !ix.describes(st) {
+		return // Sched.Replicas is the State's own and already current
+	}
+	live := make([]replicaSlot, 0, len(ix.machine))
+	for _, sl := range ix.slots {
+		if sl.stamp != 0 {
+			live = append(live, sl)
+		}
+	}
+	slices.SortFunc(live, func(a, b replicaSlot) int { return cmp.Compare(a.stamp, b.stamp) })
+	reps := ix.pub[:0]
+	// A list that once held a replica stays non-nil even when empty:
+	// snapshots encode nil and empty differently.
+	if cap(reps) < len(live) || (reps == nil && len(ix.slots) > 0) {
+		reps = make([]core.ReplicaSnapshot, 0, len(live))
+	}
+	for _, sl := range live {
+		reps = append(reps, sl.rep)
+	}
+	ix.pub, st.Sched.Replicas = reps, reps
+}
+
 // sameSlice reports whether a and b are the same view of the same array.
 func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// taskHeads returns the per-task newest-replica stamps of bag. A bag's
+// taskHeads returns the per-task newest-replica slots of bag. A bag's
 // first replica takes the heads a completed bag left, so heads and spares
 // together never outnumber the most bags ever running at once.
-func (ix *replayIndex) taskHeads(bag, tasks int) []uint64 {
+func (ix *replayIndex) taskHeads(bag, tasks int) []int {
 	h, ok := ix.heads[bag]
 	if !ok {
 		if n := len(ix.spare); n > 0 {
 			h, ix.spare = ix.spare[n-1], ix.spare[:n-1]
 		}
 		if cap(h) < tasks {
-			h = make([]uint64, tasks)
+			h = make([]int, tasks)
 		} else {
 			h = h[:tasks]
 			clear(h)
@@ -192,58 +220,27 @@ func (ix *replayIndex) taskHeads(bag, tasks int) []uint64 {
 	return h
 }
 
-// find returns the position in Sched.Replicas of the replica stamped s.
-func (ix *replayIndex) find(s uint64) int {
-	i, ok := slices.BinarySearchFunc(ix.meta[ix.off:ix.off+ix.n], s,
-		func(m replicaMeta, s uint64) int { return cmp.Compare(m.stamp, s) })
-	if !ok {
-		panic("journal: replay index lost a live replica")
-	}
-	return i
-}
-
-// add appends rep to Sched.Replicas as the newest replica of its task.
-func (ix *replayIndex) add(rep core.ReplicaSnapshot, heads []uint64) {
-	if ix.off+ix.n == len(ix.reps) {
-		reps, meta := ix.reps, ix.meta
-		if ix.off == 0 || ix.off < ix.n { // head-room smaller than the list: grow
-			size := max(2*len(reps), 16)
-			reps, meta = make([]core.ReplicaSnapshot, size), make([]replicaMeta, size)
-		}
-		copy(reps, ix.reps[ix.off:ix.off+ix.n])
-		copy(meta, ix.meta[ix.off:ix.off+ix.n])
-		ix.reps, ix.meta, ix.off = reps, meta, 0
+// add files rep in a free slot as the newest replica of its task.
+func (ix *replayIndex) add(rep core.ReplicaSnapshot, heads []int) {
+	i := len(ix.slots)
+	if n := len(ix.free); n > 0 {
+		i, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		ix.slots = append(ix.slots, replicaSlot{})
 	}
 	ix.stamp++
-	end := ix.off + ix.n
-	ix.reps[end] = rep
-	ix.meta[end] = replicaMeta{stamp: ix.stamp, prev: heads[rep.Task]}
-	heads[rep.Task] = ix.stamp
-	ix.machine[rep.Machine] = ix.stamp
-	ix.n++
-	ix.sched.Replicas = ix.reps[ix.off : end+1]
+	ix.slots[i] = replicaSlot{rep: rep, stamp: ix.stamp, prev: heads[rep.Task]}
+	heads[rep.Task] = i + 1
+	ix.machine[rep.Machine] = i
 }
 
-// remove deletes the replica at position i of Sched.Replicas, keeping the
-// others in order, and returns it with the stamp of its next-older sibling.
-// The caller unlinks it from its task's chain.
-func (ix *replayIndex) remove(i int) (core.ReplicaSnapshot, uint64) {
-	lo, hi := ix.off, ix.off+ix.n
-	rep, prev := ix.reps[lo+i], ix.meta[lo+i].prev
-	if i < ix.n-1-i {
-		copy(ix.reps[lo+1:lo+i+1], ix.reps[lo:lo+i])
-		copy(ix.meta[lo+1:lo+i+1], ix.meta[lo:lo+i])
-		ix.off++
-	} else {
-		copy(ix.reps[lo+i:hi-1], ix.reps[lo+i+1:hi])
-		copy(ix.meta[lo+i:hi-1], ix.meta[lo+i+1:hi])
-	}
-	ix.n--
-	if ix.n == 0 {
-		ix.off = 0
-	}
+// remove frees slot i and returns its replica with the slot+1 of its
+// next-older sibling. The caller unlinks it from its task's chain.
+func (ix *replayIndex) remove(i int) (core.ReplicaSnapshot, int) {
+	rep, prev := ix.slots[i].rep, ix.slots[i].prev
+	ix.slots[i] = replicaSlot{}
+	ix.free = append(ix.free, i)
 	delete(ix.machine, rep.Machine)
-	ix.sched.Replicas = ix.reps[ix.off : ix.off+ix.n]
 	return rep, prev
 }
 
@@ -380,7 +377,7 @@ func (st *State) applyTaskCompleted(r *Record) error {
 	dropped := 0
 	if heads := ix.heads[r.Bag]; heads != nil {
 		for s := heads[r.Task]; s != 0; dropped++ {
-			_, s = ix.remove(ix.find(s))
+			_, s = ix.remove(s - 1)
 		}
 		heads[r.Task] = 0
 	}
@@ -433,24 +430,24 @@ func (st *State) applyMachineDown(r *Record) error {
 	if err != nil {
 		return err
 	}
-	stamp, ok := ix.machine[r.Machine]
+	i, ok := ix.machine[r.Machine]
 	if !ok {
 		// A machine with no replica going down needs no state change.
 		return nil
 	}
-	rep, prev := ix.remove(ix.find(stamp))
+	rep, prev := ix.remove(i)
 	// Unlink it from its task's chain of replicas, newest first.
 	heads := ix.heads[rep.Bag]
-	if heads[rep.Task] == stamp {
+	if heads[rep.Task] == i+1 {
 		heads[rep.Task] = prev
 	} else {
 		for s := heads[rep.Task]; ; {
-			m := &ix.meta[ix.off+ix.find(s)]
-			if m.prev == stamp {
-				m.prev = prev
+			sl := &ix.slots[s-1]
+			if sl.prev == i+1 {
+				sl.prev = prev
 				break
 			}
-			s = m.prev
+			s = sl.prev
 		}
 	}
 	s := st.Sched

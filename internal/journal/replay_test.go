@@ -158,8 +158,10 @@ func allDone(b core.BagSnapshot) bool {
 	return true
 }
 
-// exported returns st with Apply's private index cleared, for comparison.
+// exported returns st as its readers see it: Sched.Replicas published,
+// Apply's private index cleared, for comparison.
 func exported(st *State) State {
+	st.publish()
 	c := *st
 	c.ix = nil
 	return c
@@ -291,6 +293,53 @@ func TestReplayMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestOpenMatchesOracle holds journal.Open to the linear state machine:
+// a log of generated records, reopened, recovers exactly the State the
+// oracle reached, live replicas in start order included, as Open returns
+// it and before anything else reads it.
+func TestOpenMatchesOracle(t *testing.T) {
+	live := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := &streamGen{intn: rng.Intn, machines: 2 + rng.Intn(12)}
+		want := NewState()
+		dir := t.TempDir()
+		j, _, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 300 {
+			r := g.next(want)
+			if err := (*linearState)(want).Apply(&r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Append(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, rec, err := Open(Options{Dir: dir, Fsync: FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := *rec.State
+		got.ix = nil
+		if !reflect.DeepEqual(got, *want) {
+			t.Fatalf("seed %d: recovered state diverges\nopened: %+v\n%+v\noracle: %+v\n%+v",
+				seed, got, *got.Sched, *want, *want.Sched)
+		}
+		live += len(want.Sched.Replicas)
+	}
+	if live == 0 {
+		t.Fatal("no stream ended with a live replica")
+	}
+}
+
 // FuzzReplayVsOracle is TestReplayMatchesOracle with the fuzzer choosing
 // the stream, and with contradictory records mixed in: the two state
 // machines must reject exactly the same records and still agree after
@@ -328,47 +377,66 @@ func FuzzReplayVsOracle(f *testing.F) {
 }
 
 // TestReplaySteadyStateZeroAlloc pins the replay step at 0 allocations:
-// once warm, completing the oldest of 1 024 live replicas and starting a
-// new one on the machine it freed allocates nothing. AllocsPerRun floors
-// its average, so each run is a whole window of steps: growing the list
-// every few hundred records fails the gate as surely as once per record.
+// once warm, completing one of 1 024 live replicas and starting a new one
+// on the machine it freed allocates nothing, whether completions come
+// oldest first or, as closed-loop clients deliver them, in a seeded random
+// order. AllocsPerRun floors its average, so each run is a whole window of
+// steps: growing a table every few hundred records fails the gate as
+// surely as once per record. The published list must then hold exactly
+// the live replicas without hoarding capacity.
 func TestReplaySteadyStateZeroAlloc(t *testing.T) {
 	const live = 1024
-	st := NewState()
-	works := make([]float64, 16*live)
-	for i := range works {
-		works[i] = 1
-	}
-	r := Record{Kind: KindBagSubmitted, Works: works}
-	if err := st.Apply(&r); err != nil {
-		t.Fatal(err)
-	}
-	next := 0 // the next task to start; task k runs on machine k % live
-	apply := func(kind Kind, task int) {
-		r = Record{Kind: kind, Time: float64(next), Task: task, Machine: task % live, Seq: uint64(task + 1)}
-		if err := st.Apply(&r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	step := func() {
-		if next >= live {
-			apply(KindTaskCompleted, next-live)
-		}
-		apply(KindReplicaStarted, next)
-		next++
-	}
-	window := func() {
-		for range 2 * live {
-			step()
-		}
-	}
-	for next < 3*live { // fill, then cycle the live set twice
-		step()
-	}
-	if allocs := testing.AllocsPerRun(3, window); allocs != 0 {
-		t.Fatalf("%d warm replay steps allocate %.0f times", 2*live, allocs)
-	}
-	if n, c := len(st.Sched.Replicas), cap(st.Sched.Replicas); n != live || c > 2*live {
-		t.Fatalf("%d live replicas in an array of %d, want %d in at most %d", n, c, live, 2*live)
+	rnd := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		name string
+		pick func(next int) int // the machine whose replica completes next
+	}{
+		{"oldest-first", func(next int) int { return next % live }},
+		{"random", func(int) int { return rnd.Intn(live) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := NewState()
+			works := make([]float64, 16*live)
+			for i := range works {
+				works[i] = 1
+			}
+			r := Record{Kind: KindBagSubmitted, Works: works}
+			if err := st.Apply(&r); err != nil {
+				t.Fatal(err)
+			}
+			var running [live]int // machine -> the task it runs
+			next := 0             // the next task to start
+			apply := func(kind Kind, task, machine int) {
+				r = Record{Kind: kind, Time: float64(next), Task: task, Machine: machine, Seq: uint64(task + 1)}
+				if err := st.Apply(&r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step := func() {
+				m := next
+				if next >= live {
+					m = c.pick(next)
+					apply(KindTaskCompleted, running[m], m)
+				}
+				apply(KindReplicaStarted, next, m)
+				running[m] = next
+				next++
+			}
+			window := func() {
+				for range 2 * live {
+					step()
+				}
+			}
+			for next < 3*live { // fill, then cycle the live set twice
+				step()
+			}
+			if allocs := testing.AllocsPerRun(3, window); allocs != 0 {
+				t.Fatalf("%d warm replay steps allocate %.0f times", 2*live, allocs)
+			}
+			st.publish()
+			if n, c := len(st.Sched.Replicas), cap(st.Sched.Replicas); n != live || c > 2*live {
+				t.Fatalf("%d live replicas in an array of %d, want %d in at most %d", n, c, live, 2*live)
+			}
+		})
 	}
 }

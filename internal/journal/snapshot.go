@@ -60,6 +60,7 @@ func listSnapshots(dir string) ([]uint64, error) {
 }
 
 func encodeSnapshot(lsn uint64, st *State) ([]byte, error) {
+	st.publish()
 	payload, err := json.Marshal(st)
 	if err != nil {
 		return nil, fmt.Errorf("journal: marshal snapshot: %w", err)

@@ -506,6 +506,8 @@ func (n *Node) becomeLeader(term uint64) {
 	n.logf("replicate: %s: leading at term %d from LSN %d", n.cfg.NodeID, term, lastLSN)
 
 	// Anchor follower catch-up: a fresh snapshot at the promotion point.
+	// Encoding it also publishes the replay state's live replicas, which
+	// Apply leaves unpublished, so OnLeader receives a current State.
 	state.Time = state.MaxTime
 	if err := rep.WriteSnapshot(lastLSN, state); err != nil {
 		n.fail(fmt.Errorf("promotion snapshot: %w", err))
