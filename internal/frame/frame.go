@@ -13,7 +13,9 @@
 //
 // The package is stdlib-only and allocation-free in steady state: encoders
 // append into a caller's buffer, Read decodes into a buffer the caller
-// hands back in, Next returns views of the input.
+// hands back in, Next returns views of the input. Inside a payload, the
+// journal and the wire protocol encode fields with the same codec
+// (payload.go): the Append encoders, Reader, and the field limits.
 package frame
 
 import (

@@ -1,18 +1,24 @@
 package journal
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"botgrid/internal/frame"
 )
 
 // FuzzDecodeRecord drives arbitrary bytes through the record codec: it
-// must never panic, and any payload it accepts must decode to the same
-// record after re-encoding (uvarints admit non-minimal forms, so byte-level
-// canonicality is not required — semantic idempotence is).
+// must never panic, it must accept exactly what the oracle accepts and
+// decode it to the same record, and any payload it accepts must decode to
+// the same record after re-encoding (uvarints admit non-minimal forms, so
+// byte-level canonicality is not required — semantic idempotence is).
 func FuzzDecodeRecord(f *testing.F) {
-	for _, r := range script() {
+	for _, r := range append(script(), edgeRecords()...) {
 		f.Add(EncodeRecord(nil, &r))
 	}
 	f.Add([]byte{})
@@ -20,6 +26,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRecord(data)
+		checkDecodeVsOracle(t, data, r, err)
 		if err != nil {
 			return
 		}
@@ -32,6 +39,65 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("decode(encode(r)) = %+v, want %+v", r2, r)
 		}
 	})
+}
+
+// checkDecodeVsOracle holds one DecodeRecord result to the oracle: the
+// same verdict, and on acceptance the same record. A rejection must wrap
+// ErrCorrupt.
+func checkDecodeVsOracle(t *testing.T, data []byte, r Record, err error) {
+	t.Helper()
+	want, werr := oracleDecodeRecord(data)
+	head := data[:min(len(data), 32)]
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%d bytes % x...: DecodeRecord err = %v, oracle err = %v", len(data), head, err, werr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d bytes % x...: err = %v, want ErrCorrupt", len(data), head, err)
+		}
+		return
+	}
+	if !reflect.DeepEqual(r, want) {
+		t.Fatalf("%d bytes % x...: DecodeRecord = %+v, oracle = %+v", len(data), head, r, want)
+	}
+}
+
+// edgeRecords sit on or just past a decode limit: the longest worker ID
+// and one byte more, non-finite and negative works, a non-finite power
+// and time, and the largest machine index and one more.
+func edgeRecords() []Record {
+	return []Record{
+		{Kind: KindWorkerRegistered, Time: 1, Machine: 3, Power: 1,
+			Worker: strings.Repeat("w", frame.MaxWorkerID)},
+		{Kind: KindWorkerRegistered, Time: 1, Machine: 3, Power: 1,
+			Worker: strings.Repeat("w", frame.MaxWorkerID+1)},
+		{Kind: KindBagSubmitted, Time: 1, Granularity: 5,
+			Works: []float64{1, math.Inf(1), 2}},
+		{Kind: KindBagSubmitted, Time: 1, Granularity: 5, Works: []float64{-1}},
+		{Kind: KindWorkerRegistered, Time: 1, Power: math.NaN(), Worker: "w"},
+		{Kind: KindMachineUp, Time: math.Inf(-1), Machine: math.MaxInt32},
+		{Kind: KindMachineUp, Time: 1, Machine: math.MaxInt32 + 1},
+	}
+}
+
+// TestDecodeRecordMatchesOracle runs every prefix and every single-byte
+// corruption of each script and edge record through both decoders.
+func TestDecodeRecordMatchesOracle(t *testing.T) {
+	for _, rec := range append(script(), edgeRecords()...) {
+		enc := EncodeRecord(nil, &rec)
+		for n := 0; n <= len(enc); n++ {
+			r, err := DecodeRecord(enc[:n])
+			checkDecodeVsOracle(t, enc[:n], r, err)
+		}
+		for i := range enc {
+			for _, x := range []byte{0x01, 0x80, 0xff} {
+				bad := append([]byte(nil), enc...)
+				bad[i] ^= x
+				r, err := DecodeRecord(bad)
+				checkDecodeVsOracle(t, bad, r, err)
+			}
+		}
+	}
 }
 
 // FuzzSegmentScan drives arbitrary bytes through the segment scanner: it

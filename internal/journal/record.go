@@ -23,9 +23,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"botgrid/internal/core"
+	"botgrid/internal/frame"
 )
 
 // Kind enumerates journal record types. The first six mirror
@@ -119,13 +119,6 @@ func FromMutation(m core.Mutation) Record {
 	}
 }
 
-// Decode limits: a record claiming more than these is rejected as corrupt
-// before any allocation is sized from attacker-controlled input.
-const (
-	maxWorks    = 1 << 24 // tasks per bag
-	maxWorkerID = 4096    // bytes in a worker ID
-)
-
 // ErrCorrupt reports an undecodable record payload.
 var ErrCorrupt = errors.New("journal: corrupt record")
 
@@ -134,19 +127,16 @@ func corrupt(format string, args ...any) error {
 }
 
 // EncodeRecord appends r's binary payload (without framing) to dst and
-// returns the extended slice. The layout is one kind byte, the time as
-// IEEE-754 bits, then kind-specific fields as uvarints and float bits.
+// returns the extended slice. The layout is one kind byte, the time, then
+// kind-specific fields in internal/frame's payload encoding.
 func EncodeRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, byte(r.Kind))
-	dst = putF64(dst, r.Time)
+	dst = frame.AppendF64(dst, r.Time)
 	switch r.Kind {
 	case KindBagSubmitted:
 		dst = binary.AppendUvarint(dst, uint64(r.Bag))
-		dst = putF64(dst, r.Granularity)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Works)))
-		for _, w := range r.Works {
-			dst = putF64(dst, w)
-		}
+		dst = frame.AppendF64(dst, r.Granularity)
+		dst = frame.AppendFloats(dst, r.Works)
 	case KindReplicaStarted:
 		dst = binary.AppendUvarint(dst, uint64(r.Bag))
 		dst = binary.AppendUvarint(dst, uint64(r.Task))
@@ -163,9 +153,8 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 		dst = binary.AppendUvarint(dst, uint64(r.Machine))
 	case KindWorkerRegistered:
 		dst = binary.AppendUvarint(dst, uint64(r.Machine))
-		dst = putF64(dst, r.Power)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Worker)))
-		dst = append(dst, r.Worker...)
+		dst = frame.AppendF64(dst, r.Power)
+		dst = frame.AppendString(dst, r.Worker)
 	default:
 		panic(fmt.Sprintf("journal: encoding unknown record kind %d", r.Kind))
 	}
@@ -174,151 +163,63 @@ func EncodeRecord(dst []byte, r *Record) []byte {
 
 // DecodeRecord parses one record payload. It never panics: any malformed,
 // truncated or trailing-garbage input returns an error wrapping
-// ErrCorrupt.
+// ErrCorrupt (and, for a field the cursor refused, the frame error too).
 func DecodeRecord(data []byte) (Record, error) {
 	var r Record
-	d := decoder{data: data}
-	k := d.u8()
-	if d.err != nil {
-		return r, corrupt("empty payload")
+	d := frame.NewReader(data)
+	r.Kind = Kind(d.U8())
+	if d.Err() == nil && (r.Kind == 0 || r.Kind > kindMax) {
+		return r, corrupt("unknown kind %d", r.Kind)
 	}
-	r.Kind = Kind(k)
-	if r.Kind == 0 || r.Kind > kindMax {
-		return r, corrupt("unknown kind %d", k)
-	}
-	r.Time = d.f64()
+	r.Time = d.F64()
 	switch r.Kind {
 	case KindBagSubmitted:
-		r.Bag = d.uint()
-		r.Granularity = d.f64()
-		if d.err == nil && !isFinite(r.Granularity) {
-			return r, corrupt("bad granularity %v", r.Granularity)
-		}
-		n := d.uint()
-		if d.err == nil {
-			if n == 0 || n > maxWorks {
-				return r, corrupt("bag with %d tasks", n)
-			}
-			if len(d.data)-d.off < 8*n {
-				return r, corrupt("works truncated")
-			}
-			r.Works = make([]float64, n)
-			for i := range r.Works {
-				w := d.f64()
-				if !isFinite(w) || w < 0 {
-					return r, corrupt("bad work %v", w)
-				}
-				r.Works[i] = w
-			}
-		}
+		r.Bag = d.Int()
+		r.Granularity = d.F64()
+		r.Works = d.Floats(nil, frame.MaxWorks)
 	case KindReplicaStarted:
-		r.Bag = d.uint()
-		r.Task = d.uint()
-		r.Machine = d.uint()
-		r.Seq = d.uvarint()
-		r.Restart = d.u8() != 0
+		r.Bag = d.Int()
+		r.Task = d.Int()
+		r.Machine = d.Int()
+		r.Seq = d.Uvarint()
+		r.Restart = d.U8() != 0
 	case KindTaskCompleted:
-		r.Bag = d.uint()
-		r.Task = d.uint()
-		r.Seq = d.uvarint()
+		r.Bag = d.Int()
+		r.Task = d.Int()
+		r.Seq = d.Uvarint()
 	case KindBagCompleted:
-		r.Bag = d.uint()
+		r.Bag = d.Int()
 	case KindMachineDown, KindMachineUp, KindWorkerSeen:
-		r.Machine = d.uint()
+		r.Machine = d.Int()
 	case KindWorkerRegistered:
-		r.Machine = d.uint()
-		r.Power = d.f64()
-		if d.err == nil && (!isFinite(r.Power) || r.Power <= 0) {
-			// Machine powers must be positive; the restored grid rejects
-			// anything else.
-			return r, corrupt("bad power %v", r.Power)
-		}
-		n := d.uint()
-		if d.err == nil {
-			if n > maxWorkerID {
-				return r, corrupt("worker ID of %d bytes", n)
-			}
-			if len(d.data)-d.off < n {
-				return r, corrupt("worker ID truncated")
-			}
-			r.Worker = string(d.data[d.off : d.off+n])
-			d.off += n
-		}
+		r.Machine = d.Int()
+		r.Power = d.F64()
+		r.Worker = string(d.Bytes(frame.MaxWorkerID))
 	}
-	if d.err != nil {
-		return r, d.err
+	if err := d.Done(); err != nil {
+		return r, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	if d.off != len(d.data) {
-		return r, corrupt("%d trailing bytes", len(d.data)-d.off)
-	}
-	if !isFinite(r.Time) || r.Time < 0 {
+	if r.Time < 0 {
 		return r, corrupt("bad time %v", r.Time)
 	}
+	switch r.Kind {
+	case KindBagSubmitted:
+		if len(r.Works) == 0 {
+			return r, corrupt("bag with no tasks")
+		}
+		for _, w := range r.Works {
+			if w < 0 {
+				return r, corrupt("bad work %v", w)
+			}
+		}
+	case KindWorkerRegistered:
+		// Machine powers must be positive; the restored grid rejects
+		// anything else.
+		if r.Power <= 0 {
+			return r, corrupt("bad power %v", r.Power)
+		}
+	}
 	return r, nil
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// decoder is a cursor with sticky errors over a record payload.
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil || d.off >= len(d.data) {
-		d.fail("truncated")
-		return 0
-	}
-	b := d.data[d.off]
-	d.off++
-	return b
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil || len(d.data)-d.off < 8 {
-		d.fail("truncated")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// uint decodes a uvarint that must fit a non-negative int.
-func (d *decoder) uint() int {
-	v := d.uvarint()
-	if d.err == nil && v > math.MaxInt32 {
-		d.fail("value %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = corrupt(format, args...)
-	}
-}
-
-func putF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 func b2u8(b bool) byte {

@@ -107,7 +107,7 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 			m.ForceRepair(now)
 		}
 	}
-	sched, err := core.RestoreLiveScheduler(sh.clock, sh.g, pol, sh.cfg.Sched, sh.cfg.Observer, st.Sched)
+	sched, err := core.RestoreLiveScheduler(sh.clock, sh.g, pol, sh.cfg.Sched, nil, st.Sched)
 	if err != nil {
 		return err
 	}

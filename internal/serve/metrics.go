@@ -49,25 +49,7 @@ func (l *LatencyRecorder) Observe(d time.Duration) {
 
 // Summary returns percentiles over the retained window; Count and Max
 // cover every sample ever observed.
-func (l *LatencyRecorder) Summary() LatencySummary {
-	l.mu.Lock()
-	n := l.idx
-	if l.filled {
-		n = len(l.ring)
-	}
-	window := make([]float64, n)
-	copy(window, l.ring[:n])
-	out := LatencySummary{Count: l.count, Max: l.max}
-	l.mu.Unlock()
-	if n == 0 {
-		return out
-	}
-	sort.Float64s(window)
-	out.P50 = stats.PercentileOfSorted(window, 0.50)
-	out.P95 = stats.PercentileOfSorted(window, 0.95)
-	out.P99 = stats.PercentileOfSorted(window, 0.99)
-	return out
-}
+func (l *LatencyRecorder) Summary() LatencySummary { return MergeSummaries(l) }
 
 // window copies out the retained samples plus lifetime count and max.
 func (l *LatencyRecorder) window() (samples []float64, count int, max float64) {

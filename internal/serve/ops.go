@@ -12,17 +12,21 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
+	"botgrid/internal/frame"
 	"botgrid/internal/wire"
 )
 
-// In-band errors; HTTP turns the submit ones into 400 and fetch ones
-// into 503, the wire protocol carries the text inside the response.
+// In-band errors; HTTP turns the submit ones and the worker-ID ones into
+// 400 (any other fetch failure into 503), the wire protocol carries the
+// text inside the response.
 var (
 	errEmptyBag    = errors.New("empty bag")
 	errBadWork     = errors.New("task work must be positive")
 	errEmptyWorker = errors.New("empty worker id")
+	errLongWorker  = fmt.Errorf("worker id longer than %d bytes", frame.MaxWorkerID)
 )
 
 // routeWorker picks the shard serving worker id: the pinned shard while
@@ -70,10 +74,14 @@ func (s *Server) submit(granularity float64, works []float64) (wire.SubmitResult
 
 // fetch serves one poll of worker id (handoff to its ring target allowed)
 // and pins the worker to the shard that registered it. Nothing retains id
-// when the fetch fails.
+// when the fetch fails. An ID the journal could not replay is refused
+// before anything sees it.
 func (s *Server) fetch(id string, power float64) (wire.FetchResult, error) {
 	if id == "" {
 		return wire.FetchResult{}, errEmptyWorker
+	}
+	if len(id) > frame.MaxWorkerID {
+		return wire.FetchResult{}, errLongWorker
 	}
 	sh := s.routeWorker(id, true)
 	start := time.Now()

@@ -6,11 +6,14 @@ package serve
 // and counters. The SIGKILL path is covered separately in crash_test.go.
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"botgrid/internal/core"
+	"botgrid/internal/frame"
 	"botgrid/internal/journal"
 )
 
@@ -138,6 +141,50 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		if !bs.Completed || bs.Turnaround <= 0 {
 			t.Fatalf("archived bag %d status %+v", id, bs)
 		}
+	}
+}
+
+// TestLongWorkerIDRefusedBeforeJournal: the journal cannot replay a
+// worker ID longer than frame.MaxWorkerID, so a fetch carrying one is
+// refused with a 400 before it is registered, pinned or journaled, while
+// the longest valid ID is served — and the directory still recovers.
+func TestLongWorkerIDRefusedBeforeJournal(t *testing.T) {
+	dir := t.TempDir()
+	clk := &fakeClock{}
+	longest := strings.Repeat("w", frame.MaxWorkerID)
+	tooLong := longest + "w"
+
+	s, c, stop := newJournaledServer(t, dir, clk, core.FCFSShare)
+	if _, err := c.Submit(50, []float64{100}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Fetch(tooLong, 0)
+	if err == nil || !strings.Contains(err.Error(), "status 400: "+errLongWorker.Error()) {
+		t.Fatalf("fetch with a %d-byte ID: err = %v, want a 400 refusal", len(tooLong), err)
+	}
+	if _, pinned := s.pins.Load(tooLong); pinned {
+		t.Fatal("refused worker was pinned")
+	}
+	// No URL routes an empty ID, so the handler is driven directly.
+	req := httptest.NewRequest(http.MethodPost, "/v1/workers//fetch", nil)
+	req.SetPathValue("id", "")
+	rec := httptest.NewRecorder()
+	s.handleFetch(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("fetch with an empty ID: status %d, want 400", rec.Code)
+	}
+	if r := mustFetch(t, c, longest); !r.Assigned {
+		t.Fatal("the longest valid worker ID got no work")
+	}
+	if st := mustStats(t, c); st.Workers != 1 || st.RunningReplicas != 1 {
+		t.Fatalf("stats %+v, want one worker running one replica", st)
+	}
+	stop()
+
+	_, c, stop = newJournaledServer(t, dir, clk, core.FCFSShare)
+	defer stop()
+	if st := mustStats(t, c); st.Workers != 1 || st.RunningReplicas != 1 {
+		t.Fatalf("recovered stats %+v, want one worker running one replica", st)
 	}
 }
 

@@ -69,10 +69,6 @@ type Config struct {
 	// Seed drives the Random policy's stream (per shard, split by shard
 	// index).
 	Seed uint64
-	// Observer, when non-nil, receives every scheduling event on every
-	// shard. Callbacks run with the owning shard's mutex held and see
-	// shard-local bag IDs; they must not call back into the server.
-	Observer core.Observer
 	// Clock overrides the time source (tests); nil means a WallClock
 	// started at NewServer — or, with DataDir set, at the journal's
 	// persisted epoch, so the recovered timeline continues across
@@ -358,7 +354,7 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 		}
 		sh.sched.SetMutationSink(sh.journalMutation)
 	} else {
-		sh.sched = core.NewLiveScheduler(s.clock, g, pol, cfg.Sched, cfg.Observer)
+		sh.sched = core.NewLiveScheduler(s.clock, g, pol, cfg.Sched, nil)
 	}
 	sh.sched.OnBagDone = sh.archive
 	return sh, nil
@@ -627,7 +623,11 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.fetch(r.PathValue("id"), req.Power)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, errEmptyWorker) || errors.Is(err, errLongWorker) {
+			status = http.StatusBadRequest
+		}
+		httpError(w, status, err.Error())
 		return
 	}
 	resp := FetchResponse{Assigned: res.Assigned, RetryMs: res.RetryMs}

@@ -30,10 +30,6 @@ type WorkerConfig struct {
 	// Poll is the idle re-poll interval when the server has no work
 	// (default: the server's retry hint).
 	Poll time.Duration
-	// Heartbeat, when positive, splits long computations into chunks of
-	// this length with a heartbeat between chunks, abandoning the task
-	// if the server says the replica went stale.
-	Heartbeat time.Duration
 }
 
 // SimWorker is a simulated desktop-grid worker: it fetches task replicas
@@ -100,12 +96,10 @@ func (w *SimWorker) Run(ctx context.Context) error {
 			w.crashed.Store(true)
 			return nil
 		}
-		stale, err := w.compute(ctx, a)
-		if err != nil {
+		// Compute: sleep the task's scaled duration.
+		d := time.Duration(a.Work / w.cfg.Power * w.cfg.TimeScale * float64(time.Second))
+		if err := sleepCtx(ctx, d); err != nil {
 			return nil // ctx cancelled mid-computation
-		}
-		if stale {
-			continue
 		}
 		status := StatusDone
 		if w.str != nil && w.cfg.FailProb > 0 && w.str.Float64() < w.cfg.FailProb {
@@ -121,36 +115,6 @@ func (w *SimWorker) Run(ctx context.Context) error {
 			return err
 		}
 	}
-}
-
-// compute sleeps the task's scaled duration, heartbeating when configured.
-// It reports whether the replica went stale mid-computation.
-func (w *SimWorker) compute(ctx context.Context, a *Assignment) (stale bool, err error) {
-	d := time.Duration(a.Work / w.cfg.Power * w.cfg.TimeScale * float64(time.Second))
-	if w.cfg.Heartbeat <= 0 || d <= w.cfg.Heartbeat {
-		return false, sleepCtx(ctx, d)
-	}
-	for d > 0 {
-		chunk := w.cfg.Heartbeat
-		if chunk > d {
-			chunk = d
-		}
-		if err := sleepCtx(ctx, chunk); err != nil {
-			return false, err
-		}
-		d -= chunk
-		if d <= 0 {
-			break
-		}
-		ack, err := w.c.Heartbeat(w.cfg.ID, a.Replica)
-		if err != nil {
-			return false, err
-		}
-		if ack != AckOK {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // sleepCtx sleeps d or until ctx is done (returning its error).

@@ -59,23 +59,23 @@ func decodeCases() []codecCase {
 	dst := make([]float64, 0, len(works))
 	return []codecCase{
 		{"fetch", func(int) error {
-			r := reader{data: fetch}
+			r := frame.NewReader(fetch)
 			_, _, err := decodeFetch(&r)
 			return err
 		}},
 		{"report", func(int) error {
-			r := reader{data: report}
+			r := frame.NewReader(report)
 			_, _, _, err := decodeReport(&r)
 			return err
 		}},
 		{"submit64", func(int) error {
-			r := reader{data: submit}
+			r := frame.NewReader(submit)
 			var err error
 			_, dst, err = decodeSubmit(&r, dst[:0])
 			return err
 		}},
 		{"fetchresp", func(int) error {
-			r := reader{data: fetchResp}
+			r := frame.NewReader(fetchResp)
 			_, _, err := decodeFetchResp(&r)
 			return err
 		}},

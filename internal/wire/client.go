@@ -255,8 +255,8 @@ func (b *Batch) Do() ([]BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := reader{data: payload}
-	if n := r.uint(); r.err != nil || n != len(b.ops) {
+	r := frame.NewReader(payload)
+	if n := r.Int(); r.Err() != nil || n != len(b.ops) {
 		c.err = fmt.Errorf("%w: batch response count %d, want %d", ErrBadFrame, n, len(b.ops))
 		return nil, c.err
 	}
@@ -292,7 +292,7 @@ func (b *Batch) Do() ([]BatchResult, error) {
 			results[i].Ack = ack
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		c.err = err
 		return nil, err
 	}

@@ -25,12 +25,12 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(appendSubmitResp(nil, SubmitResult{Bag: 1, Tasks: 2}, ""), msgBatch)
 
 	f.Fuzz(func(t *testing.T, data []byte, kind byte) {
-		r := reader{data: data}
-		if gran, works, err := decodeSubmit(&r, nil); err == nil && r.done() == nil {
+		r := frame.NewReader(data)
+		if gran, works, err := decodeSubmit(&r, nil); err == nil && r.Done() == nil {
 			enc := appendSubmit(nil, gran, works)
-			r2 := reader{data: enc}
+			r2 := frame.NewReader(enc)
 			gran2, works2, err := decodeSubmit(&r2, nil)
-			if err != nil || r2.done() != nil || gran2 != gran || len(works2) != len(works) {
+			if err != nil || r2.Done() != nil || gran2 != gran || len(works2) != len(works) {
 				t.Fatalf("submit round-trip: %v", err)
 			}
 			for i := range works {
@@ -39,55 +39,55 @@ func FuzzWireCodec(f *testing.F) {
 				}
 			}
 		}
-		r = reader{data: data}
-		if worker, power, err := decodeFetch(&r); err == nil && r.done() == nil {
+		r = frame.NewReader(data)
+		if worker, power, err := decodeFetch(&r); err == nil && r.Done() == nil {
 			enc := appendFetch(nil, string(worker), power)
-			r2 := reader{data: enc}
+			r2 := frame.NewReader(enc)
 			worker2, power2, err := decodeFetch(&r2)
-			if err != nil || r2.done() != nil || !bytes.Equal(worker2, worker) || power2 != power {
+			if err != nil || r2.Done() != nil || !bytes.Equal(worker2, worker) || power2 != power {
 				t.Fatalf("fetch round-trip: %v", err)
 			}
 		}
-		r = reader{data: data}
-		if worker, replica, failed, err := decodeReport(&r); err == nil && r.done() == nil {
+		r = frame.NewReader(data)
+		if worker, replica, failed, err := decodeReport(&r); err == nil && r.Done() == nil {
 			enc := appendReport(nil, string(worker), replica, failed)
-			r2 := reader{data: enc}
+			r2 := frame.NewReader(enc)
 			worker2, replica2, failed2, err := decodeReport(&r2)
-			if err != nil || r2.done() != nil || !bytes.Equal(worker2, worker) ||
+			if err != nil || r2.Done() != nil || !bytes.Equal(worker2, worker) ||
 				replica2 != replica || failed2 != failed {
 				t.Fatalf("report round-trip: %v", err)
 			}
 		}
-		r = reader{data: data}
-		if worker, replica, err := decodeHeartbeat(&r); err == nil && r.done() == nil {
+		r = frame.NewReader(data)
+		if worker, replica, err := decodeHeartbeat(&r); err == nil && r.Done() == nil {
 			enc := appendHeartbeat(nil, string(worker), replica)
-			r2 := reader{data: enc}
+			r2 := frame.NewReader(enc)
 			worker2, replica2, err := decodeHeartbeat(&r2)
-			if err != nil || r2.done() != nil || !bytes.Equal(worker2, worker) || replica2 != replica {
+			if err != nil || r2.Done() != nil || !bytes.Equal(worker2, worker) || replica2 != replica {
 				t.Fatalf("heartbeat round-trip: %v", err)
 			}
 		}
-		r = reader{data: data}
-		if res, msg, err := decodeSubmitResp(&r); err == nil && r.done() == nil && len(msg) == 0 {
+		r = frame.NewReader(data)
+		if res, msg, err := decodeSubmitResp(&r); err == nil && r.Done() == nil && len(msg) == 0 {
 			enc := appendSubmitResp(nil, res, "")
-			r2 := reader{data: enc}
+			r2 := frame.NewReader(enc)
 			res2, _, err := decodeSubmitResp(&r2)
-			if err != nil || r2.done() != nil || res2 != res {
+			if err != nil || r2.Done() != nil || res2 != res {
 				t.Fatalf("submit resp round-trip: %v", err)
 			}
 		}
-		r = reader{data: data}
-		if res, msg, err := decodeFetchResp(&r); err == nil && r.done() == nil && len(msg) == 0 {
+		r = frame.NewReader(data)
+		if res, msg, err := decodeFetchResp(&r); err == nil && r.Done() == nil && len(msg) == 0 {
 			enc := appendFetchResp(nil, res, "")
-			r2 := reader{data: enc}
+			r2 := frame.NewReader(enc)
 			res2, _, err := decodeFetchResp(&r2)
-			if err != nil || r2.done() != nil || res2 != res {
+			if err != nil || r2.Done() != nil || res2 != res {
 				t.Fatalf("fetch resp round-trip: %v", err)
 			}
 		}
-		r = reader{data: data}
-		if ack, err := decodeAckResp(&r); err == nil && r.done() == nil {
-			r2 := reader{data: appendAckResp(nil, ack)}
+		r = frame.NewReader(data)
+		if ack, err := decodeAckResp(&r); err == nil && r.Done() == nil {
+			r2 := frame.NewReader(appendAckResp(nil, ack))
 			if ack2, err := decodeAckResp(&r2); err != nil || ack2 != ack {
 				t.Fatalf("ack round-trip: %v", err)
 			}

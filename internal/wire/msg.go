@@ -1,16 +1,17 @@
 package wire
 
-// Message payload encodings. Conventions follow the journal record codec:
-// uvarints for counts, IDs and sequence numbers, IEEE-754 little-endian
-// bits for works, a single status/ack byte leading every response. All
-// encoders append to a caller-owned buffer (dst = append(dst, ...)); all
-// decoders parse views that alias the connection's read buffer, so the
-// steady-state codec path allocates nothing.
+// Message payload encodings, in internal/frame's payload codec — the one
+// the journal's records use: uvarints for counts, IDs and sequence
+// numbers, IEEE-754 little-endian bits for works, a single status/ack
+// byte leading every response. All encoders append to a caller-owned
+// buffer (dst = append(dst, ...)); all decoders read a frame.Reader whose
+// views alias the connection's read buffer, so the steady-state codec
+// path allocates nothing.
 
 import (
 	"encoding/binary"
-	"errors"
-	"math"
+
+	"botgrid/internal/frame"
 )
 
 // Ack is a report/heartbeat acknowledgement. AckOK and AckStale mirror
@@ -75,126 +76,6 @@ type FetchResult struct {
 	RetryMs  int
 }
 
-// Static decode errors (the codec path is hot; no formatted context).
-var (
-	errTruncated = errors.New("wire: bad frame: truncated payload")
-	errTrailing  = errors.New("wire: bad frame: trailing bytes")
-	errRange     = errors.New("wire: bad frame: value out of range")
-	errBadFloat  = errors.New("wire: bad frame: non-finite float")
-)
-
-// reader is a cursor with a sticky error over a message payload, the
-// journal decoder's shape with static errors.
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-//botlint:hotpath
-func (r *reader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.err = errTruncated
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
-}
-
-//botlint:hotpath
-func (r *reader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data)-r.off < 8 {
-		r.err = errTruncated
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-//botlint:hotpath
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.err = errTruncated
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// uint decodes a uvarint that must fit a non-negative int.
-//
-//botlint:hotpath
-func (r *reader) uint() int {
-	v := r.uvarint()
-	if r.err == nil && v > math.MaxInt32 {
-		r.err = errRange
-		return 0
-	}
-	return int(v)
-}
-
-// bytes decodes a uvarint-length-prefixed byte string of at most max
-// bytes. The view aliases the payload.
-//
-//botlint:hotpath
-func (r *reader) bytes(max int) []byte {
-	n := r.uint()
-	if r.err != nil {
-		return nil
-	}
-	if n > max || len(r.data)-r.off < n {
-		r.err = errRange
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// done finishes a standalone payload: any undecoded tail is corruption.
-//
-//botlint:hotpath
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.data) {
-		return errTrailing
-	}
-	return nil
-}
-
-//botlint:hotpath
-func putF64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-//botlint:hotpath
-func putBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	dst = append(dst, b...)
-	return dst
-}
-
-//botlint:hotpath
-func putString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	dst = append(dst, s...)
-	return dst
-}
-
 // --- Requests ---
 
 // appendSubmit encodes a submit payload: granularity, then the works
@@ -202,41 +83,20 @@ func putString(dst []byte, s string) []byte {
 //
 //botlint:hotpath
 func appendSubmit(dst []byte, granularity float64, works []float64) []byte {
-	dst = putF64(dst, granularity)
-	dst = binary.AppendUvarint(dst, uint64(len(works)))
-	for _, w := range works {
-		dst = putF64(dst, w)
-	}
-	return dst
+	dst = frame.AppendF64(dst, granularity)
+	return frame.AppendFloats(dst, works)
 }
 
 // decodeSubmit parses a submit payload, appending the works onto dst
-// (reused across requests by the caller).
+// (reused across requests by the caller). An empty or non-positive works
+// vector is valid on the wire: the dispatch plane rejects it in-band,
+// matching the HTTP handler's 400.
 //
 //botlint:hotpath
-func decodeSubmit(r *reader, dst []float64) (granularity float64, works []float64, err error) {
-	granularity = r.f64()
-	n := r.uint()
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	// An empty works vector is valid on the wire (the dispatch plane
-	// rejects it in-band, matching the HTTP handler's 400).
-	if n > maxWorks || len(r.data)-r.off < 8*n {
-		return 0, nil, errRange
-	}
-	if !isFinite(granularity) {
-		return 0, nil, errBadFloat
-	}
-	works = dst
-	for i := 0; i < n; i++ {
-		w := r.f64()
-		if !isFinite(w) {
-			return 0, nil, errBadFloat
-		}
-		works = append(works, w)
-	}
-	return granularity, works, nil
+func decodeSubmit(r *frame.Reader, dst []float64) (granularity float64, works []float64, err error) {
+	granularity = r.F64()
+	works = r.Floats(dst, frame.MaxWorks)
+	return granularity, works, r.Err()
 }
 
 // appendFetch encodes a fetch payload: worker ID, then the advertised
@@ -245,21 +105,15 @@ func decodeSubmit(r *reader, dst []float64) (granularity float64, works []float6
 //botlint:hotpath
 //botlint:wire-skip worker -- the JSON protocol carries the worker ID in the URL path, not the FetchRequest body
 func appendFetch(dst []byte, worker string, power float64) []byte {
-	dst = putString(dst, worker)
-	return putF64(dst, power)
+	dst = frame.AppendString(dst, worker)
+	return frame.AppendF64(dst, power)
 }
 
 //botlint:hotpath
-func decodeFetch(r *reader) (worker []byte, power float64, err error) {
-	worker = r.bytes(maxWorkerID)
-	power = r.f64()
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if !isFinite(power) {
-		return nil, 0, errBadFloat
-	}
-	return worker, power, nil
+func decodeFetch(r *frame.Reader) (worker []byte, power float64, err error) {
+	worker = r.Bytes(frame.MaxWorkerID)
+	power = r.F64()
+	return worker, power, r.Err()
 }
 
 // appendReport encodes a report payload: worker ID, replica token, status.
@@ -268,7 +122,7 @@ func decodeFetch(r *reader) (worker []byte, power float64, err error) {
 //botlint:wire-skip worker -- the JSON protocol carries the worker ID in the URL path, not the ReportRequest body
 //botlint:wire-skip failed -- encoded as the status byte; the JSON twin's Status string carries the same bit
 func appendReport(dst []byte, worker string, replica uint64, failed bool) []byte {
-	dst = putString(dst, worker)
+	dst = frame.AppendString(dst, worker)
 	dst = binary.AppendUvarint(dst, replica)
 	st := statusDone
 	if failed {
@@ -279,17 +133,14 @@ func appendReport(dst []byte, worker string, replica uint64, failed bool) []byte
 }
 
 //botlint:hotpath
-func decodeReport(r *reader) (worker []byte, replica uint64, failed bool, err error) {
-	worker = r.bytes(maxWorkerID)
-	replica = r.uvarint()
-	st := r.u8()
-	if r.err != nil {
-		return nil, 0, false, r.err
+func decodeReport(r *frame.Reader) (worker []byte, replica uint64, failed bool, err error) {
+	worker = r.Bytes(frame.MaxWorkerID)
+	replica = r.Uvarint()
+	st := r.U8()
+	if r.Err() == nil && st != statusDone && st != statusFailed {
+		return nil, 0, false, frame.ErrRange
 	}
-	if st != statusDone && st != statusFailed {
-		return nil, 0, false, errRange
-	}
-	return worker, replica, st == statusFailed, nil
+	return worker, replica, st == statusFailed, r.Err()
 }
 
 // appendHeartbeat encodes a heartbeat payload: worker ID, replica token.
@@ -297,15 +148,15 @@ func decodeReport(r *reader) (worker []byte, replica uint64, failed bool, err er
 //botlint:hotpath
 //botlint:wire-skip worker -- the JSON protocol carries the worker ID in the URL path, not the HeartbeatRequest body
 func appendHeartbeat(dst []byte, worker string, replica uint64) []byte {
-	dst = putString(dst, worker)
+	dst = frame.AppendString(dst, worker)
 	return binary.AppendUvarint(dst, replica)
 }
 
 //botlint:hotpath
-func decodeHeartbeat(r *reader) (worker []byte, replica uint64, err error) {
-	worker = r.bytes(maxWorkerID)
-	replica = r.uvarint()
-	return worker, replica, r.err
+func decodeHeartbeat(r *frame.Reader) (worker []byte, replica uint64, err error) {
+	worker = r.Bytes(frame.MaxWorkerID)
+	replica = r.Uvarint()
+	return worker, replica, r.Err()
 }
 
 // --- Responses ---
@@ -317,7 +168,7 @@ func decodeHeartbeat(r *reader) (worker []byte, replica uint64, err error) {
 func appendSubmitResp(dst []byte, res SubmitResult, msg string) []byte {
 	if msg != "" {
 		dst = append(dst, submitErr)
-		return putString(dst, msg)
+		return frame.AppendString(dst, msg)
 	}
 	dst = append(dst, submitOK)
 	dst = binary.AppendUvarint(dst, uint64(res.Bag))
@@ -325,20 +176,18 @@ func appendSubmitResp(dst []byte, res SubmitResult, msg string) []byte {
 }
 
 //botlint:hotpath
-func decodeSubmitResp(r *reader) (res SubmitResult, msg []byte, err error) {
-	switch code := r.u8(); code {
+func decodeSubmitResp(r *frame.Reader) (res SubmitResult, msg []byte, err error) {
+	// A truncated payload reads code 0: submitOK's case returns the error.
+	switch code := r.U8(); code {
 	case submitOK:
-		res.Bag = r.uint()
-		res.Tasks = r.uint()
-		return res, nil, r.err
+		res.Bag = r.Int()
+		res.Tasks = r.Int()
+		return res, nil, r.Err()
 	case submitErr:
-		msg = r.bytes(maxWorkerID)
-		return res, msg, r.err
+		msg = r.Bytes(frame.MaxWorkerID)
+		return res, msg, r.Err()
 	default:
-		if r.err != nil {
-			return res, nil, r.err
-		}
-		return res, nil, errRange
+		return res, nil, frame.ErrRange
 	}
 }
 
@@ -349,7 +198,7 @@ func decodeSubmitResp(r *reader) (res SubmitResult, msg []byte, err error) {
 func appendFetchResp(dst []byte, res FetchResult, msg string) []byte {
 	if msg != "" {
 		dst = append(dst, fetchErr)
-		return putString(dst, msg)
+		return frame.AppendString(dst, msg)
 	}
 	if !res.Assigned {
 		dst = append(dst, fetchNoWork)
@@ -359,36 +208,28 @@ func appendFetchResp(dst []byte, res FetchResult, msg string) []byte {
 	dst = binary.AppendUvarint(dst, res.Replica)
 	dst = binary.AppendUvarint(dst, uint64(res.Bag))
 	dst = binary.AppendUvarint(dst, uint64(res.Task))
-	return putF64(dst, res.Work)
+	return frame.AppendF64(dst, res.Work)
 }
 
 //botlint:hotpath
-func decodeFetchResp(r *reader) (res FetchResult, msg []byte, err error) {
-	switch code := r.u8(); code {
+func decodeFetchResp(r *frame.Reader) (res FetchResult, msg []byte, err error) {
+	// A truncated payload reads code 0: fetchNoWork's case returns the error.
+	switch code := r.U8(); code {
 	case fetchNoWork:
-		res.RetryMs = r.uint()
-		return res, nil, r.err
+		res.RetryMs = r.Int()
+		return res, nil, r.Err()
 	case fetchAssigned:
 		res.Assigned = true
-		res.Replica = r.uvarint()
-		res.Bag = r.uint()
-		res.Task = r.uint()
-		res.Work = r.f64()
-		if r.err != nil {
-			return res, nil, r.err
-		}
-		if !isFinite(res.Work) {
-			return res, nil, errBadFloat
-		}
-		return res, nil, nil
+		res.Replica = r.Uvarint()
+		res.Bag = r.Int()
+		res.Task = r.Int()
+		res.Work = r.F64()
+		return res, nil, r.Err()
 	case fetchErr:
-		msg = r.bytes(maxWorkerID)
-		return res, msg, r.err
+		msg = r.Bytes(frame.MaxWorkerID)
+		return res, msg, r.Err()
 	default:
-		if r.err != nil {
-			return res, nil, r.err
-		}
-		return res, nil, errRange
+		return res, nil, frame.ErrRange
 	}
 }
 
@@ -401,17 +242,10 @@ func appendAckResp(dst []byte, ack Ack) []byte {
 }
 
 //botlint:hotpath
-func decodeAckResp(r *reader) (Ack, error) {
-	a := r.u8()
-	if r.err != nil {
-		return 0, r.err
-	}
+func decodeAckResp(r *frame.Reader) (Ack, error) {
+	a := r.U8() // 0 when truncated: AckOK, with the error
 	if Ack(a) > ackMax {
-		return 0, errRange
+		return 0, frame.ErrRange
 	}
-	return Ack(a), nil
-}
-
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+	return Ack(a), r.Err()
 }

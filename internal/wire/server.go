@@ -221,18 +221,15 @@ func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []by
 	if typ != msgBatch {
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, typ)
 	}
-	r := reader{data: payload}
-	n := r.uint()
-	if r.err != nil {
-		return r.err
-	}
+	r := frame.NewReader(payload)
+	n := r.Int() // 0 when unreadable: no op runs, and Done reports why
 	if n > maxBatchOps {
-		return errRange
+		return frame.ErrRange
 	}
 	cs.scratch = binary.AppendUvarint(cs.scratch[:0], uint64(n))
 	for i := 0; i < n; i++ {
 		var err error
-		switch op := r.u8(); op {
+		switch op := r.U8(); op {
 		case opSubmit:
 			err = s.execSubmit(sess, cs, &r)
 		case opFetch:
@@ -242,16 +239,16 @@ func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []by
 		case opHeartbeat:
 			err = s.execHeartbeat(sess, cs, &r)
 		default:
-			if r.err != nil {
-				return r.err
+			if err := r.Err(); err != nil {
+				return err
 			}
-			err = errRange
+			err = frame.ErrRange
 		}
 		if err != nil {
 			return err
 		}
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	cs.out = frame.AppendTyped(cs.out, msgBatchResp, cs.scratch)
@@ -260,7 +257,7 @@ func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []by
 
 // execSubmit decodes one submit op from r, executes it and appends its
 // response payload to cs.scratch.
-func (s *Server) execSubmit(sess Session, cs *connState, r *reader) error {
+func (s *Server) execSubmit(sess Session, cs *connState, r *frame.Reader) error {
 	gran, works, err := decodeSubmit(r, cs.works[:0])
 	if err != nil {
 		return err
@@ -272,7 +269,7 @@ func (s *Server) execSubmit(sess Session, cs *connState, r *reader) error {
 	return nil
 }
 
-func (s *Server) execFetch(sess Session, cs *connState, r *reader) error {
+func (s *Server) execFetch(sess Session, cs *connState, r *frame.Reader) error {
 	worker, power, err := decodeFetch(r)
 	if err != nil {
 		return err
@@ -282,7 +279,7 @@ func (s *Server) execFetch(sess Session, cs *connState, r *reader) error {
 	return nil
 }
 
-func (s *Server) execReport(sess Session, cs *connState, r *reader) error {
+func (s *Server) execReport(sess Session, cs *connState, r *frame.Reader) error {
 	worker, replica, failed, err := decodeReport(r)
 	if err != nil {
 		return err
@@ -293,7 +290,7 @@ func (s *Server) execReport(sess Session, cs *connState, r *reader) error {
 	return nil
 }
 
-func (s *Server) execHeartbeat(sess Session, cs *connState, r *reader) error {
+func (s *Server) execHeartbeat(sess Session, cs *connState, r *frame.Reader) error {
 	worker, replica, err := decodeHeartbeat(r)
 	if err != nil {
 		return err

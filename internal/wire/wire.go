@@ -7,11 +7,11 @@
 // framing with a type byte in front, exactly as the replication layer's
 // log-transfer protocol frames its messages — so a frame that survives
 // the checksum is as trustworthy as a journal record read back from disk.
-// Payload encodings reuse the journal record codec's conventions
-// (uvarints for counts and IDs, IEEE-754 bits for times and works), so
-// where message shapes overlap — a submitted bag's granularity + works
-// vector is the journal's KindBagSubmitted payload sans bag ID — the
-// bytes match.
+// Payloads go through internal/frame's field codec, the one the journal's
+// records use (uvarints for counts and IDs, IEEE-754 bits for times and
+// works, one set of field limits), so where message shapes overlap — a
+// submitted bag's granularity + works vector is the journal's
+// KindBagSubmitted payload sans bag ID — the bytes match.
 //
 // After the hello handshake the protocol has one request shape: a
 // msgBatch frame carrying any mix of the four sub-operations (submit,
@@ -70,14 +70,9 @@ const protoMagic = "BGWIRE1\n"
 // batch.
 const protoVersion = 2
 
-// Decode limits: payloads claiming more are rejected as corrupt before
-// any allocation is sized from network input. maxWorks and maxWorkerID
-// match the journal record codec's limits.
-const (
-	maxWorks    = 1 << 24
-	maxWorkerID = 4096
-	maxBatchOps = 1 << 16
-)
+// maxBatchOps bounds a batch's op count, checked before any response is
+// staged; the per-field limits are internal/frame's.
+const maxBatchOps = 1 << 16
 
 // ErrBadFrame reports an undecodable or corrupt wire frame; the
 // connection it arrived on is beyond recovery and must be closed.

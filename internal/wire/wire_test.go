@@ -18,12 +18,12 @@ import (
 func TestSubmitRoundTrip(t *testing.T) {
 	works := []float64{1, 2.5, 1e6, 0.001}
 	payload := appendSubmit(nil, 100, works)
-	r := reader{data: payload}
+	r := frame.NewReader(payload)
 	gran, got, err := decodeSubmit(&r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if gran != 100 {
@@ -41,12 +41,12 @@ func TestSubmitRoundTrip(t *testing.T) {
 
 func TestFetchRoundTrip(t *testing.T) {
 	payload := appendFetch(nil, "worker-7", 12.5)
-	r := reader{data: payload}
+	r := frame.NewReader(payload)
 	worker, power, err := decodeFetch(&r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if string(worker) != "worker-7" || power != 12.5 {
@@ -57,12 +57,12 @@ func TestFetchRoundTrip(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	for _, failed := range []bool{false, true} {
 		payload := appendReport(nil, "w", 42, failed)
-		r := reader{data: payload}
+		r := frame.NewReader(payload)
 		worker, replica, gotFailed, err := decodeReport(&r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			t.Fatal(err)
 		}
 		if string(worker) != "w" || replica != 42 || gotFailed != failed {
@@ -73,9 +73,9 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestHeartbeatRoundTrip(t *testing.T) {
 	payload := appendHeartbeat(nil, "hb", 9)
-	r := reader{data: payload}
+	r := frame.NewReader(payload)
 	worker, replica, err := decodeHeartbeat(&r)
-	if err != nil || r.done() != nil {
+	if err != nil || r.Done() != nil {
 		t.Fatal(err)
 	}
 	if string(worker) != "hb" || replica != 9 {
@@ -86,13 +86,13 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 func TestResponseRoundTrips(t *testing.T) {
 	// Submit OK and error forms.
 	p := appendSubmitResp(nil, SubmitResult{Bag: 3, Tasks: 17}, "")
-	r := reader{data: p}
+	r := frame.NewReader(p)
 	res, msg, err := decodeSubmitResp(&r)
-	if err != nil || r.done() != nil || msg != nil || res.Bag != 3 || res.Tasks != 17 {
+	if err != nil || r.Done() != nil || msg != nil || res.Bag != 3 || res.Tasks != 17 {
 		t.Fatalf("submit resp: %+v %q %v", res, msg, err)
 	}
 	p = appendSubmitResp(nil, SubmitResult{}, "empty bag")
-	r = reader{data: p}
+	r = frame.NewReader(p)
 	if _, msg, err = decodeSubmitResp(&r); err != nil || string(msg) != "empty bag" {
 		t.Fatalf("submit err resp: %q %v", msg, err)
 	}
@@ -100,28 +100,28 @@ func TestResponseRoundTrips(t *testing.T) {
 	// Fetch assigned, no-work, and error forms.
 	want := FetchResult{Assigned: true, Replica: 8, Bag: 2, Task: 5, Work: 3.5}
 	p = appendFetchResp(nil, want, "")
-	r = reader{data: p}
+	r = frame.NewReader(p)
 	fres, msg, err := decodeFetchResp(&r)
-	if err != nil || r.done() != nil || msg != nil || fres != want {
+	if err != nil || r.Done() != nil || msg != nil || fres != want {
 		t.Fatalf("fetch resp: %+v %q %v", fres, msg, err)
 	}
 	p = appendFetchResp(nil, FetchResult{RetryMs: 250}, "")
-	r = reader{data: p}
+	r = frame.NewReader(p)
 	fres, msg, err = decodeFetchResp(&r)
 	if err != nil || msg != nil || fres.Assigned || fres.RetryMs != 250 {
 		t.Fatalf("fetch nowork resp: %+v %q %v", fres, msg, err)
 	}
 	p = appendFetchResp(nil, FetchResult{}, "capacity exhausted")
-	r = reader{data: p}
+	r = frame.NewReader(p)
 	if _, msg, err = decodeFetchResp(&r); err != nil || string(msg) != "capacity exhausted" {
 		t.Fatalf("fetch err resp: %q %v", msg, err)
 	}
 
 	// Acks.
 	for _, ack := range []Ack{AckOK, AckStale, AckUnknown} {
-		r = reader{data: appendAckResp(nil, ack)}
+		r = frame.NewReader(appendAckResp(nil, ack))
 		got, err := decodeAckResp(&r)
-		if err != nil || r.done() != nil || got != ack {
+		if err != nil || r.Done() != nil || got != ack {
 			t.Fatalf("ack %v: got %v err %v", ack, got, err)
 		}
 	}
@@ -131,30 +131,30 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 	// Truncation of every valid payload must error, never panic.
 	full := appendSubmit(nil, 10, []float64{1, 2})
 	for n := 0; n < len(full); n++ {
-		r := reader{data: full[:n]}
-		if _, _, err := decodeSubmit(&r, nil); err == nil && r.done() == nil {
+		r := frame.NewReader(full[:n])
+		if _, _, err := decodeSubmit(&r, nil); err == nil && r.Done() == nil {
 			t.Fatalf("truncated submit at %d decoded", n)
 		}
 	}
 	// Non-finite floats are rejected.
 	nan := appendSubmit(nil, 10, []float64{1})
 	// Overwrite the work's float bits with NaN bits.
-	copy(nan[len(nan)-8:], putF64(nil, nanFloat()))
-	r := reader{data: nan}
-	if _, _, err := decodeSubmit(&r, nil); !errors.Is(err, errBadFloat) {
+	copy(nan[len(nan)-8:], frame.AppendF64(nil, nanFloat()))
+	r := frame.NewReader(nan)
+	if _, _, err := decodeSubmit(&r, nil); !errors.Is(err, frame.ErrNonFinite) {
 		t.Fatalf("NaN work: %v", err)
 	}
 	// Oversized worker ID.
-	long := appendFetch(nil, strings.Repeat("x", maxWorkerID+1), 1)
-	r = reader{data: long}
-	if _, _, err := decodeFetch(&r); !errors.Is(err, errRange) {
+	long := appendFetch(nil, strings.Repeat("x", frame.MaxWorkerID+1), 1)
+	r = frame.NewReader(long)
+	if _, _, err := decodeFetch(&r); !errors.Is(err, frame.ErrRange) {
 		t.Fatalf("oversized worker: %v", err)
 	}
 	// Trailing bytes are corruption.
-	r = reader{data: append(appendHeartbeat(nil, "w", 1), 0)}
+	r = frame.NewReader(append(appendHeartbeat(nil, "w", 1), 0))
 	if _, _, err := decodeHeartbeat(&r); err != nil {
 		t.Fatal(err)
-	} else if err := r.done(); !errors.Is(err, errTrailing) {
+	} else if err := r.Done(); !errors.Is(err, frame.ErrTrailing) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
