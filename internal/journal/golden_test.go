@@ -2,9 +2,13 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"botgrid/internal/core"
+	"botgrid/internal/frame"
 )
 
 // TestParentGolden holds the on-disk formats to bytes written before the
@@ -64,6 +68,49 @@ func TestParentGolden(t *testing.T) {
 		checkScriptState(t, rec.State)
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotPayloadIsMarshal holds the piecewise snapshot encoder to
+// json.Marshal of the whole state: nil, empty and several active bags, and
+// strings after the bags that JSON must escape.
+func TestSnapshotPayloadIsMarshal(t *testing.T) {
+	full := NewState()
+	for _, r := range script() {
+		if err := full.Apply(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 1; b <= 3; b++ {
+		r := Record{Kind: KindBagSubmitted, Time: 9, Bag: b, Granularity: 1e3, Works: []float64{0.1, 2e-9, 3e21}}
+		if err := full.Apply(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full.Workers = append(full.Workers, WorkerSnapshot{ID: `w<&>"\` + " ", Machine: 1, Power: 1})
+	full.Service = json.RawMessage(`{"dispatches":3}`)
+	empty := NewState()
+	empty.Sched.Bags = []core.BagSnapshot{}
+	for name, st := range map[string]*State{"nil bags": NewState(), "empty bags": empty, "four bags": full} {
+		st.publish()
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := EncodeSnapshot(5, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsn, back, err := DecodeSnapshot(img)
+		if err != nil || lsn != 5 {
+			t.Fatalf("%s: decode: lsn %d, %v", name, lsn, err)
+		}
+		if got := img[snapHeader+frame.HeaderSize:]; !bytes.Equal(got, want) {
+			t.Fatalf("%s: payload\n got %s\nwant %s", name, got, want)
+		}
+		if len(back.Sched.Bags) != len(st.Sched.Bags) {
+			t.Fatalf("%s: %d bags back, want %d", name, len(back.Sched.Bags), len(st.Sched.Bags))
 		}
 	}
 }

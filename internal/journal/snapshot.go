@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"botgrid/internal/checkpoint"
+	"botgrid/internal/core"
 	"botgrid/internal/frame"
 )
 
@@ -59,23 +61,49 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return lsns, nil
 }
 
-func encodeSnapshot(lsn uint64, st *State) ([]byte, error) {
-	st.publish()
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshal snapshot: %w", err)
-	}
-	buf := make([]byte, 0, snapHeader+frame.HeaderSize+len(payload))
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	return frame.Append(buf, payload), nil
-}
-
 // EncodeSnapshot renders st as a complete snapshot file image covering
 // everything up to and including lsn — the exact bytes WriteSnapshot puts
 // on disk. The replication layer ships these images verbatim to followers.
+//
+// The payload is json.Marshal(st)'s bytes, but the active bags are
+// marshalled one at a time and spliced in: one Marshal of the whole state
+// grows one buffer by doubling to the document's size, so a snapshot's
+// cost jumped each time its backlog crossed a power of two.
 func EncodeSnapshot(lsn uint64, st *State) ([]byte, error) {
-	return encodeSnapshot(lsn, st)
+	st.publish()
+	bags, sched, rest := st.Sched.Bags, *st.Sched, *st
+	if bags != nil {
+		sched.Bags = []core.BagSnapshot{}
+	}
+	rest.Sched = &sched
+	doc, err := json.Marshal(&rest)
+	pieces := make([][]byte, len(bags))
+	n := snapHeader + frame.HeaderSize + len(doc) + len(bags)
+	for i := 0; i < len(bags) && err == nil; i++ {
+		pieces[i], err = json.Marshal(&bags[i])
+		n += len(pieces[i])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("journal: marshal snapshot: %w", err)
+	}
+	cut := len(doc)
+	if bags != nil {
+		// Only numbers precede the bags, so the first match is the field.
+		cut = bytes.Index(doc, []byte(`"bags":[`)) + len(`"bags":[`)
+	}
+	buf := make([]byte, snapHeader+frame.HeaderSize, n)
+	copy(buf, snapMagic)
+	binary.LittleEndian.PutUint64(buf[len(snapMagic):], lsn)
+	buf = append(buf, doc[:cut]...)
+	for i, p := range pieces {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, p...)
+	}
+	buf = append(buf, doc[cut:]...)
+	frame.Fill(buf[snapHeader:snapHeader+frame.HeaderSize], buf[snapHeader+frame.HeaderSize:])
+	return buf, nil
 }
 
 // DecodeSnapshot validates a snapshot image (the full file contents,
@@ -178,7 +206,7 @@ func (j *Journal) WriteSnapshot(lsn uint64, st *State) (err error) {
 			j.noteError(err)
 		}
 	}()
-	buf, err := encodeSnapshot(lsn, st)
+	buf, err := EncodeSnapshot(lsn, st)
 	if err != nil {
 		return err
 	}
