@@ -157,3 +157,24 @@ func TestWallClockMonotonic(t *testing.T) {
 		t.Fatalf("wall clock not monotonic: %v then %v", a, b)
 	}
 }
+
+// TestRestoreRefusesBadQueue: a snapshot whose pending queue contradicts
+// its tasks — a task queued twice, a running task queued, a pending task
+// missing — is refused.
+func TestRestoreRefusesBadQueue(t *testing.T) {
+	pending := TaskSnapshot{Work: 1, State: TaskPending, FirstStart: -1, DoneAt: -1}
+	for name, queue := range map[string][]int{
+		"queued twice":  {0, 0, 1},
+		"out of range":  {0, 1, 2},
+		"task missing":  {0},
+		"negative task": {-1, 0, 1},
+	} {
+		snap := &SchedulerSnapshot{NextBagID: 1, Submitted: 1, Bags: []BagSnapshot{{
+			ID: 0, FirstStart: -1, Tasks: []TaskSnapshot{pending, pending}, Pending: queue,
+		}}}
+		g := grid.NewCustom(grid.Config{}, []float64{1})
+		if _, err := RestoreLiveScheduler(NewWallClock(), g, NewPolicy(FCFSShare, nil), DefaultSchedConfig(), nil, snap); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+}

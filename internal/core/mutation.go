@@ -8,8 +8,9 @@ package core
 //
 // The stream is intentionally decision-complete: records carry the concrete
 // outcome of every policy decision (which task went to which machine, under
-// which replica sequence number), so recovery rebuilds the exact pre-crash
-// state without re-running any policy. Observer, by contrast, is a
+// which replica sequence number), so recovery replays it through the
+// scheduler (Replay, replay.go) and rebuilds the pre-crash state without
+// re-running any policy. Observer, by contrast, is a
 // presentation hook — it exposes rich pointers for metrics and tracing and
 // is neither encodable nor replayable.
 

@@ -10,15 +10,15 @@ import (
 // This file implements durable capture and reconstruction of a live-mode
 // scheduler: SnapshotState serializes the complete scheduling state into
 // plain data, and RestoreLiveScheduler rebuilds an equivalent scheduler
-// from it. The live dispatch service combines the two with the mutation
-// stream (mutation.go) into a write-ahead-log + snapshot recovery scheme:
-// load the latest SchedulerSnapshot, apply the logged mutations that
-// followed it, and hand the result back to RestoreLiveScheduler.
+// from it, re-validating every invariant. The live dispatch service
+// combines the two with the mutation stream (mutation.go) into a
+// write-ahead-log + snapshot recovery scheme: restore the latest
+// SchedulerSnapshot, then replay the logged mutations that followed it
+// through the restored scheduler itself (Replay, replay.go).
 //
-// The snapshot types are plain-data (JSON-encodable) on purpose: the
-// replay state machine in internal/journal manipulates them directly,
-// without touching any scheduler invariant, and only the final state is
-// promoted to a real Scheduler — where every invariant is re-validated.
+// The snapshot types are plain data (JSON-encodable) so that the journal
+// can store them without knowing the scheduler; nothing applies a
+// mutation to them.
 
 // TaskSnapshot is the durable state of one task.
 type TaskSnapshot struct {
@@ -137,7 +137,7 @@ func (s *Scheduler) SnapshotState() *SchedulerSnapshot {
 // rotation cursor, the Random policy's RNG position) restarts fresh.
 // Restored state is validated against every scheduler invariant before the
 // scheduler is returned.
-func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, obs Observer, snap *SchedulerSnapshot) (s *Scheduler, err error) {
+func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, obs Observer, snap *SchedulerSnapshot) (*Scheduler, error) {
 	if cfg.Threshold < 1 {
 		return nil, fmt.Errorf("core: replication threshold %d must be >= 1", cfg.Threshold)
 	}
@@ -147,7 +147,7 @@ func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, 
 	if obs == nil {
 		obs = NopObserver{}
 	}
-	s = &Scheduler{
+	s := &Scheduler{
 		clock:           clock,
 		grid:            g,
 		policy:          p,
@@ -205,32 +205,17 @@ func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, 
 				b.doneWork += t.Work
 			}
 		}
+		// A task missing from the queue fails the invariant check below.
 		for _, id := range bs.Pending {
-			if id < 0 || id >= len(b.Tasks) {
-				return nil, fmt.Errorf("core: restore: bag %d pending task %d out of range", b.ID, id)
+			if id < 0 || id >= len(b.Tasks) || b.Tasks[id].State != TaskPending || b.Tasks[id].pendingEpoch != 0 {
+				return nil, fmt.Errorf("core: restore: bag %d queues task %d: out of range, not pending or queued twice", b.ID, id)
 			}
 			t := b.Tasks[id]
-			if t.State != TaskPending {
-				return nil, fmt.Errorf("core: restore: bag %d queued task %d is %v", b.ID, id, t.State)
-			}
-			if t.runIdx != -1 {
-				return nil, fmt.Errorf("core: restore: bag %d task %d queued twice", b.ID, id)
-			}
-			t.runIdx = -2 // seen marker, cleared below
 			b.pending.pushBack(t)
-			t.pendingEpoch++
+			t.pendingEpoch++ // also marks t queued
 			t.heapKey = t.idleKey()
 		}
-		pendingSeen := 0
-		for _, t := range b.Tasks {
-			if t.runIdx == -2 {
-				t.runIdx = -1
-				pendingSeen++
-			} else if t.State == TaskPending {
-				return nil, fmt.Errorf("core: restore: bag %d pending task %d missing from queue", b.ID, t.ID)
-			}
-		}
-		s.pendingTotal += pendingSeen
+		s.pendingTotal += len(bs.Pending)
 		if b.Complete() {
 			return nil, fmt.Errorf("core: restore: bag %d is complete but still active", b.ID)
 		}
@@ -253,9 +238,6 @@ func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, 
 			return nil, fmt.Errorf("core: restore: replica %d machine %d out of range", rs.Seq, rs.Machine)
 		}
 		m := g.Machines[rs.Machine]
-		if !m.Up() {
-			return nil, fmt.Errorf("core: restore: replica %d on down machine %d", rs.Seq, rs.Machine)
-		}
 		if s.mstate[m.ID].replica != nil {
 			return nil, fmt.Errorf("core: restore: machine %d hosts two replicas", m.ID)
 		}
@@ -268,29 +250,57 @@ func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, 
 		s.totalRunning++
 		s.mstate[m.ID].replica = r
 	}
-	// Running tasks enter the heap only after their replica lists are
-	// final, so heap keys (replica counts) are correct on push.
+	if err := s.settle(); err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
+	}
+	return s, nil
+}
+
+// settle derives from the bags, the replicas and the grid what serves only
+// decisions — each bag's heap of running tasks, the free-machine pool and
+// the policy's selection index, in task and machine order — and checks
+// every invariant and that every replica's machine is up. Running tasks
+// enter their heap only now that their replica lists are final, so heap
+// keys (replica counts) are right on push. RestoreLiveScheduler and
+// EndReplay end with it.
+func (s *Scheduler) settle() (err error) {
+	s.dropDerived()
 	for _, b := range s.bags {
 		for _, t := range b.Tasks {
 			if t.State == TaskRunning {
-				if len(t.Replicas) == 0 {
-					return nil, fmt.Errorf("core: restore: running task %d/%d has no replica", b.ID, t.ID)
-				}
 				b.runHeap.push(t)
 			}
 		}
 	}
-	for _, m := range g.Machines {
-		if m.Up() && s.mstate[m.ID].replica == nil {
+	for _, m := range s.grid.Machines {
+		if r := s.mstate[m.ID].replica; r != nil && !m.Up() {
+			return fmt.Errorf("replica %d on down machine %d", r.Seq, m.ID)
+		} else if r == nil && m.Up() {
 			s.pushFree(m)
 		}
 	}
-	s.attachPolicy(p)
+	s.attachPolicy(s.policy)
 	defer func() {
 		if r := recover(); r != nil {
-			s, err = nil, fmt.Errorf("core: restore: invariant violation: %v", r)
+			err = fmt.Errorf("invariant violation: %v", r)
 		}
 	}()
 	s.CheckInvariants()
-	return s, nil
+	return nil
+}
+
+// dropDerived empties what settle derives: the free-machine pool and
+// every bag's heap of running tasks.
+func (s *Scheduler) dropDerived() {
+	s.freeStack, s.freeCount, s.freeStale = s.freeStack[:0], 0, 0
+	for i := range s.mstate {
+		s.mstate[i].free = false
+	}
+	for _, b := range s.bags {
+		for _, e := range b.runHeap.es {
+			e.t.runIdx = -1
+		}
+		clear(b.runHeap.es)
+		b.runHeap.es = b.runHeap.es[:0]
+	}
 }

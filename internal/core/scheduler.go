@@ -227,24 +227,30 @@ type Scheduler struct {
 	freeCount int
 	freeStale int // stack entries invalidated since the last compaction
 
-	// replicaPool recycles Replica structs (simulation mode only). A run
-	// starts one replica per dispatch — by far the largest allocation
-	// site — and a replica is unreferenced once its task completes or
-	// its machine fails, so the storage can back the next dispatch. Live
-	// mode never pools: external workers hold replica pointers across
-	// kills and validate staleness by pointer identity (see ReplicaOn),
-	// which reuse would break. In a Runner the pool, like mstate and
-	// freeStack, passes to the next replication's scheduler (see retire).
+	// replicaPool recycles Replica structs (simulation mode and replay
+	// only). A run starts one replica per dispatch — by far the largest
+	// allocation site — and a replica is unreferenced once its task
+	// completes or its machine fails, so the storage can back the next
+	// dispatch. Live dispatch never pools: external workers hold replica
+	// pointers across kills and validate staleness by pointer identity
+	// (see ReplicaOn), which reuse would break. In a Runner the pool, like
+	// mstate and freeStack, passes to the next replication's scheduler
+	// (see retire).
 	replicaPool []*Replica
 
-	// recycle, set by run until its last arrival is submitted, keeps a
-	// completed bag's storage for the next Submit: the Bag on bagPool, its
-	// Task structs on taskPool. Only run turns it on, because only run
-	// keeps Submit's *Bag to itself; see DESIGN.md, "Bag and task storage
-	// lifecycle".
+	// recycle, set by run until its last arrival is submitted and by
+	// Replay until EndReplay, keeps a completed bag's storage for the next
+	// Submit: the Bag on bagPool, its Task structs on taskPool. Only those
+	// two turn it on, because only they keep the *Bag to the scheduler;
+	// see DESIGN.md, "Bag and task storage lifecycle".
 	recycle  bool
 	bagPool  []*Bag
 	taskPool []*Task
+
+	// replaying is set from the first Replay until EndReplay; unconfirmed
+	// lists the bags replay completed whose MutBagCompleted has not come.
+	replaying   bool
+	unconfirmed []int
 }
 
 // newReplica takes a Replica from the pool or allocates one.
@@ -262,7 +268,7 @@ func (s *Scheduler) newReplica() *Replica {
 // guarantee no reference remains: the task's replica list, the machine
 // state and all scheduled work have already been cleared.
 func (s *Scheduler) freeReplica(r *Replica) {
-	if s.eng == nil {
+	if s.eng == nil && !s.replaying {
 		return
 	}
 	*r = Replica{}
@@ -520,12 +526,7 @@ func (s *Scheduler) Submit(granularity float64, works []float64) *Bag {
 	case ShortestFirst:
 		works = sortedWorks(works, func(a, b float64) bool { return a < b })
 	}
-	b := s.takeBag(len(works))
-	b.reset(s.nextBagID, s.clock.Now(), granularity, works)
-	s.nextBagID++
-	s.submitted++
-	s.bags = append(s.bags, b)
-	s.pendingTotal += len(works)
+	b := s.enter(s.clock.Now(), granularity, works)
 	for _, t := range b.Tasks {
 		s.noteQueued(t)
 	}
@@ -534,6 +535,17 @@ func (s *Scheduler) Submit(granularity float64, works []float64) *Bag {
 		Granularity: granularity, Works: works})
 	s.obs.BagSubmitted(s.clock.Now(), b)
 	s.dispatch()
+	return b
+}
+
+// enter adds a bag of works, every task pending, under the next bag ID.
+func (s *Scheduler) enter(now, granularity float64, works []float64) *Bag {
+	b := s.takeBag(len(works))
+	b.reset(s.nextBagID, now, granularity, works)
+	s.nextBagID++
+	s.submitted++
+	s.bags = append(s.bags, b)
+	s.pendingTotal += len(works)
 	return b
 }
 
@@ -853,8 +865,8 @@ func (s *Scheduler) cancelReplicaWork(r *Replica) {
 // array does not keep the dead bag alive.
 func (s *Scheduler) removeBag(b *Bag) {
 	bags := s.bags
-	i := sort.Search(len(bags), func(i int) bool { return bags[i].ID >= b.ID })
-	if i == len(bags) || bags[i] != b {
+	i := s.bagIndex(b.ID)
+	if i < 0 || bags[i] != b {
 		panic("core: removing unknown bag")
 	}
 	if last := len(bags) - 1; i < last-i {
@@ -866,6 +878,16 @@ func (s *Scheduler) removeBag(b *Bag) {
 		bags[last] = nil
 		s.bags = bags[:last]
 	}
+}
+
+// bagIndex returns the position in s.bags of the active bag with the given
+// ID, or -1. The list is ID-ordered, so a binary search finds it.
+func (s *Scheduler) bagIndex(id int) int {
+	i := sort.Search(len(s.bags), func(i int) bool { return s.bags[i].ID >= id })
+	if i == len(s.bags) || s.bags[i].ID != id {
+		return -1
+	}
+	return i
 }
 
 // MachineFailed implements grid.Listener: the machine's replica (if any) is

@@ -306,6 +306,21 @@ func (q *pendingQueue) pushFront(t *Task) {
 	q.size++
 }
 
+// remove takes the queued task t out of the queue wherever it sits; the
+// tasks ahead of it move back one place, so the order holds. At the front
+// it is pop.
+func (q *pendingQueue) remove(t *Task) {
+	n := len(q.buf)
+	i := 0
+	for q.buf[(q.head+i)%n] != t {
+		i++
+	}
+	for ; i > 0; i-- {
+		q.buf[(q.head+i)%n] = q.buf[(q.head+i-1)%n]
+	}
+	q.pop()
+}
+
 // forEach visits the queued tasks in dispatch order without mutating the
 // queue (snapshot capture).
 func (q *pendingQueue) forEach(f func(*Task)) {

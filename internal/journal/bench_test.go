@@ -152,7 +152,8 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 // BenchmarkRecoveryReplay measures full crash recovery — snapshot-less
 // Open over a ~101k-record log (500 bags of 100 tasks dispatched and
-// completed) — the cost a restarting daemon pays before serving. A fleet
+// completed), then the tail replayed through the scheduler — the cost a
+// restarting daemon pays before serving. A fleet
 // of 1 024 machines keeps that many replicas in flight: each machine takes
 // one task, then every start waits for a running task to complete and
 // reuses its machine. In "oldest-first" the oldest running task completes;
@@ -176,6 +177,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 				if rec.Records != total {
 					b.Fatalf("replayed %d of %d records", rec.Records, total)
 				}
+				recovered(b, rec, 1024)
 				if err := j.Close(); err != nil {
 					b.Fatal(err)
 				}

@@ -76,21 +76,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Recovered summarizes what Open reconstructed from disk.
+// Recovered is what Open found on disk: the newest valid snapshot and the
+// log tail after it, which Open only scans (checking every frame and
+// truncating a torn final one) and Replay streams back, so the tail is
+// never held whole in memory.
 type Recovered struct {
 	// Fresh is true when the journal directory was newly initialized.
 	Fresh bool
-	// State is the replayed service state (empty when Fresh).
+	// State is the snapshot the tail continues (an empty State when
+	// recovery starts from the beginning of the log).
 	State *State
 	// Epoch is the persisted wall-clock origin of the service timeline.
 	Epoch time.Time
 	// SnapshotLSN is the LSN of the snapshot recovery started from (0 if
-	// recovery replayed the log from the beginning).
+	// recovery replays the log from the beginning).
 	SnapshotLSN uint64
 	// LastLSN is the last valid record recovered from the log.
 	LastLSN uint64
-	// Records is the number of log records replayed on top of the
-	// snapshot.
+	// Records is the number of log records in the tail, the records
+	// Replay streams.
 	Records int
 	// SegmentsScanned counts log segments read during recovery.
 	SegmentsScanned int
@@ -100,8 +104,46 @@ type Recovered struct {
 	// SnapshotsSkipped counts newer snapshot files that failed validation
 	// and were ignored in favor of an older one.
 	SnapshotsSkipped int
-	// Elapsed is the wall time recovery took.
+	// Elapsed is the wall time Open took to find and scan all this.
 	Elapsed time.Duration
+
+	dir  string
+	segs []uint64 // first LSNs of the segments holding tail records
+}
+
+// Replay decodes the tail — every record after SnapshotLSN, through
+// LastLSN — and calls fn with each in LSN order, reading the segments
+// again one at a time. The *Record is only valid during the call. An
+// error from decoding or from fn stops the replay, naming the segment and
+// record it came from. Call Replay before the journal writes a snapshot,
+// which may prune the tail's segments.
+func (rec *Recovered) Replay(fn func(lsn uint64, r *Record) error) error {
+	n := 0
+	var r Record
+	for _, first := range rec.segs {
+		path := filepath.Join(rec.dir, segName(first))
+		_, err := scanSegment(path, func(lsn uint64, payload []byte) error {
+			if lsn <= rec.SnapshotLSN || lsn > rec.LastLSN {
+				return nil
+			}
+			var derr error
+			if r, derr = DecodeRecord(payload); derr == nil {
+				derr = fn(lsn, &r)
+			}
+			if derr != nil {
+				return fmt.Errorf("%s: record %d: %w", filepath.Base(path), lsn, derr)
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if n != rec.Records {
+		return fmt.Errorf("journal: replayed %d of %d tail records; the log changed since Open", n, rec.Records)
+	}
+	return nil
 }
 
 // ErrClosed reports use of a closed journal.
@@ -150,10 +192,11 @@ type Journal struct {
 }
 
 // Open initializes or recovers the journal in opts.Dir: it loads the
-// newest valid snapshot, replays every later log record (truncating a torn
+// newest valid snapshot, scans every later log record (truncating a torn
 // final record), opens a fresh active segment, and starts the group-commit
-// syncer. The returned Recovered carries the replayed state; promote it
-// with core.RestoreLiveScheduler before appending new records.
+// syncer. The returned Recovered carries the snapshot and the scanned
+// tail; restore the snapshot with core.RestoreLiveScheduler and replay
+// the tail into it (Recovered.Replay) before appending new records.
 func Open(opts Options) (*Journal, *Recovered, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -163,7 +206,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 		return nil, nil, err
 	}
 	start := time.Now()
-	rec := &Recovered{}
+	rec := &Recovered{dir: opts.Dir}
 	epoch, fresh, err := loadOrInitMeta(opts.Dir, opts.Epoch)
 	if err != nil {
 		return nil, nil, err
@@ -203,20 +246,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 			continue // every record already covered by the snapshot
 		}
 		path := filepath.Join(opts.Dir, segName(first))
-		res, err := scanSegment(path, func(lsn uint64, payload []byte) error {
-			if lsn < next {
-				return nil // covered by the snapshot
-			}
-			r, derr := DecodeRecord(payload)
-			if derr != nil {
-				return fmt.Errorf("%s: record %d: %w", filepath.Base(path), lsn, derr)
-			}
-			if aerr := st.Apply(&r); aerr != nil {
-				return fmt.Errorf("%s: record %d: %w", filepath.Base(path), lsn, aerr)
-			}
-			rec.Records++
-			return nil
-		})
+		res, err := scanSegment(path, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -238,11 +268,14 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 			}
 			rec.TornBytes = res.torn
 		}
+		if tail := int(res.nextLSN) - int(max(res.firstLSN, snapLSN+1)); tail > 0 {
+			rec.segs = append(rec.segs, first)
+			rec.Records += tail
+		}
 		if res.nextLSN > next {
 			next = res.nextLSN
 		}
 	}
-	st.publish()
 	rec.LastLSN = next - 1
 	rec.Elapsed = time.Since(start)
 

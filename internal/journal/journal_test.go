@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"botgrid/internal/core"
-	"botgrid/internal/grid"
 )
 
 // testOptions returns journal options for a fresh temp directory.
@@ -66,9 +65,14 @@ func checkScriptState(t *testing.T, st *State) {
 	if len(st.Workers) != 1 || st.Workers[0].ID != "w0" || st.Workers[0].LastSeen != 8 {
 		t.Fatalf("workers = %+v", st.Workers)
 	}
-	if st.MaxTime != 8 {
-		t.Fatalf("MaxTime = %v", st.MaxTime)
-	}
+}
+
+// scriptState replays rec's tail onto its snapshot as recovery does and
+// returns the state, for checkScriptState.
+func scriptState(t *testing.T, rec *Recovered) *State {
+	t.Helper()
+	st := recovered(t, rec, 1).state()
+	return &st
 }
 
 // mustAppend appends recs and waits for the last to be durable.
@@ -127,27 +131,37 @@ func TestDecodeRecordRejects(t *testing.T) {
 	}
 }
 
+// TestReplayScript replays script() through the scheduler's replay and
+// the worker rules, then leaves replay mode: the state is the one
+// checkScriptState describes, and the scheduler dispatches from it.
 func TestReplayScript(t *testing.T) {
-	st := NewState()
+	p, err := newReplayer(NewState(), 1, core.FCFSShare)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range script() {
-		if err := st.Apply(&r); err != nil {
-			t.Fatalf("Apply(%v): %v", r.Kind, err)
+		if err := p.apply(&r); err != nil {
+			t.Fatalf("replay %v: %v", r.Kind, err)
 		}
 	}
-	checkScriptState(t, st)
+	st := p.state()
+	checkScriptState(t, &st)
 
-	// The replayed state must promote to a valid live scheduler. Machine 0
-	// holds no replica, so it must be down at restore time.
-	g := grid.NewCustom(grid.Config{}, []float64{2})
-	g.Machines[0].ForceFail(8)
-	s, err := core.RestoreLiveScheduler(&fixedClock{8}, g, core.NewPolicy(core.FCFSShare, nil),
-		core.DefaultSchedConfig(), nil, st.Sched)
-	if err != nil {
-		t.Fatalf("RestoreLiveScheduler: %v", err)
+	// Machine 0 holds no replica, so it must be down when replay ends.
+	p.grid.Machines[0].ForceFail(8)
+	if err := p.sched.EndReplay(); err != nil {
+		t.Fatalf("EndReplay: %v", err)
 	}
-	if s.PendingTasks() != 1 || s.TasksCompleted() != 1 || s.ReplicaFailures() != 1 {
-		t.Fatalf("restored: pending=%d done=%d failures=%d",
-			s.PendingTasks(), s.TasksCompleted(), s.ReplicaFailures())
+	s := p.sched
+	if s.PendingTasks() != 1 || s.TasksCompleted() != 1 || s.ReplicaFailures() != 1 || s.FreeMachines() != 0 {
+		t.Fatalf("after replay: pending=%d done=%d failures=%d free=%d",
+			s.PendingTasks(), s.TasksCompleted(), s.ReplicaFailures(), s.FreeMachines())
+	}
+	p.clock.t = 9
+	p.grid.Machines[0].ForceRepair(9)
+	s.MachineRepaired(p.grid.Machines[0])
+	if r := s.ReplicaOn(p.grid.Machines[0]); r == nil || r.Task.ID != 1 || r.Seq != 3 {
+		t.Fatalf("the repaired machine got replica %+v, want task 1 under token 3", r)
 	}
 }
 
@@ -155,33 +169,77 @@ type fixedClock struct{ t float64 }
 
 func (c *fixedClock) Now() float64 { return c.t }
 
+// TestReplayRejectsContradictions feeds the scheduler's replay records
+// that contradict the state script() leaves: each must be refused, and
+// leave the scheduler's state as it was.
 func TestReplayRejectsContradictions(t *testing.T) {
-	base := func(n int) *State {
-		st := NewState()
+	base := func(n int) *replayer {
+		p, err := newReplayer(NewState(), 1, core.FCFSShare)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range script()[:n] {
-			if err := st.Apply(&r); err != nil {
-				t.Fatalf("setup Apply: %v", err)
+			if err := p.apply(&r); err != nil {
+				t.Fatalf("setup replay: %v", err)
 			}
 		}
-		return st
+		return p
 	}
 	cases := map[string]struct {
 		n   int // records of script() to pre-apply
 		rec Record
 	}{
-		"bag ID gap":         {0, Record{Kind: KindBagSubmitted, Time: 1, Bag: 5, Works: []float64{1}}},
-		"unknown bag":        {1, Record{Kind: KindReplicaStarted, Time: 2, Bag: 9, Task: 0, Seq: 1}},
-		"task out of range":  {1, Record{Kind: KindReplicaStarted, Time: 2, Bag: 0, Task: 7, Seq: 1}},
-		"busy machine":       {4, Record{Kind: KindReplicaStarted, Time: 4, Bag: 0, Task: 1, Machine: 0, Seq: 2}},
-		"complete pending":   {1, Record{Kind: KindTaskCompleted, Time: 2, Bag: 0, Task: 1, Seq: 1}},
-		"bag not done":       {1, Record{Kind: KindBagCompleted, Time: 2, Bag: 0}},
-		"unregistered seen":  {1, Record{Kind: KindWorkerSeen, Time: 2, Machine: 3}},
-		"slot already taken": {2, Record{Kind: KindWorkerRegistered, Time: 3, Machine: 0, Worker: "other"}},
+		"bag ID gap":          {0, Record{Kind: KindBagSubmitted, Time: 1, Bag: 5, Works: []float64{1}}},
+		"unknown bag":         {1, Record{Kind: KindReplicaStarted, Time: 2, Bag: 9, Task: 0, Seq: 1}},
+		"task out of range":   {1, Record{Kind: KindReplicaStarted, Time: 2, Bag: 0, Task: 7, Seq: 1}},
+		"busy machine":        {4, Record{Kind: KindReplicaStarted, Time: 4, Bag: 0, Task: 1, Machine: 0, Seq: 2}},
+		"machine off grid":    {1, Record{Kind: KindReplicaStarted, Time: 2, Bag: 0, Task: 0, Machine: 1, Seq: 1}},
+		"start done task":     {5, Record{Kind: KindReplicaStarted, Time: 6, Bag: 0, Task: 0, Machine: 0, Seq: 2}},
+		"complete pending":    {1, Record{Kind: KindTaskCompleted, Time: 2, Bag: 0, Task: 1, Seq: 1}},
+		"complete done":       {5, Record{Kind: KindTaskCompleted, Time: 6, Bag: 0, Task: 0, Seq: 1}},
+		"bag not done":        {1, Record{Kind: KindBagCompleted, Time: 2, Bag: 0}},
+		"bag never submitted": {1, Record{Kind: KindBagCompleted, Time: 2, Bag: 3}},
+		"down off grid":       {4, Record{Kind: KindMachineDown, Time: 4, Machine: -1}},
+		"unknown kind":        {1, Record{Kind: kindMax + 1, Time: 2}},
 	}
 	for name, c := range cases {
-		if err := base(c.n).Apply(&c.rec); err == nil {
-			t.Errorf("%s: Apply accepted a contradictory record", name)
+		p := base(c.n)
+		before := p.state()
+		if err := p.apply(&c.rec); err == nil {
+			t.Errorf("%s: replay accepted a contradictory record", name)
 		}
+		if after := p.state(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused record changed the state\nbefore: %+v\nafter:  %+v", name, *before.Sched, *after.Sched)
+		}
+	}
+}
+
+// TestCutBeforeBagConfirmation replays a log cut between a bag's last
+// task completion and its BagCompleted record, as a crash between the two
+// appends leaves it: the task completion alone completes the bag, and the
+// scheduler leaves replay mode with the bag archived.
+func TestCutBeforeBagConfirmation(t *testing.T) {
+	p, err := newReplayer(NewState(), 1, core.FCFSShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Record{
+		{Kind: KindWorkerRegistered, Time: 1, Machine: 0, Worker: "w0", Power: 1},
+		{Kind: KindBagSubmitted, Time: 1, Bag: 0, Granularity: 10, Works: []float64{5}},
+		{Kind: KindReplicaStarted, Time: 2, Bag: 0, Task: 0, Machine: 0, Seq: 1},
+		{Kind: KindTaskCompleted, Time: 3, Bag: 0, Task: 0, Seq: 1},
+	} {
+		if err := p.apply(&r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.sched.EndReplay(); err != nil {
+		t.Fatalf("EndReplay after the cut: %v", err)
+	}
+	st := p.state()
+	if len(st.Sched.Bags) != 0 || st.Sched.Completed != 1 ||
+		len(st.Completed) != 1 || st.Completed[0].DoneAt != 3 {
+		t.Fatalf("after the cut: sched %+v, archive %+v", *st.Sched, st.Completed)
 	}
 }
 
@@ -215,7 +273,7 @@ func TestOpenFreshAppendReopen(t *testing.T) {
 		rec2.TornBytes != 0 || !rec2.Epoch.Equal(opts.Epoch) {
 		t.Fatalf("reopen: %+v", rec2)
 	}
-	checkScriptState(t, rec2.State)
+	checkScriptState(t, scriptState(t, rec2))
 
 	// New appends continue the LSN sequence.
 	lsn, err := j2.Append(&Record{Kind: KindMachineUp, Time: 9, Machine: 0})
@@ -261,9 +319,8 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovered %d records, last LSN %d", rec.Records, rec.LastLSN)
 	}
 	// The WorkerSeen record was lost; everything before it survived.
-	if rec.State.MaxTime != 7 || rec.State.Workers[0].LastSeen != 2 {
-		t.Fatalf("state after torn tail: MaxTime=%v workers=%+v",
-			rec.State.MaxTime, rec.State.Workers)
+	if st := scriptState(t, rec); st.Sched.Failures != 1 || st.Workers[0].LastSeen != 2 {
+		t.Fatalf("state after torn tail: failures=%d workers=%+v", st.Sched.Failures, st.Workers)
 	}
 }
 
@@ -296,7 +353,7 @@ func TestTrailingGarbageTruncated(t *testing.T) {
 	if rec.TornBytes == 0 || rec.Records != len(script()) {
 		t.Fatalf("rec = %+v", rec)
 	}
-	checkScriptState(t, rec.State)
+	checkScriptState(t, scriptState(t, rec))
 }
 
 func TestMidLogCorruptionRefused(t *testing.T) {
@@ -360,7 +417,7 @@ func TestSnapshotRecoveryAndPruning(t *testing.T) {
 		if err := j.WaitDurable(lsn); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Apply(&recs[i]); err != nil {
+		if err := (*linearState)(st).Apply(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 		if i == cut-1 {
@@ -385,7 +442,7 @@ func TestSnapshotRecoveryAndPruning(t *testing.T) {
 	if rec.Records != len(recs)-cut {
 		t.Fatalf("replayed %d records, want %d", rec.Records, len(recs)-cut)
 	}
-	checkScriptState(t, rec.State)
+	checkScriptState(t, scriptState(t, rec))
 
 	// A snapshot covering the whole log prunes every closed segment; only
 	// the active one survives.
@@ -397,7 +454,7 @@ func TestSnapshotRecoveryAndPruning(t *testing.T) {
 	if err := j2.WaitDurable(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Apply(&extra); err != nil {
+	if err := (*linearState)(st).Apply(&extra); err != nil {
 		t.Fatal(err)
 	}
 	st.Time = 9
@@ -428,10 +485,10 @@ func TestSnapshotRecoveryAndPruning(t *testing.T) {
 	if rec2.SnapshotLSN != lsn || rec2.Records != 0 {
 		t.Fatalf("final reopen: %+v", rec2)
 	}
-	if rec2.State.MaxTime != 9 || len(rec2.State.Sched.Bags) != 1 ||
+	if rec2.State.Time != 9 || len(rec2.State.Sched.Bags) != 1 ||
 		rec2.State.Sched.TasksCompleted != 1 {
-		t.Fatalf("state from final snapshot: MaxTime=%v sched=%+v",
-			rec2.State.MaxTime, rec2.State.Sched)
+		t.Fatalf("state from final snapshot: time=%v sched=%+v",
+			rec2.State.Time, rec2.State.Sched)
 	}
 }
 
@@ -465,7 +522,7 @@ func TestLeftoverTmpIgnoredAndOverwritten(t *testing.T) {
 	last := mustAppend(t, j, recs)
 	st := NewState()
 	for i := range recs {
-		if err := st.Apply(&recs[i]); err != nil {
+		if err := (*linearState)(st).Apply(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -491,7 +548,7 @@ func TestLeftoverTmpIgnoredAndOverwritten(t *testing.T) {
 	if rec2.SnapshotLSN != last || rec2.Records != 0 {
 		t.Fatalf("recovery with scratch files present: %+v", rec2)
 	}
-	checkScriptState(t, rec2.State)
+	checkScriptState(t, scriptState(t, rec2))
 	if m, ok, err := ReadManifest(dir); err != nil || !ok || m.Shards != 1 {
 		t.Fatalf("manifest with scratch present: %+v ok=%v err=%v", m, ok, err)
 	}
@@ -507,7 +564,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	last := mustAppend(t, j, recs)
 	st := NewState()
 	for i := range recs {
-		if err := st.Apply(&recs[i]); err != nil {
+		if err := (*linearState)(st).Apply(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -539,7 +596,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	// Full log replay still reconstructs everything: the whole log sits in
 	// the active segment, which pruning never deletes.
-	checkScriptState(t, rec.State)
+	checkScriptState(t, scriptState(t, rec))
 }
 
 // TestSnapshotDue: no snapshot is due without appends since the last one
@@ -637,7 +694,7 @@ func TestFsyncModes(t *testing.T) {
 			if rec.Records != len(script()) {
 				t.Fatalf("recovered %d records", rec.Records)
 			}
-			checkScriptState(t, rec.State)
+			checkScriptState(t, scriptState(t, rec))
 		})
 	}
 }

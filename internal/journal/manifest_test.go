@@ -65,7 +65,7 @@ func TestManifestIgnoredByJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if rec2.LastLSN != 1 || len(rec2.State.Workers) != 1 {
+	if rec2.LastLSN != 1 || rec2.Records != 1 || len(recovered(t, rec2, 1).state().Workers) != 1 {
 		t.Fatalf("record lost across reopen with manifest present: %+v", rec2)
 	}
 	if got := ShardDirName(3); !strings.HasPrefix(got, "shard-") || got != "shard-0003" {

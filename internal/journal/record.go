@@ -11,12 +11,14 @@
 //   - segment.go: length-prefixed, CRC32-checked frames in numbered
 //     segment files; scanning truncates a torn final record.
 //   - journal.go: the append path with group-committed fsync, segment
-//     rotation, and startup recovery (latest snapshot + log tail replay).
-//   - snapshot.go: snapshot file format and the Young's-formula cadence
-//     that decides when to take one.
-//   - replay.go: the replay state machine that applies records to a plain
-//     data State, later promoted to a live scheduler by
-//     core.RestoreLiveScheduler.
+//     rotation, and startup recovery: the latest snapshot plus a scanned
+//     log tail, which Recovered.Replay streams back record by record.
+//   - snapshot.go: the snapshot's plain-data State, its file format and
+//     the Young's-formula cadence that decides when to take one.
+//
+// The journal interprets no record. The scheduler's own replay entry
+// point (core.Scheduler.Replay) applies the six scheduler kinds, and the
+// service applies its two worker kinds.
 package journal
 
 import (
@@ -117,6 +119,14 @@ func FromMutation(m core.Mutation) Record {
 		Granularity: m.Granularity,
 		Works:       m.Works,
 	}
+}
+
+// Mutation converts a scheduler record back into the mutation it journals,
+// the inverse of FromMutation. A worker record's kind names no
+// core.MutationKind, and core.Scheduler.Replay refuses it.
+func (r *Record) Mutation() core.Mutation {
+	return core.Mutation{Kind: core.MutationKind(r.Kind), Time: r.Time, Bag: r.Bag, Task: r.Task,
+		Machine: r.Machine, Seq: r.Seq, Restart: r.Restart, Granularity: r.Granularity, Works: r.Works}
 }
 
 // ErrCorrupt reports an undecodable record payload.

@@ -7,18 +7,14 @@ import (
 	"botgrid/internal/core"
 )
 
-// linearState is the replay state machine as it was before State gained
-// its replay index: every step scans (and memmoves) the live replicas and
-// the worker table. It is kept, verbatim but for the receiver type, only as
-// the oracle TestReplayMatchesOracle and FuzzReplayVsOracle hold Apply to.
+// linearState is the plain-data replay state machine recovery ran before
+// records were replayed through core.Scheduler: every step scans (and
+// memmoves) the live replicas and the worker table. It is kept, verbatim
+// but for the receiver type and the newest-time tracking State no longer
+// carries, only as the oracle the scheduler's replay is held to
+// (replayVsOracle, TestOpenMatchesOracle, the decision differential).
 // Convert with (*linearState)(st); the two types share one layout.
 type linearState State
-
-func (st *linearState) observe(t float64) {
-	if t > st.MaxTime {
-		st.MaxTime = t
-	}
-}
 
 // bag returns a pointer to the active bag with the given ID.
 func (st *linearState) bag(id int) (*core.BagSnapshot, error) {
@@ -34,7 +30,6 @@ func (st *linearState) bag(id int) (*core.BagSnapshot, error) {
 // contradicts the state it is being replayed onto — corruption or a bug —
 // and recovery must stop.
 func (st *linearState) Apply(r *Record) error {
-	st.observe(r.Time)
 	switch r.Kind {
 	case KindBagSubmitted:
 		return st.applyBagSubmitted(r)

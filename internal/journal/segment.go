@@ -2,9 +2,12 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,22 +84,56 @@ type scanResult struct {
 
 // scanSegment reads the segment at path and calls fn for each valid record
 // payload in order. Validation stops at the first bad frame; the remainder
-// is reported as torn rather than failing the scan. Payload slices passed
-// to fn alias the file buffer and must not be retained.
+// is reported as torn rather than failing the scan. The file is read
+// through a window of a few hundred kilobytes, grown only for a larger
+// frame, never whole. Payload slices passed to fn alias the window and
+// must not be retained.
 func scanSegment(path string, fn func(lsn uint64, payload []byte) error) (scanResult, error) {
 	var res scanResult
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return res, err
 	}
-	if len(data) < segHeader || string(data[:len(segMagic)]) != segMagic {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return res, err
+	}
+	// win[lo:] is read and not yet scanned; res.goodSize counts the file's
+	// bytes before win[0] until the scan ends.
+	win, lo, eof := make([]byte, 0, 256<<10), 0, false
+	fill := func() error {
+		res.goodSize += int64(lo)
+		win, lo = append(win[:0], win[lo:]...), 0
+		if len(win) == cap(win) {
+			win = slices.Grow(win, len(win))
+		}
+		n, err := f.Read(win[len(win):cap(win)])
+		win = win[:len(win)+n]
+		if err == io.EOF {
+			eof, err = true, nil
+		}
+		return err
+	}
+	for len(win) < segHeader && !eof {
+		if err := fill(); err != nil {
+			return res, err
+		}
+	}
+	if len(win) < segHeader || string(win[:len(segMagic)]) != segMagic {
 		return res, fmt.Errorf("journal: %s: bad segment header", filepath.Base(path))
 	}
-	res.firstLSN = binary.LittleEndian.Uint64(data[len(segMagic):])
+	res.firstLSN = binary.LittleEndian.Uint64(win[len(segMagic):])
 	res.nextLSN = res.firstLSN
-	rest := data[segHeader:]
-	for len(rest) > 0 {
-		payload, next, err := frame.Next(rest)
+	lo = segHeader
+	for {
+		payload, _, err := frame.Next(win[lo:])
+		if errors.Is(err, frame.ErrTruncated) && !eof {
+			if err := fill(); err != nil {
+				return res, err
+			}
+			continue
+		}
 		if err != nil {
 			break
 		}
@@ -107,9 +144,9 @@ func scanSegment(path string, fn func(lsn uint64, payload []byte) error) (scanRe
 		}
 		res.nextLSN++
 		res.records++
-		rest = next
+		lo += frame.HeaderSize + len(payload)
 	}
-	res.torn = int64(len(rest))
-	res.goodSize = int64(len(data)) - res.torn
+	res.goodSize += int64(lo)
+	res.torn = fi.Size() - res.goodSize
 	return res, nil
 }

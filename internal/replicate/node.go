@@ -1,15 +1,18 @@
 package replicate
 
 // Node is one cluster member's control plane: it owns the journal while
-// the node follows, applies the leader's entries, runs elections on lease
-// expiry, and hands the journal to a Replica (plus the serve layer, via
-// callbacks) when this node wins.
+// the node follows, hands each leader entry to the serving layer's
+// standby before appending it, runs elections on lease expiry, and hands
+// the journal to a Replica (plus the standby, via callbacks) when this
+// node wins. The node keeps no copy of the dispatch state: the standby,
+// a live scheduler in replay mode, is the only one.
 //
 // Journal ownership moves with the role. A follower's Node holds the
 // journal open and appends replicated entries to it; a snapshot install
 // closes it, wipes the history, and reopens it. Winning an election hands
 // the open journal to the new Replica; losing leadership closes it (inside
 // the serve layer's shutdown) and the Node reopens it to follow again.
+// Every (re)open rebuilds the standby through OnFollow.
 
 import (
 	"bufio"
@@ -23,14 +26,26 @@ import (
 	"botgrid/internal/journal"
 )
 
-// Callbacks connect the node to the serving layer. Both are invoked from
+// Callbacks connect the node to the serving layer. They are invoked from
 // node goroutines, never concurrently with each other.
 type Callbacks struct {
-	// OnLeader is called when this node wins an election: rep is the
-	// replicated log to serve through, rec the recovered state to promote
-	// (exactly what journal.Open returns after a restart). A returned
-	// error aborts the promotion and halts the node.
-	OnLeader func(rep *Replica, rec *journal.Recovered) error
+	// OnFollow is called whenever the node (re)opens its journal to
+	// follow — at Start, after installing a leader's snapshot and after
+	// losing leadership — with what journal.Open recovered. It builds the
+	// standby that OnEntry feeds and OnLeader promotes: the snapshot
+	// restored and the log tail replayed. A returned error halts the node.
+	OnFollow func(rec *journal.Recovered) error
+	// OnEntry applies the replicated record with LSN lsn to the standby
+	// before the node appends it to the journal. An error refuses the
+	// entry: a record the standby cannot apply never becomes durable.
+	OnEntry func(lsn uint64, r *journal.Record) error
+	// OnLeader is called when this node wins an election: it attaches
+	// rep, the replicated log, to the standby and starts serving. Before
+	// it returns it writes a snapshot through rep covering all the
+	// standby holds; followers catch up from that snapshot, and the node
+	// starts rep's streams only once OnLeader returns. A returned error
+	// aborts the promotion and halts the node.
+	OnLeader func(rep *Replica) error
 	// OnFollower is called after leadership is lost; it must tear down
 	// whatever OnLeader built and close the Replica before returning, so
 	// the node can reopen the journal and rejoin as a follower.
@@ -67,13 +82,9 @@ type Node struct {
 
 	// Follower-mode log state (nil while this node leads).
 	jnl     *journal.Journal //botlint:guarded-by mu
-	state   *journal.State   //botlint:guarded-by mu
 	lastLSN uint64           //botlint:guarded-by mu
-	snapLSN uint64           //botlint:guarded-by mu
-	applied int              //botlint:guarded-by mu
 
-	epoch     time.Time //botlint:guarded-by mu
-	bootFresh bool      //botlint:guarded-by mu
+	boot *journal.Recovered // what Open recovered, for Start's OnFollow
 
 	// rep is the leader-mode log (nil otherwise).
 	rep *Replica //botlint:guarded-by mu
@@ -132,22 +143,23 @@ func Open(cfg Config) (*Node, error) {
 		votedFor:   votedFor,
 		appendTerm: appendTerm,
 		jnl:        jnl,
-		state:      rec.State,
 		lastLSN:    rec.LastLSN,
-		snapLSN:    rec.SnapshotLSN,
-		epoch:      rec.Epoch,
-		bootFresh:  rec.Fresh,
+		boot:       rec,
 	}, nil
 }
 
-// Start begins listening for replication traffic and running the election
+// Start builds the standby from the journal Open recovered (OnFollow),
+// then begins listening for replication traffic and running the election
 // clock.
 func (n *Node) Start(cb Callbacks) error {
+	n.cb = cb
+	if err := cb.OnFollow(n.boot); err != nil {
+		return fmt.Errorf("replicate: building the standby: %w", err)
+	}
 	ln, err := net.Listen("tcp", n.self.Addr)
 	if err != nil {
 		return err
 	}
-	n.cb = cb
 	n.ln = ln
 	n.mu.Lock()
 	n.leaderSeen = time.Now()
@@ -458,9 +470,10 @@ func askVote(p Peer, req voteReqMsg, lease time.Duration) (voteRespMsg, error) {
 	return resp, err
 }
 
-// becomeLeader promotes this node: the journal moves into a Replica, the
-// replay state is snapshotted as the catch-up anchor for followers, and
-// OnLeader starts the dispatch service on top.
+// becomeLeader promotes this node: the journal moves into a Replica,
+// OnLeader attaches it to the standby, starts the dispatch service on top
+// and snapshots the catch-up anchor for followers, and the Replica's
+// streams start.
 func (n *Node) becomeLeader(term uint64) {
 	n.cbMu.Lock()
 	defer n.cbMu.Unlock()
@@ -484,16 +497,8 @@ func (n *Node) becomeLeader(term uint64) {
 		n.mu.Unlock()
 		return
 	}
-	jnl, state, lastLSN := n.jnl, n.state, n.lastLSN
-	rec := &journal.Recovered{
-		Fresh:       n.bootFresh && lastLSN == 0,
-		State:       state,
-		Epoch:       n.epoch,
-		SnapshotLSN: n.snapLSN,
-		LastLSN:     lastLSN,
-		Records:     n.applied,
-	}
-	n.jnl, n.state = nil, nil
+	jnl, lastLSN := n.jnl, n.lastLSN
+	n.jnl = nil
 	rep := newReplica(n.cfg, term, jnl, lastLSN)
 	n.rep = rep
 	n.commit = lastLSN
@@ -505,19 +510,11 @@ func (n *Node) becomeLeader(term uint64) {
 	}
 	n.logf("replicate: %s: leading at term %d from LSN %d", n.cfg.NodeID, term, lastLSN)
 
-	// Anchor follower catch-up: a fresh snapshot at the promotion point.
-	// Encoding it also publishes the replay state's live replicas, which
-	// Apply leaves unpublished, so OnLeader receives a current State.
-	state.Time = state.MaxTime
-	if err := rep.WriteSnapshot(lastLSN, state); err != nil {
-		n.fail(fmt.Errorf("promotion snapshot: %w", err))
-		return
-	}
-	rep.start()
-	if err := n.cb.OnLeader(rep, rec); err != nil {
+	if err := n.cb.OnLeader(rep); err != nil {
 		n.fail(fmt.Errorf("starting leader service: %w", err))
 		return
 	}
+	rep.start()
 	n.wg.Add(1)
 	go n.watchLeadership(rep)
 }
@@ -580,15 +577,17 @@ func (n *Node) demote(rep *Replica) {
 		n.fail(fmt.Errorf("reopening journal after demotion: %w", err))
 		return
 	}
+	// No entry reaches the standby before n.jnl is set below, so it can be
+	// rebuilt outside mu.
+	if err := n.cb.OnFollow(rec); err != nil {
+		n.fail(errors.Join(fmt.Errorf("rebuilding the standby after demotion: %w", err), jnl.Close()))
+		return
+	}
 	n.mu.Lock()
 	n.rep = nil
 	n.role = RoleFollower
 	n.jnl = jnl
-	n.state = rec.State
 	n.lastLSN = rec.LastLSN
-	n.snapLSN = rec.SnapshotLSN
-	n.applied = 0
-	n.bootFresh = false
 	n.lastFailover = time.Now()
 	n.leaderSeen = time.Now()
 	n.mu.Unlock()
@@ -727,9 +726,9 @@ func (n *Node) runFollowerSession(conn net.Conn, hello helloMsg, buf []byte) {
 }
 
 // installSnapshot swaps the follower's entire journal for the leader's
-// snapshot image: close, wipe, install, reopen — the same recovery code a
-// lone daemon runs at boot, so the post-install state is exactly what a
-// restart would see.
+// snapshot image: close, wipe, install, reopen, rebuild the standby — the
+// same recovery code a lone daemon runs at boot, so the post-install state
+// is exactly what a restart would see.
 func (n *Node) installSnapshot(s *session, image []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -753,12 +752,13 @@ func (n *Node) installSnapshot(s *session, image []byte) error {
 	if err != nil {
 		return fmt.Errorf("reopening after install: %w", err)
 	}
+	if err := n.cb.OnFollow(rec); err != nil {
+		err = errors.Join(fmt.Errorf("rebuilding the standby: %w", err), jnl.Close())
+		n.failLocked(err)
+		return err
+	}
 	n.jnl = jnl
-	n.state = rec.State
 	n.lastLSN = rec.LastLSN
-	n.snapLSN = rec.SnapshotLSN
-	n.applied = 0
-	n.bootFresh = false
 	n.leaderSeen = time.Now()
 	if lsn != rec.LastLSN {
 		return fmt.Errorf("installed snapshot at %d but recovered LSN %d", lsn, rec.LastLSN)
@@ -767,8 +767,9 @@ func (n *Node) installSnapshot(s *session, image []byte) error {
 	return nil
 }
 
-// applyEntry appends one replicated record to the local journal and folds
-// it into the replay state kept ready for promotion.
+// applyEntry applies one replicated record to the standby kept ready for
+// promotion, then appends it to the local journal: an entry the standby
+// refuses never reaches the disk, so it cannot break the next recovery.
 func (n *Node) applyEntry(s *session, payload []byte) error {
 	term, lsn, rec, err := decodeEntry(payload)
 	if err != nil {
@@ -785,15 +786,15 @@ func (n *Node) applyEntry(s *session, payload []byte) error {
 	if lsn != n.lastLSN+1 {
 		return fmt.Errorf("entry LSN %d, expected %d", lsn, n.lastLSN+1)
 	}
+	if err := n.cb.OnEntry(lsn, &rec); err != nil {
+		return fmt.Errorf("standby refused entry %d: %w", lsn, err)
+	}
 	got, err := n.jnl.Append(&rec)
 	if err != nil {
 		return err
 	}
 	if got != lsn {
 		return fmt.Errorf("journal assigned LSN %d to entry %d", got, lsn)
-	}
-	if err := n.state.Apply(&rec); err != nil {
-		return fmt.Errorf("replay: %w", err)
 	}
 	if term != n.appendTerm {
 		// First entry of a new leadership: persist the log's term marker
@@ -804,7 +805,6 @@ func (n *Node) applyEntry(s *session, payload []byte) error {
 		}
 	}
 	n.lastLSN = lsn
-	n.applied++
 	n.leaderSeen = time.Now()
 	return nil
 }

@@ -1,0 +1,57 @@
+package replicate
+
+import (
+	"errors"
+	"testing"
+
+	"botgrid/internal/journal"
+)
+
+// TestFollowerRefusesEntryBeforeAppend: an entry the standby refuses never
+// reaches the follower's journal, so the log reopens without it — and
+// with every entry before it.
+func TestFollowerRefusesEntryBeforeAppend(t *testing.T) {
+	dir := t.TempDir()
+	n, err := Open(Config{NodeID: "a", Peers: []Peer{{ID: "a", Addr: "127.0.0.1:0"}}, Dir: dir, Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied []uint64
+	n.cb.OnEntry = func(lsn uint64, r *journal.Record) error {
+		if r.Kind == journal.KindTaskCompleted {
+			return errors.New("completion of a task that is not running")
+		}
+		applied = append(applied, lsn)
+		return nil
+	}
+	s := &session{}
+	n.mu.Lock()
+	n.cur = s
+	n.mu.Unlock()
+	good := journal.Record{Kind: journal.KindBagSubmitted, Time: 1, Bag: 0, Granularity: 10, Works: []float64{5}}
+	bad := journal.Record{Kind: journal.KindTaskCompleted, Time: 2, Bag: 0, Task: 0, Seq: 1}
+	if err := n.applyEntry(s, appendEntryPayload(nil, 1, 1, &good)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.applyEntry(s, appendEntryPayload(nil, 1, 2, &bad)); err == nil {
+		t.Fatal("the follower took an entry its standby refused")
+	}
+	n.mu.Lock()
+	last := n.lastLSN
+	n.cur = nil // the session has no connection for Stop to close
+	n.mu.Unlock()
+	if last != 1 || len(applied) != 1 {
+		t.Fatalf("after the refusal: last LSN %d, standby applied %v", last, applied)
+	}
+	if err := n.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	j, rec, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatalf("the follower's log does not reopen: %v", err)
+	}
+	defer j.Close()
+	if rec.LastLSN != 1 || rec.Records != 1 {
+		t.Fatalf("reopened log: last LSN %d, %d records; want the one accepted entry", rec.LastLSN, rec.Records)
+	}
+}

@@ -16,16 +16,20 @@
 //     local journal AND streamed to every follower; submit and done-report
 //     acks wait until a quorum of nodes reports the record durable
 //     (leader's fsync + follower match LSNs).
-//   - Followers keep a journal of their own, apply each entry to an
-//     in-memory replay state, and ack their durable LSN. They serve no
-//     dispatch traffic; the HTTP layer redirects to the leader.
+//   - Followers keep a journal of their own and, through the serving
+//     layer's callbacks, a standby: a scheduler restored from that journal
+//     that replays each entry (core.Scheduler.Replay) before the entry is
+//     appended, so an entry the standby refuses never becomes durable.
+//     They ack their durable LSN and serve no dispatch traffic; the HTTP
+//     layer redirects to the leader.
 //   - Leadership is a lease: a follower that hears nothing (entries or
 //     heartbeats) past its election timeout starts an election with a
 //     higher term. Votes require the candidate's (appendTerm, lastLSN) to
 //     be at least the voter's, so an acked record — durable on a quorum —
-//     is always on the winner's log. The winner promotes its replay state
-//     with core.RestoreLiveScheduler and starts serving; a deposed or
-//     stale leader's traffic is rejected by term everywhere.
+//     is always on the winner's log. The winner attaches the log to its
+//     standby, snapshots it as the anchor followers catch up from, and
+//     starts serving; a deposed or stale leader's traffic is rejected by
+//     term everywhere.
 //
 // Election timeouts are staggered deterministically by node index rather
 // than randomized: with the small fixed-membership clusters this targets

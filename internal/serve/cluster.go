@@ -39,7 +39,15 @@ type Gate struct {
 // and returns the Gate to serve HTTP through. cfg's DataDir/Clock are
 // ignored: the journal belongs to the replication node (rcfg.Dir), and the
 // clock continues the journaled timeline across failovers.
+// While the node follows, the Gate keeps a standby server whose scheduler
+// replays every leader entry; winning an election resumes it on the
+// replicated log.
 func StartCluster(cfg Config, rcfg replicate.Config) (*Gate, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Shards > 1 {
+		return nil, errors.New("serve: replication requires a single shard")
+	}
+	cfg.DataDir, cfg.Clock, cfg.Log, cfg.Recovered = "", nil, nil, nil
 	node, err := replicate.Open(rcfg)
 	if err != nil {
 		return nil, err
@@ -48,18 +56,26 @@ func StartCluster(cfg Config, rcfg replicate.Config) (*Gate, error) {
 	if g.logf == nil {
 		g.logf = func(string, ...any) {}
 	}
+	cfg.Replication = node
+	var standby *Server // the node runs one callback at a time, each after the last
 	cb := replicate.Callbacks{
-		OnLeader: func(rep *replicate.Replica, rec *journal.Recovered) error {
-			scfg := cfg
-			scfg.DataDir = ""
-			scfg.Clock = nil
-			scfg.Log = rep
-			scfg.Recovered = rec
-			scfg.Replication = node
-			srv, err := NewServer(scfg)
-			if err != nil {
-				return err
+		OnFollow: func(rec *journal.Recovered) (err error) {
+			standby, err = newServer(cfg, []*journal.Recovered{rec})
+			return err
+		},
+		OnEntry: func(lsn uint64, r *journal.Record) error { return standby.shards[0].applyEntry(lsn, r) },
+		OnLeader: func(rep *replicate.Replica) error {
+			srv := standby
+			// Followers catch up from the promotion snapshot; nothing else
+			// writes one before launch starts the periodic work.
+			err := srv.resume([]Log{rep})
+			if err == nil {
+				err = srv.shards[0].snapshot()
 			}
+			if err != nil {
+				return errors.Join(err, rep.Close())
+			}
+			srv.launch()
 			g.srv.Store(srv)
 			return nil
 		},

@@ -84,78 +84,152 @@ func recoveredOrigin(epoch time.Time, maxTime float64) time.Time {
 	return origin
 }
 
-// restore rebuilds the shard's entire mutable state from its recovered
-// journal. Runs during NewServer, before any request can arrive, so the
-// constructor owns the state exclusively — annotated as holding mu to make
-// that exclusivity explicit at the call site.
+// restore rebuilds the shard from its recovered journal without writing
+// to it: the snapshot through core.RestoreLiveScheduler, then the log
+// tail through replay. Machines stay up, the scheduler replaying and the
+// clock unread until resume. Runs before any request can arrive, so the
+// constructor owns the state exclusively — annotated as holding mu to
+// make that exclusivity explicit at the call site.
 //
 //botlint:holds mu
 func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
+	start := time.Now()
 	st := rec.State
-	now := sh.clock.Now()
-	if now < st.MaxTime {
-		return fmt.Errorf("clock %.3f runs behind journaled time %.3f", now, st.MaxTime)
-	}
-	// Machines hosting a recovered replica come back up before promotion:
-	// their lease is still live and the worker may still report the result.
-	for _, rs := range st.Sched.Replicas {
-		if rs.Machine < 0 || rs.Machine >= len(sh.g.Machines) {
-			return fmt.Errorf("replica on machine %d of %d (MaxWorkers shrank?)",
-				rs.Machine, len(sh.g.Machines))
-		}
-		if m := sh.g.Machines[rs.Machine]; !m.Up() {
-			m.ForceRepair(now)
-		}
-	}
 	sched, err := core.RestoreLiveScheduler(sh.clock, sh.g, pol, sh.cfg.Sched, nil, st.Sched)
 	if err != nil {
 		return err
 	}
 	sh.sched = sched
-	for i, wsnap := range st.Workers {
-		// Registration order assigns slots sequentially, so slot i belongs
-		// to the i-th registered worker; anything else means the journal
-		// was written under a different worker-table scheme.
-		if wsnap.Machine != i || wsnap.Machine >= len(sh.g.Machines) {
-			return fmt.Errorf("worker %q on slot %d of %d (MaxWorkers changed?)",
-				wsnap.ID, wsnap.Machine, len(sh.g.Machines))
+	sched.OnBagDone = sh.archive
+	for _, w := range st.Workers {
+		if err := sh.restoreWorker(w.ID, w.Machine, w.Power, w.LastSeen); err != nil {
+			return err
 		}
-		sh.workers[wsnap.ID] = &workerState{
-			id:         wsnap.ID,
-			m:          sh.g.Machines[wsnap.Machine],
-			power:      wsnap.Power,
-			lastSeen:   wsnap.LastSeen,
-			lastLogged: wsnap.LastSeen,
-		}
-		sh.slots = append(sh.slots, sh.workers[wsnap.ID])
 	}
-	sh.completed = slices.Clone(st.Completed)
+	sh.completed = st.Completed
 	for i, cb := range sh.completed {
 		sh.archived[cb.ID] = i
-	}
-	for _, b := range sched.Bags() {
-		sh.bags[b.ID] = b
 	}
 	if len(st.Service) > 0 {
 		// Dispatch counters ride along in the snapshot's opaque service
 		// blob; best-effort — stats continuity never blocks recovery.
 		json.Unmarshal(st.Service, &sh.met)
 	}
+	sh.newest = st.Time
 	sh.lastLSN = rec.LastLSN
 	sh.recov = &RecoveryInfo{
 		Fresh:            rec.Fresh,
 		SnapshotLSN:      rec.SnapshotLSN,
-		LastLSN:          rec.LastLSN,
-		RecordsReplayed:  rec.Records,
 		SegmentsScanned:  rec.SegmentsScanned,
 		TornBytes:        rec.TornBytes,
 		SnapshotsSkipped: rec.SnapshotsSkipped,
-		DurationSec:      rec.Elapsed.Seconds(),
-		Bags:             len(sh.bags),
-		CompletedBags:    len(st.Completed),
-		Workers:          len(sh.workers),
-		Replicas:         len(st.Sched.Replicas),
 	}
+	err = rec.Replay(sh.replay)
+	sh.recov.DurationSec = (rec.Elapsed + time.Since(start)).Seconds()
+	return err
+}
+
+// restoreWorker registers a recovered worker on the next slot.
+// Registration order assigns slots sequentially, so slot i belongs to the
+// i-th registered worker; anything else means the journal was written
+// under a different worker-table scheme.
+//
+//botlint:holds mu
+func (sh *shard) restoreWorker(id string, slot int, power, lastSeen float64) error {
+	if slot != len(sh.slots) || slot >= len(sh.g.Machines) {
+		return fmt.Errorf("worker %q on slot %d of %d (MaxWorkers changed?)",
+			id, slot, len(sh.g.Machines))
+	}
+	ws := &workerState{id: id, m: sh.g.Machines[slot], power: power, lastSeen: lastSeen, lastLogged: lastSeen}
+	sh.workers[id] = ws
+	sh.slots = append(sh.slots, ws)
+	return nil
+}
+
+// replay applies the journaled record with LSN lsn to the recovering
+// shard. The shard interprets the two worker kinds itself; every other
+// record goes to the scheduler's own replay (core.Scheduler.Replay),
+// which refuses a kind it does not know. A refused record changes
+// nothing.
+//
+//botlint:holds mu
+func (sh *shard) replay(lsn uint64, r *journal.Record) error {
+	switch r.Kind {
+	case journal.KindWorkerRegistered:
+		ws, ok := sh.workers[r.Worker]
+		switch {
+		case ok && ws.m.ID != r.Machine:
+			return fmt.Errorf("worker %q moved slot %d -> %d", r.Worker, ws.m.ID, r.Machine)
+		case ok:
+			ws.power = r.Power
+			ws.lastSeen, ws.lastLogged = r.Time, r.Time
+		case r.Machine >= 0 && r.Machine < len(sh.slots):
+			return fmt.Errorf("slot %d taken by %q, claimed by %q", r.Machine, sh.slots[r.Machine].id, r.Worker)
+		default:
+			if err := sh.restoreWorker(r.Worker, r.Machine, r.Power, r.Time); err != nil {
+				return err
+			}
+		}
+	case journal.KindWorkerSeen:
+		if r.Machine < 0 || r.Machine >= len(sh.slots) {
+			return fmt.Errorf("seen record for unregistered slot %d", r.Machine)
+		}
+		if ws := sh.slots[r.Machine]; r.Time > ws.lastSeen {
+			ws.lastSeen, ws.lastLogged = r.Time, r.Time
+		}
+	default:
+		m := r.Mutation()
+		if err := sh.sched.Replay(&m); err != nil {
+			return err
+		}
+	}
+	sh.newest = max(sh.newest, r.Time)
+	sh.lastLSN = lsn
+	sh.recov.RecordsReplayed++
+	return nil
+}
+
+// applyEntry replays one replicated record into a follower's standby.
+func (sh *shard) applyEntry(lsn uint64, r *journal.Record) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.replay(lsn, r)
+}
+
+// resume ends a recovered shard's replay at server time now and journals
+// through jnl from then on. The clock must not run behind anything
+// replayed. A machine is up exactly while it hosts a replica: its lease
+// is still live and its worker may still report the result, while every
+// other slot waits for its worker to come back. A shard that recovered
+// nothing (in memory) has nothing to resume.
+func (sh *shard) resume(jnl Log, now float64) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.recov == nil {
+		return nil
+	}
+	if now < sh.newest {
+		return fmt.Errorf("clock %.3f runs behind journaled time %.3f", now, sh.newest)
+	}
+	for _, m := range sh.g.Machines {
+		if busy := sh.sched.ReplicaOn(m) != nil; busy && !m.Up() {
+			m.ForceRepair(now)
+		} else if !busy && m.Up() {
+			m.ForceFail(now)
+		}
+	}
+	if err := sh.sched.EndReplay(); err != nil {
+		return err
+	}
+	for _, b := range sh.sched.Bags() {
+		sh.bags[b.ID] = b
+	}
+	sh.jnl = jnl
+	sh.sched.SetMutationSink(sh.journalMutation)
+	r := sh.recov
+	r.Fresh = r.Fresh && sh.lastLSN == 0
+	r.LastLSN, r.Bags, r.CompletedBags = sh.lastLSN, len(sh.bags), len(sh.completed)
+	r.Workers, r.Replicas = len(sh.workers), sh.sched.RunningReplicas()
 	return nil
 }
 

@@ -23,6 +23,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -65,16 +66,13 @@ func Reshard(dir string, newN int, fsync journal.FsyncMode) error {
 		if oldN > 1 {
 			sdir = filepath.Join(dir, journal.ShardDirName(s))
 		}
-		j, rec, err := journal.Open(journal.Options{Dir: sdir, Fsync: fsync})
+		st, ep, err := recoverState(sdir, fsync)
 		if err != nil {
 			return fmt.Errorf("serve: reshard: shard %d: %w", s, err)
 		}
-		if err := j.Close(); err != nil {
-			return fmt.Errorf("serve: reshard: shard %d: %w", s, err)
-		}
-		states[s] = rec.State
+		states[s] = st
 		if s == 0 {
-			epoch = rec.Epoch
+			epoch = ep
 		}
 	}
 
@@ -132,6 +130,37 @@ func Reshard(dir string, newN int, fsync journal.FsyncMode) error {
 	return journal.WriteManifest(dir, journal.Manifest{Shards: newN})
 }
 
+// recoverState recovers one old shard the way NewServer does — the
+// snapshot restored, the tail replayed through the scheduler — and
+// returns its state as of its newest event, with the journal's epoch.
+// Nothing is appended.
+func recoverState(dir string, fsync journal.FsyncMode) (_ *journal.State, _ time.Time, err error) {
+	j, rec, err := journal.Open(journal.Options{Dir: dir, Fsync: fsync})
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	defer func() { err = errors.Join(err, j.Close()) }()
+	// The worker count the old server ran with is not recorded; give the
+	// shard a slot for every machine the journal names.
+	slots := len(rec.State.Workers)
+	if err := rec.Replay(func(_ uint64, r *journal.Record) error {
+		slots = max(slots, r.Machine+1)
+		return nil
+	}); err != nil {
+		return nil, time.Time{}, err
+	}
+	s, err := newServer(Config{MaxWorkers: max(slots, 1)}.withDefaults(), []*journal.Recovered{rec})
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	sh := s.shards[0]
+	sh.mu.Lock()
+	st, _ := sh.captureStateLocked()
+	st.Time = sh.newest
+	sh.mu.Unlock()
+	return st, rec.Epoch, nil
+}
+
 // mergeStates folds oldN per-shard states into newN, re-striping bag IDs.
 func mergeStates(states []*journal.State, oldN, newN int) ([]*journal.State, error) {
 	out := make([]*journal.State, newN)
@@ -156,9 +185,7 @@ func mergeStates(states []*journal.State, oldN, newN int) ([]*journal.State, err
 				maxGlobal = g
 			}
 		}
-		if st.MaxTime > maxTime {
-			maxTime = st.MaxTime
-		}
+		maxTime = max(maxTime, st.Time)
 		if len(st.Service) > 0 {
 			var c counters
 			if json.Unmarshal(st.Service, &c) == nil {

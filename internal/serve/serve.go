@@ -103,12 +103,12 @@ type Config struct {
 	SnapshotMTBF time.Duration
 
 	// Log, when non-nil, is a pre-opened record log the server journals
-	// through instead of opening one from DataDir — the replication layer
-	// hands the leader's quorum-ack Replica in here. Requires Recovered
-	// and a single shard; the server takes ownership and closes the log
-	// in Close.
+	// through instead of opening one from DataDir. Requires Recovered and
+	// a single shard; the server takes ownership and closes the log in
+	// Close.
 	Log Log
-	// Recovered is the recovered state backing Log.
+	// Recovered is what opening Log recovered: NewServer restores its
+	// snapshot and replays its tail before journaling anything.
 	Recovered *journal.Recovered
 	// Replication, when non-nil, adds cluster replication state to
 	// /v1/stats and /metrics.
@@ -170,6 +170,8 @@ type Server struct {
 	nextSweep     float64 //botlint:guarded-by tickMu
 	nextRebalance float64 //botlint:guarded-by tickMu
 
+	epoch time.Time // the journal's timeline origin, for resume
+
 	stopOnce  sync.Once
 	finalOnce sync.Once
 	finalErr  error
@@ -204,57 +206,50 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	journaled := logs[0] != nil
-
-	clock := cfg.Clock
-	if clock == nil {
-		if journaled {
-			epoch := recs[0].Epoch
-			maxTime := 0.0
-			for _, rec := range recs {
-				if rec.State != nil && rec.State.MaxTime > maxTime {
-					maxTime = rec.State.MaxTime
-				}
-			}
-			clock = core.NewWallClockAt(recoveredOrigin(epoch, maxTime))
-		} else {
-			clock = core.NewWallClock()
-		}
+	s, err := newServer(cfg, recs)
+	if err == nil {
+		err = s.resume(logs)
 	}
+	if err != nil {
+		for _, l := range logs {
+			if l != nil {
+				l.Close()
+			}
+		}
+		return nil, err
+	}
+	s.launch()
+	return s, nil
+}
 
-	// The periodic deadlines step on grids anchored at the start, which
-	// is also the phase of the ticker that drives them.
-	now := clock.Now()
+// newServer builds the server and its shards, each restored from recs[i]
+// when there is one — its scheduler left replaying the journal — or empty
+// otherwise. Nothing is journaled and nothing runs until resume and
+// launch; a replication follower keeps a server in between as its
+// standby.
+func newServer(cfg Config, recs []*journal.Recovered) (*Server, error) {
 	s := &Server{
-		cfg:           cfg,
-		clock:         clock,
-		mux:           http.NewServeMux(),
-		nextSweep:     now + cfg.sweepEvery().Seconds(),
-		nextRebalance: now + cfg.Rebalance.Seconds(),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+		cfg:   cfg,
+		clock: cfg.Clock,
+		mux:   http.NewServeMux(),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	if s.clock == nil {
+		s.clock = core.NewWallClock() // resume moves a recovered timeline's origin
+	}
+	n := len(recs)
+	if recs[0] != nil {
+		s.epoch = recs[0].Epoch
 	}
 	s.ring.Store(ring.NewRing(n, nil))
 	for i := 0; i < n; i++ {
-		sh, err := s.newShard(i, n, logs[i], recs[i])
+		sh, err := s.newShard(i, n, recs[i])
 		if err != nil {
-			for _, l := range logs {
-				if l != nil {
-					l.Close()
-				}
-			}
-			label := cfg.DataDir
-			if label == "" {
-				label = "replicated log"
-			}
-			return nil, fmt.Errorf("recovering %s (shard %d): %w", label, i, err)
+			return nil, fmt.Errorf("recovering %s (shard %d): %w", cmp.Or(s.cfg.DataDir, "replicated log"), i, err)
 		}
 		s.shards = append(s.shards, sh)
 	}
-	for _, sh := range s.shards {
-		s.slots.Add(int64(sh.workerCount()))
-	}
-	s.restorePins()
 
 	s.mux.HandleFunc("POST /v1/bags", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/bags/{id}", s.handleBag)
@@ -263,8 +258,39 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return s, nil
+}
 
-	if journaled && cfg.Lease > 0 {
+// resume ends recovery: the clock continues the journaled timeline from
+// the newest recovered event, every shard leaves replay mode and journals
+// through logs[i] (nil: in memory), and leases that ran out while the
+// daemon was down expire now.
+func (s *Server) resume(logs []Log) error {
+	journaled := logs[0] != nil
+	if journaled && s.cfg.Clock == nil {
+		newest := 0.0
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			newest = max(newest, sh.newest)
+			sh.mu.Unlock()
+		}
+		*s.clock.(*core.WallClock) = *core.NewWallClockAt(recoveredOrigin(s.epoch, newest))
+	}
+	// The periodic deadlines step on grids anchored here, which is also
+	// the phase of the ticker that drives them.
+	now := s.clock.Now()
+	s.tickMu.Lock()
+	s.nextSweep = now + s.cfg.sweepEvery().Seconds()
+	s.nextRebalance = now + s.cfg.Rebalance.Seconds()
+	s.tickMu.Unlock()
+	for i, sh := range s.shards {
+		if err := sh.resume(logs[i], now); err != nil {
+			return fmt.Errorf("recovering %s (shard %d): %w", cmp.Or(s.cfg.DataDir, "replicated log"), i, err)
+		}
+		s.slots.Add(int64(sh.workerCount()))
+	}
+	s.restorePins()
+	if journaled && s.cfg.Lease > 0 {
 		// Leases whose deadline passed while the daemon was down expire
 		// right now, before any worker traffic: the paper's machine
 		// failure, not a silent zombie replica.
@@ -274,16 +300,20 @@ func NewServer(cfg Config) (*Server, error) {
 			}
 		}
 	}
-	// One goroutine runs the periodic work, if there is any, ticking at
-	// its shortest cadence.
+	return nil
+}
+
+// launch starts the goroutine that runs the periodic work, if there is
+// any, ticking at its shortest cadence.
+func (s *Server) launch() {
 	var cadences []time.Duration
-	if cfg.Lease > 0 {
-		cadences = append(cadences, cfg.sweepEvery())
+	if s.cfg.Lease > 0 {
+		cadences = append(cadences, s.cfg.sweepEvery())
 	}
 	if s.rebalancing() {
-		cadences = append(cadences, cfg.Rebalance)
+		cadences = append(cadences, s.cfg.Rebalance)
 	}
-	if journaled {
+	if s.shards[0].jnl != nil {
 		cadences = append(cadences, snapshotPoll)
 	}
 	if len(cadences) > 0 {
@@ -291,14 +321,13 @@ func NewServer(cfg Config) (*Server, error) {
 	} else {
 		close(s.done)
 	}
-	return s, nil
 }
 
-// newShard builds shard i of n, recovering it from rec when journaled.
+// newShard builds shard i of n, restoring it from rec when journaled.
 // The constructor locks the shard's mutex while initializing guarded
 // state: no traffic can reach the shard yet, but the annotations on
 // restore and the mutation sink want the lock held.
-func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, error) {
+func (s *Server) newShard(i, n int, rec *journal.Recovered) (*shard, error) {
 	cfg := s.cfg
 	slots := cfg.MaxWorkers
 	if n > 1 {
@@ -316,10 +345,6 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 		powers[j] = cfg.WorkerPower
 	}
 	g := grid.NewCustom(grid.DefaultConfig(grid.Hom, grid.AlwaysUp), powers)
-	now := s.clock.Now()
-	for _, m := range g.Machines {
-		m.ForceFail(now) // slots join the grid when their worker registers
-	}
 	polLabel := "policy"
 	if n > 1 {
 		polLabel = fmt.Sprintf("policy-%d", i)
@@ -333,7 +358,6 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 		reserve: s.reserveSlot,
 		release: s.releaseSlot,
 		decLat:  NewLatencyRecorder(0),
-		jnl:     jnl,
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -341,22 +365,25 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 	sh.workers = make(map[string]*workerState)
 	sh.bags = make(map[int]*core.Bag)
 	sh.archived = make(map[int]int)
-	if jnl != nil {
-		// Coarsen journaled lease renewals to an eighth of the lease: fine
-		// enough that recovered expiry deadlines are within tolerance,
-		// coarse enough that heartbeats don't dominate the log.
-		sh.seenQuant = cfg.Lease.Seconds() / 8
-		if sh.seenQuant <= 0 {
-			sh.seenQuant = 1
+	if rec == nil {
+		now := s.clock.Now()
+		for _, m := range g.Machines {
+			m.ForceFail(now) // slots join the grid when their worker registers
 		}
-		if err := sh.restore(rec, pol); err != nil {
-			return nil, err
-		}
-		sh.sched.SetMutationSink(sh.journalMutation)
-	} else {
 		sh.sched = core.NewLiveScheduler(s.clock, g, pol, cfg.Sched, nil)
+		sh.sched.OnBagDone = sh.archive
+		return sh, nil
 	}
-	sh.sched.OnBagDone = sh.archive
+	// Coarsen journaled lease renewals to an eighth of the lease: fine
+	// enough that recovered expiry deadlines are within tolerance, coarse
+	// enough that heartbeats don't dominate the log.
+	sh.seenQuant = cfg.Lease.Seconds() / 8
+	if sh.seenQuant <= 0 {
+		sh.seenQuant = 1
+	}
+	if err := sh.restore(rec, pol); err != nil {
+		return nil, err
+	}
 	return sh, nil
 }
 

@@ -75,6 +75,8 @@ type shard struct {
 	completed []journal.CompletedBag // archive of finished bags in completion order (local IDs)
 	//botlint:guarded-by mu
 	archived map[int]int // local bag ID → index in completed
+	//botlint:guarded-by mu
+	newest float64 // newest event time recovered (snapshot or replayed record)
 }
 
 // globalBag translates a shard-local bag ID to the global ID on the wire.

@@ -9,10 +9,12 @@ package serve
 // failure must reach the client with the same text.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -141,7 +143,9 @@ func (d wireDriver) heartbeat(worker string, replica uint64) (string, error) {
 
 // scanRecords drains every shard's journal to its durable tail and
 // returns the full per-shard record streams (before Close, whose final
-// snapshot prunes the WAL).
+// snapshot prunes the WAL). It reads a copy of each journal, which
+// journal.Open may change, and the run writes no snapshot, so the copy's
+// tail is the whole stream.
 func scanRecords(t *testing.T, s *Server, dir string) map[int][]journal.Record {
 	t.Helper()
 	streams := make(map[int][]journal.Record)
@@ -156,12 +160,34 @@ func scanRecords(t *testing.T, s *Server, dir string) map[int][]journal.Record {
 		if len(s.shards) > 1 {
 			sdir = filepath.Join(dir, journal.ShardDirName(sh.idx))
 		}
-		var recs []journal.Record
-		if err := journal.ScanDir(sdir, func(_ uint64, rec *journal.Record) error {
-			recs = append(recs, *rec)
-			return nil
-		}); err != nil {
+		cp := t.TempDir()
+		ents, err := os.ReadDir(sdir)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(sdir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(cp, e.Name()), b, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, rec, err := journal.Open(journal.Options{Dir: cp, Fsync: journal.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []journal.Record
+		err = rec.Replay(func(_ uint64, r *journal.Record) error {
+			recs = append(recs, *r)
+			return nil
+		})
+		if err := errors.Join(err, j.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if rec.SnapshotLSN != 0 {
+			t.Fatalf("shard %d wrote a snapshot mid-run", sh.idx)
 		}
 		streams[sh.idx] = recs
 	}

@@ -255,46 +255,45 @@ func (b *Batch) Do() ([]BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	results, err := b.decode(payload)
+	if err != nil {
+		c.err = err
+		return nil, err
+	}
+	return results, nil
+}
+
+// decode reads one result per operation from a batch response payload.
+// A refused payload comes back as ErrBadFrame wrapping the internal/frame
+// error that says why.
+func (b *Batch) decode(payload []byte) ([]BatchResult, error) {
 	r := frame.NewReader(payload)
 	if n := r.Int(); r.Err() != nil || n != len(b.ops) {
-		c.err = fmt.Errorf("%w: batch response count %d, want %d", ErrBadFrame, n, len(b.ops))
-		return nil, c.err
+		return nil, fmt.Errorf("%w: batch response count %d, want %d", ErrBadFrame, n, len(b.ops))
 	}
 	if cap(b.results) < len(b.ops) {
 		b.results = make([]BatchResult, len(b.ops))
 	}
 	results := b.results[:len(b.ops)]
+	var err error
 	for i, op := range b.ops {
-		results[i] = BatchResult{}
+		res, msg := &results[i], []byte(nil)
+		*res = BatchResult{}
 		switch op {
 		case opSubmit:
-			res, msg, derr := decodeSubmitResp(&r)
-			if derr != nil {
-				c.err = derr
-				return nil, derr
-			}
-			results[i].Submit = res
-			results[i].Err = string(msg)
+			res.Submit, msg, err = decodeSubmitResp(&r)
 		case opFetch:
-			res, msg, derr := decodeFetchResp(&r)
-			if derr != nil {
-				c.err = derr
-				return nil, derr
-			}
-			results[i].Fetch = res
-			results[i].Err = string(msg)
+			res.Fetch, msg, err = decodeFetchResp(&r)
 		case opReport, opHeartbeat:
-			ack, derr := decodeAckResp(&r)
-			if derr != nil {
-				c.err = derr
-				return nil, derr
-			}
-			results[i].Ack = ack
+			res.Ack, err = decodeAckResp(&r)
+		}
+		res.Err = string(msg)
+		if err != nil {
+			return nil, badPayload(err)
 		}
 	}
 	if err := r.Done(); err != nil {
-		c.err = err
-		return nil, err
+		return nil, badPayload(err)
 	}
 	return results, nil
 }

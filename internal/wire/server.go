@@ -8,6 +8,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -216,7 +217,9 @@ func (s *Server) serveConn(c net.Conn) {
 
 // handleFrame decodes and executes one request frame — always a batch —
 // staging its response frame in cs.out. A returned error is
-// connection-fatal (corrupt or out-of-protocol frame).
+// connection-fatal (corrupt or out-of-protocol frame) and wraps
+// ErrBadFrame, and for a payload the decoder refused, the internal/frame
+// error that says why.
 func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []byte) error {
 	if typ != msgBatch {
 		return fmt.Errorf("%w: unexpected frame type %d", ErrBadFrame, typ)
@@ -224,7 +227,7 @@ func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []by
 	r := frame.NewReader(payload)
 	n := r.Int() // 0 when unreadable: no op runs, and Done reports why
 	if n > maxBatchOps {
-		return frame.ErrRange
+		return badPayload(frame.ErrRange)
 	}
 	cs.scratch = binary.AppendUvarint(cs.scratch[:0], uint64(n))
 	for i := 0; i < n; i++ {
@@ -239,21 +242,21 @@ func (s *Server) handleFrame(sess Session, cs *connState, typ byte, payload []by
 		case opHeartbeat:
 			err = s.execHeartbeat(sess, cs, &r)
 		default:
-			if err := r.Err(); err != nil {
-				return err
-			}
-			err = frame.ErrRange
+			err = cmp.Or(r.Err(), frame.ErrRange)
 		}
 		if err != nil {
-			return err
+			return badPayload(err)
 		}
 	}
 	if err := r.Done(); err != nil {
-		return err
+		return badPayload(err)
 	}
 	cs.out = frame.AppendTyped(cs.out, msgBatchResp, cs.scratch)
 	return nil
 }
+
+// badPayload wraps a payload decode failure as ErrBadFrame.
+func badPayload(err error) error { return fmt.Errorf("%w: %w", ErrBadFrame, err) }
 
 // execSubmit decodes one submit op from r, executes it and appends its
 // response payload to cs.scratch.

@@ -453,3 +453,80 @@ func TestServerDropsCorruptFrames(t *testing.T) {
 		t.Fatal("fetch on a poisoned connection succeeded")
 	}
 }
+
+// TestPayloadDecodeFailuresAreBadFrames: a batch payload the decoder
+// refuses — cut short, or holding a value out of range — is reported as
+// ErrBadFrame wrapping the internal/frame error that says why, by the
+// server's frame handler and by the client's Batch.Do alike.
+func TestPayloadDecodeFailuresAreBadFrames(t *testing.T) {
+	fetch := appendFetch([]byte{1, opFetch}, "w", 1)
+	s := NewServer(&stubHandler{})
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"truncated", fetch[:len(fetch)-3], frame.ErrTruncated},
+		{"out of range", []byte{1, 0xee}, frame.ErrRange}, // no such op
+	} {
+		err := s.handleFrame(&stubSession{h: &stubHandler{}}, &connState{}, msgBatch, c.payload)
+		if !errors.Is(err, ErrBadFrame) || !errors.Is(err, c.want) {
+			t.Errorf("server, %s payload: err = %v, want ErrBadFrame wrapping %v", c.name, err, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		resp []byte // the batch response to a one-fetch batch
+		want error
+	}{
+		{"truncated", []byte{1, fetchAssigned, 5}, frame.ErrTruncated},
+		{"out of range", []byte{1, 0xee}, frame.ErrRange}, // no such fetch response
+	} {
+		addr := fakeServer(t, c.resp)
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cl.Fetch("w", 1)
+		if !errors.Is(err, ErrBadFrame) || !errors.Is(err, c.want) {
+			t.Errorf("client, %s response: err = %v, want ErrBadFrame wrapping %v", c.name, err, c.want)
+		}
+		cl.Close()
+	}
+}
+
+// fakeServer accepts one connection, completes the handshake and answers
+// the first request frame with a batch response carrying resp.
+func fakeServer(t *testing.T, resp []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, _, err := frame.Read(conn, nil, msgMax); err != nil {
+			return
+		}
+		if err := frame.Write(conn, msgHelloResp, []byte{protoVersion}); err != nil {
+			return
+		}
+		if _, _, _, err := frame.Read(conn, nil, msgMax); err != nil {
+			return
+		}
+		frame.Write(conn, msgBatchResp, resp)
+		conn.Read(make([]byte, 1)) // until the client hangs up
+	}()
+	return ln.Addr().String()
+}
