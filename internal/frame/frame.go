@@ -54,6 +54,14 @@ func Fill(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 }
 
+// FillStreamed writes the untyped header for a payload that was written
+// out in pieces rather than held whole: length bytes whose checksum is sum,
+// crc32.Update over the pieces in order from zero.
+func FillStreamed(hdr []byte, length int, sum uint32) {
+	binary.LittleEndian.PutUint32(hdr, uint32(length))
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+}
+
 // Append appends payload to dst as an untyped frame.
 //
 //botlint:hotpath
