@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -40,8 +41,10 @@ func TestParentGolden(t *testing.T) {
 	if !bytes.Equal(img, seg) {
 		t.Fatalf("segment encoding moved:\n got %x\nwant %x", img, seg)
 	}
-	if got, err := EncodeSnapshot(8, st); err != nil || !bytes.Equal(got, snap) {
-		t.Fatalf("snapshot encoding moved (%v):\n got %x\nwant %x", err, got, snap)
+	for how, got := range map[string][]byte{"WriteSnapshot": writtenSnapshot(t, 8, st), "oracle": oracleSnapshot(t, 8, st)} {
+		if !bytes.Equal(got, snap) {
+			t.Fatalf("%s: snapshot encoding moved:\n got %x\nwant %x", how, got, snap)
+		}
 	}
 
 	// Log only: full replay. Snapshot + log: zero replay. Same state.
@@ -76,8 +79,7 @@ func TestParentGolden(t *testing.T) {
 // TestSnapshotPayloadIsMarshal holds the piecewise snapshot encoder to
 // json.Marshal of the whole state: nil, empty and several active bags, and
 // strings after the bags that JSON must escape. The file WriteSnapshot
-// streams, and the image WriteSnapshotImage writes and returns, must be
-// EncodeSnapshot's image byte for byte.
+// streams must be the oracle's image byte for byte.
 func TestSnapshotPayloadIsMarshal(t *testing.T) {
 	full := NewState()
 	for _, r := range script() {
@@ -97,50 +99,53 @@ func TestSnapshotPayloadIsMarshal(t *testing.T) {
 	empty := NewState()
 	empty.Sched.Bags = []core.BagSnapshot{}
 	for name, st := range map[string]*State{"nil bags": NewState(), "empty bags": empty, "four bags": full} {
-		want, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
+		want := oracleSnapshot(t, 5, st)
+		got := writtenSnapshot(t, 5, st)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: WriteSnapshot wrote\n%x\nwant %x", name, got, want)
 		}
-		img, err := EncodeSnapshot(5, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsn, back, err := DecodeSnapshot(img)
+		lsn, back, err := DecodeSnapshot(got)
 		if err != nil || lsn != 5 {
 			t.Fatalf("%s: decode: lsn %d, %v", name, lsn, err)
-		}
-		if got := img[snapHeader+frame.HeaderSize:]; !bytes.Equal(got, want) {
-			t.Fatalf("%s: payload\n got %s\nwant %s", name, got, want)
 		}
 		if len(back.Sched.Bags) != len(st.Sched.Bags) {
 			t.Fatalf("%s: %d bags back, want %d", name, len(back.Sched.Bags), len(st.Sched.Bags))
 		}
-
-		write := map[string]func(j *Journal) ([]byte, error){
-			"WriteSnapshot": func(j *Journal) ([]byte, error) { return img, j.WriteSnapshot(5, st) },
-			"WriteSnapshotImage": func(j *Journal) ([]byte, error) {
-				return j.WriteSnapshotImage(5, st)
-			},
-		}
-		for how, write := range write {
-			j, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff})
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept, err := write(j)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", name, how, err)
-			}
-			file, err := os.ReadFile(filepath.Join(j.dir, snapName(5)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(file, img) || !bytes.Equal(kept, img) {
-				t.Fatalf("%s: %s wrote\n%x\nand kept\n%x\nwant %x", name, how, file, kept, img)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
+}
+
+// oracleSnapshot is the snapshot file of st covering lsn as an encoder
+// independent of the journal's makes it: the magic, the LSN and one frame
+// holding json.Marshal(st).
+func oracleSnapshot(t testing.TB, lsn uint64, st *State) []byte {
+	t.Helper()
+	payload, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracleImage(lsn, payload)
+}
+
+// oracleImage frames payload as a snapshot file covering lsn.
+func oracleImage(lsn uint64, payload []byte) []byte {
+	return frame.Append(binary.LittleEndian.AppendUint64([]byte(snapMagic), lsn), payload)
+}
+
+// writtenSnapshot returns the file WriteSnapshot makes of st covering lsn
+// in a fresh journal, read back through ReadSnapshotFile.
+func writtenSnapshot(t testing.TB, lsn uint64, st *State) []byte {
+	t.Helper()
+	j, _, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.WriteSnapshot(lsn, st); err != nil {
+		t.Fatal(err)
+	}
+	img, err := j.ReadSnapshotFile(lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }

@@ -294,11 +294,7 @@ func awaiting(st *State) bool {
 // replaySnapshot returns a fresh State decoded from a snapshot of st.
 func replaySnapshot(t testing.TB, st *State) *State {
 	t.Helper()
-	img, err := EncodeSnapshot(1, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, out, err := DecodeSnapshot(img)
+	_, out, err := DecodeSnapshot(oracleSnapshot(t, 1, st))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,27 +110,6 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return lsns, nil
 }
 
-// EncodeSnapshot renders st as a complete snapshot file image covering
-// everything up to and including lsn — the exact bytes WriteSnapshot puts
-// on disk. The replication layer ships these images verbatim to followers.
-// A first pass only measures the payload, so the image is allocated once
-// at its exact size.
-func EncodeSnapshot(lsn uint64, st *State) ([]byte, error) {
-	var sum sumWriter
-	if err := writeSnapshotPayload(&sum, st); err != nil {
-		return nil, err
-	}
-	img := bytes.NewBuffer(make([]byte, 0, snapHeader+frame.HeaderSize+sum.n))
-	img.Write(snapshotHeader(lsn, sum))
-	if err := writeSnapshotPayload(img, st); err != nil {
-		return nil, err
-	}
-	if img.Len() != img.Cap() {
-		return nil, fmt.Errorf("journal: snapshot payload of %d bytes re-encoded to %d", sum.n, img.Len()-snapHeader-frame.HeaderSize)
-	}
-	return img.Bytes(), nil
-}
-
 // writeSnapshotFile streams st's snapshot image covering lsn into the
 // empty file f. The payload passes through a small buffer while its length
 // and checksum are summed, and the frame header they make is written last,
@@ -217,8 +196,8 @@ func (v valueWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// sumWriter passes bytes on to w, if it is set, and keeps their count and
-// CRC32-IEEE: what the header of a frame streamed through it needs.
+// sumWriter passes bytes on to w and keeps their count and CRC32-IEEE:
+// what the header of a frame streamed through it needs.
 type sumWriter struct {
 	w   io.Writer
 	n   int
@@ -228,9 +207,6 @@ type sumWriter struct {
 func (s *sumWriter) Write(b []byte) (int, error) {
 	s.n += len(b)
 	s.crc = crc32.Update(s.crc, crc32.IEEETable, b)
-	if s.w == nil {
-		return len(b), nil
-	}
 	return s.w.Write(b)
 }
 
@@ -327,53 +303,22 @@ func InstallSnapshot(dir string, data []byte) (uint64, error) {
 // Callers must serialize WriteSnapshot calls (the service's periodic step
 // is the only caller while running; the final shutdown snapshot happens
 // after it stops). The image is streamed to the file, never held whole.
-func (j *Journal) WriteSnapshot(lsn uint64, st *State) (err error) {
-	defer func() {
-		if err != nil {
-			j.noteError(err)
-		}
-	}()
+func (j *Journal) WriteSnapshot(lsn uint64, st *State) error {
 	start := time.Now()
-	err = writeAtomic(j.dir, snapName(lsn), "snap.tmp", func(f *os.File) error {
+	err := writeAtomic(j.dir, snapName(lsn), "snap.tmp", func(f *os.File) error {
 		return writeSnapshotFile(f, lsn, st)
 	})
 	if err != nil {
+		j.noteError(err)
 		return err
 	}
-	j.snapshotTaken(lsn, time.Since(start))
-	return nil
-}
-
-// WriteSnapshotImage is WriteSnapshot for a caller that keeps the image:
-// st is encoded in memory once (EncodeSnapshot), and the bytes written are
-// returned.
-func (j *Journal) WriteSnapshotImage(lsn uint64, st *State) (img []byte, err error) {
-	defer func() {
-		if err != nil {
-			j.noteError(err)
-		}
-	}()
-	start := time.Now()
-	if img, err = EncodeSnapshot(lsn, st); err != nil {
-		return nil, err
-	}
-	if err := WriteFileAtomic(j.dir, snapName(lsn), "snap.tmp", img); err != nil {
-		return nil, err
-	}
-	j.snapshotTaken(lsn, time.Since(start))
-	return img, nil
-}
-
-// snapshotTaken books a snapshot at lsn that took cost to encode and write,
-// then prunes what it made obsolete.
-func (j *Journal) snapshotTaken(lsn uint64, cost time.Duration) {
+	c := time.Since(start).Seconds()
 	j.mu.Lock()
 	j.snapshots++
 	j.lastSnapLSN = lsn
 	j.lastSnapAt = time.Now()
 	j.snapAppends = j.appends
 	// EWMA of the measured snapshot cost feeds Young's formula.
-	c := cost.Seconds()
 	if j.snapCost == 0 {
 		j.snapCost = c
 	} else {
@@ -382,6 +327,14 @@ func (j *Journal) snapshotTaken(lsn uint64, cost time.Duration) {
 	j.mu.Unlock()
 
 	j.prune(lsn)
+	return nil
+}
+
+// ReadSnapshotFile returns the snapshot file covering lsn as WriteSnapshot
+// wrote it: the image a replication leader ships to a follower catching
+// up. Two later snapshots prune the file, and the read then fails.
+func (j *Journal) ReadSnapshotFile(lsn uint64) ([]byte, error) {
+	return os.ReadFile(filepath.Join(j.dir, snapName(lsn)))
 }
 
 // prune removes snapshots and fully-covered segments made obsolete by a

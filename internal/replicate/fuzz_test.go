@@ -19,7 +19,7 @@ func FuzzReplicateWire(f *testing.F) {
 	f.Add(frame.AppendTyped(nil, msgHeartbeat, []byte(`{"term":3,"commit":17}`)))
 	f.Add(frame.AppendTyped(nil, msgAck, []byte(`{"lsn":42}`)))
 	rec := journal.Record{Kind: journal.KindBagSubmitted, Time: 1.5, Bag: 1, Granularity: 10, Works: []float64{5, 7}}
-	f.Add(frame.AppendTyped(nil, msgEntry, appendEntryPayload(nil, 2, 9, &rec)))
+	f.Add(appendEntryFrame(nil, 2, 9, &rec))
 	f.Add([]byte{msgHello, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
 
@@ -38,7 +38,7 @@ func FuzzReplicateWire(f *testing.F) {
 				if err != nil {
 					continue
 				}
-				back := appendEntryPayload(nil, term, lsn, &rec)
+				back := entryPayload(term, lsn, &rec)
 				term2, lsn2, rec2, err := decodeEntry(back)
 				if err != nil {
 					t.Fatalf("re-encoding of a valid entry failed to decode: %v", err)

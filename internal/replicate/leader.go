@@ -6,12 +6,13 @@ package replicate
 // a quorum of cluster members (the leader's own fsync included) holds the
 // record — the serve layer acks submits and done-reports only after that.
 //
-// The tail invariant: tail[0] has LSN snapLSN+1, so "current snapshot image
+// The tail invariant: tail[0] has LSN snapLSN+1, so "newest snapshot file
 // + tail" is always a complete, gap-free reconstruction of the log. A new
-// or reconnecting follower session installs the snapshot and replays the
-// tail from there; WriteSnapshot advances the anchor and prunes the tail in
-// one step. A follower whose sender is pruned past simply reconnects and
-// re-installs — catch-up and bootstrap are the same path.
+// or reconnecting follower session is sent that file and replays the tail
+// from there; WriteSnapshot advances the anchor and prunes the tail in one
+// step. A follower whose sender is pruned past, or whose file is pruned
+// before it is read, simply reconnects and installs the newer snapshot —
+// catch-up and bootstrap are the same path.
 
 import (
 	"bufio"
@@ -47,9 +48,8 @@ type Replica struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast when commit advances or the replica dies
 
-	// snapBuf is the current snapshot image; tail holds the framed wire
-	// entries for LSNs snapLSN+1..lastLSN.
-	snapBuf  []byte   //botlint:guarded-by mu
+	// snapLSN is the newest snapshot file's LSN; tail holds the framed
+	// wire entries for LSNs snapLSN+1..lastLSN.
 	snapLSN  uint64   //botlint:guarded-by mu
 	tail     [][]byte //botlint:guarded-by mu
 	tailBase uint64   //botlint:guarded-by mu
@@ -142,7 +142,8 @@ func (r *Replica) Append(rec *journal.Record) (uint64, error) {
 		r.mu.Unlock()
 		return 0, err
 	}
-	r.tail = append(r.tail, frame.AppendTyped(nil, msgEntry, appendEntryPayload(nil, r.term, lsn, rec)))
+	// 64 bytes hold the frame of any record but one with a long work list.
+	r.tail = append(r.tail, appendEntryFrame(make([]byte, 0, 64), r.term, lsn, rec))
 	r.lastLSN = lsn
 	r.mu.Unlock()
 	kick(r.localKick)
@@ -262,19 +263,17 @@ func (r *Replica) Deposed() bool {
 }
 
 // WriteSnapshot persists st as the snapshot covering lsn through the
-// journal, keeps the encoded image for follower bootstrap, and prunes the
-// wire tail up to lsn — the tail invariant tailBase == snapLSN+1 holds
-// across the call. The journal encodes and writes, so it keeps any failure
-// for Metrics.Err. Snapshot calls are serialized by the caller (the
-// server's periodic step, or promotion before start).
+// journal, which keeps any failure for Metrics.Err, and prunes the wire
+// tail up to lsn — the tail invariant tailBase == snapLSN+1 holds across
+// the call, and the file is what follower sessions ship from then on.
+// Snapshot calls are serialized by the caller (the server's periodic step,
+// or promotion before start).
 func (r *Replica) WriteSnapshot(lsn uint64, st *journal.State) error {
-	image, err := r.jnl.WriteSnapshotImage(lsn, st)
-	if err != nil {
+	if err := r.jnl.WriteSnapshot(lsn, st); err != nil {
 		return err
 	}
 	r.mu.Lock()
 	if lsn >= r.snapLSN {
-		r.snapBuf = image
 		r.snapLSN = lsn
 		for len(r.tail) > 0 && r.tailBase <= lsn {
 			r.tail = r.tail[1:]
@@ -426,13 +425,18 @@ func (r *Replica) runSession(fs *followerState) error {
 		return err
 	}
 
-	// Catch-up is unconditional: ship the current snapshot, stream from its
-	// anchor. The follower wipes whatever it had — including a diverged,
-	// never-acked tail from a dead leadership — and adopts this history.
+	// Catch-up is unconditional: ship the newest snapshot file, stream from
+	// its anchor. The follower wipes whatever it had — including a
+	// diverged, never-acked tail from a dead leadership — and adopts this
+	// history. A file pruned meanwhile fails the read; the reconnect ships
+	// the newer one.
 	r.mu.Lock()
-	snap := r.snapBuf
 	next := r.snapLSN + 1
 	r.mu.Unlock()
+	snap, err := r.jnl.ReadSnapshotFile(next - 1)
+	if err != nil {
+		return err
+	}
 	if err := frame.Write(bw, msgSnapshot, snap); err != nil {
 		return err
 	}

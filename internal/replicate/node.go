@@ -378,10 +378,11 @@ func (n *Node) electionLoop() {
 	}
 }
 
-// runElection campaigns for leadership at a fresh term.
+// runElection campaigns for leadership at a fresh term. A node with a
+// fatal error never does.
 func (n *Node) runElection() {
 	n.mu.Lock()
-	if n.role != RoleFollower || n.jnl == nil || n.closed {
+	if n.role != RoleFollower || n.jnl == nil || n.closed || n.fatal != nil {
 		n.mu.Unlock()
 		return
 	}
@@ -697,6 +698,7 @@ func (n *Node) runFollowerSession(conn net.Conn, hello helloMsg, buf []byte) {
 				n.logf("replicate: %s: snapshot install from %s: %v", n.cfg.NodeID, s.leaderID, err)
 				return
 			}
+			buf = nil // grown to the image; entries need a small one
 			kick(s.ackKick)
 		case msgEntry:
 			if err := n.applyEntry(s, payload); err != nil {
@@ -770,6 +772,9 @@ func (n *Node) installSnapshot(s *session, image []byte) error {
 // applyEntry applies one replicated record to the standby kept ready for
 // promotion, then appends it to the local journal: an entry the standby
 // refuses never reaches the disk, so it cannot break the next recovery.
+// An append that fails after the standby took the entry is fatal: the
+// standby then holds a record the log lacks, so the node must never
+// promote it.
 func (n *Node) applyEntry(s *session, payload []byte) error {
 	term, lsn, rec, err := decodeEntry(payload)
 	if err != nil {
@@ -791,6 +796,8 @@ func (n *Node) applyEntry(s *session, payload []byte) error {
 	}
 	got, err := n.jnl.Append(&rec)
 	if err != nil {
+		err = fmt.Errorf("appending entry %d the standby took: %w", lsn, err)
+		n.failLocked(err)
 		return err
 	}
 	if got != lsn {

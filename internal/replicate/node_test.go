@@ -30,10 +30,10 @@ func TestFollowerRefusesEntryBeforeAppend(t *testing.T) {
 	n.mu.Unlock()
 	good := journal.Record{Kind: journal.KindBagSubmitted, Time: 1, Bag: 0, Granularity: 10, Works: []float64{5}}
 	bad := journal.Record{Kind: journal.KindTaskCompleted, Time: 2, Bag: 0, Task: 0, Seq: 1}
-	if err := n.applyEntry(s, appendEntryPayload(nil, 1, 1, &good)); err != nil {
+	if err := n.applyEntry(s, entryPayload(1, 1, &good)); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.applyEntry(s, appendEntryPayload(nil, 1, 2, &bad)); err == nil {
+	if err := n.applyEntry(s, entryPayload(1, 2, &bad)); err == nil {
 		t.Fatal("the follower took an entry its standby refused")
 	}
 	n.mu.Lock()
@@ -53,5 +53,46 @@ func TestFollowerRefusesEntryBeforeAppend(t *testing.T) {
 	defer j.Close()
 	if rec.LastLSN != 1 || rec.Records != 1 {
 		t.Fatalf("reopened log: last LSN %d, %d records; want the one accepted entry", rec.LastLSN, rec.Records)
+	}
+}
+
+// TestFollowerAppendFailureIsFatal: an entry the standby took but the
+// journal then refused leaves the standby holding a record the log lacks,
+// so the node turns fatal and its election clock never promotes it.
+func TestFollowerAppendFailureIsFatal(t *testing.T) {
+	n, err := Open(Config{NodeID: "a", Peers: []Peer{{ID: "a", Addr: "127.0.0.1:0"}}, Dir: t.TempDir(), Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, promoted := 0, false
+	n.cb.OnEntry = func(uint64, *journal.Record) error { applied++; return nil }
+	n.cb.OnLeader = func(*Replica) error { promoted = true; return errors.New("promoted") }
+	s := &session{}
+	n.mu.Lock()
+	n.cur = s
+	err = n.jnl.Close()
+	n.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := journal.Record{Kind: journal.KindBagSubmitted, Time: 1, Bag: 0, Granularity: 10, Works: []float64{5}}
+	if err := n.applyEntry(s, entryPayload(1, 1, &rec)); err == nil {
+		t.Fatal("a closed journal took the entry")
+	}
+	if applied != 1 || n.Err() == nil {
+		t.Fatalf("standby applied %d entries, node error %v; want 1 and a fatal error", applied, n.Err())
+	}
+	n.mu.Lock()
+	n.cur = nil // the session has no connection to close
+	n.mu.Unlock()
+	n.runElection()
+	n.mu.Lock()
+	role := n.role
+	n.mu.Unlock()
+	if role != RoleFollower || promoted {
+		t.Fatalf("after the failed append the node is %v (promoted %v); want a follower", role, promoted)
+	}
+	if err := n.Stop(); err != nil && !errors.Is(err, journal.ErrClosed) {
+		t.Fatal(err)
 	}
 }

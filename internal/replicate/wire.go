@@ -14,7 +14,7 @@ package replicate
 // record recovered from disk cannot disagree.
 //
 // Session shape: the leader dials and sends hello; the follower answers
-// state; the leader ships its current snapshot image, then streams entries
+// state; the leader ships its newest snapshot file, then streams entries
 // and heartbeats; the follower sends acks carrying its durable LSN. A
 // follower that knows a higher term answers any message with reject, which
 // deposes the dialing leader. Votes use one-shot connections: voteReq in,
@@ -56,11 +56,18 @@ func badFrame(format string, args ...any) error {
 // entryHeader is the fixed prefix of an entry payload: term + LSN.
 const entryHeader = 16
 
-// appendEntryPayload renders an entry payload (term, LSN, record) into dst.
-func appendEntryPayload(dst []byte, term, lsn uint64, r *journal.Record) []byte {
+// appendEntryFrame appends one msgEntry frame to dst: the typed header is
+// reserved, the payload (term, LSN, record) encoded behind it and the
+// header filled in last, so the payload is never copied.
+func appendEntryFrame(dst []byte, term, lsn uint64, r *journal.Record) []byte {
+	base := len(dst)
+	dst = append(dst, msgEntry)
+	dst = append(dst, make([]byte, frame.HeaderSize)...)
 	dst = binary.LittleEndian.AppendUint64(dst, term)
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
-	return journal.EncodeRecord(dst, r)
+	dst = journal.EncodeRecord(dst, r)
+	frame.Fill(dst[base+1:base+frame.TypedHeaderSize], dst[base+frame.TypedHeaderSize:])
+	return dst
 }
 
 // decodeEntry parses an entry payload into its term, LSN and record. The

@@ -70,6 +70,12 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
+// entryPayload is the payload of appendEntryFrame's frame: what a follower
+// hands applyEntry.
+func entryPayload(term, lsn uint64, r *journal.Record) []byte {
+	return appendEntryFrame(nil, term, lsn, r)[frame.TypedHeaderSize:]
+}
+
 func TestEntryRoundTrip(t *testing.T) {
 	recs := []journal.Record{
 		{Kind: journal.KindBagSubmitted, Time: 1.5, Bag: 3, Granularity: 100, Works: []float64{1, 2, 3}},
@@ -77,7 +83,7 @@ func TestEntryRoundTrip(t *testing.T) {
 		{Kind: journal.KindWorkerSeen, Time: 77.5, Machine: 2},
 	}
 	for _, rec := range recs {
-		payload := appendEntryPayload(nil, 7, 1234, &rec)
+		payload := entryPayload(7, 1234, &rec)
 		term, lsn, got, err := decodeEntry(payload)
 		if err != nil {
 			t.Fatalf("kind %d: %v", rec.Kind, err)
