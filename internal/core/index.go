@@ -47,85 +47,102 @@ type indexedPolicy interface {
 	taskQueued(t *Task)
 }
 
-// bagEntry is one lazily-invalidated index entry for a bag.
-type bagEntry struct {
-	key   float64 // policy-specific primary key (min-order)
-	tie   int     // secondary key (min-order); bag ID for determinism
-	stamp uint64  // b.stamp at push time; stale when it no longer matches
+// lazyItem is what a lazyHeap entry points at: valid reports whether the
+// entry is still current. Only peek and compact ask; sifts compare the
+// inline keys alone.
+type lazyItem interface{ valid() bool }
+
+// bagRef refers to a bag as of one stamp; it goes stale at the bag's next
+// mutation (or removal, or reuse of its storage).
+type bagRef struct {
+	stamp uint64 // b.stamp at push time
 	b     *Bag
 }
 
-func (e bagEntry) valid() bool { return e.stamp == e.b.stamp }
+func (r bagRef) valid() bool { return r.stamp == r.b.stamp }
 
-// bagHeap is a min-heap of bagEntry with lazy deletion. The zero value is
-// ready to use.
-type bagHeap struct {
-	es       []bagEntry
+// taskRef refers to a task for one pending stretch; it goes stale when
+// the task starts, or re-enqueues and so bumps its epoch.
+type taskRef struct {
+	epoch uint32 // t.pendingEpoch at push time
+	t     *Task
+}
+
+func (r taskRef) valid() bool {
+	return r.t.State == TaskPending && r.t.pendingEpoch == r.epoch
+}
+
+// lazyEntry is one heap entry: the (key, tie) pair it is ordered by, held
+// inline so sift comparisons never touch the item, and the item itself.
+type lazyEntry[E lazyItem] struct {
+	key  float64 // primary key (min-order)
+	tie  uint64  // secondary key (min-order)
+	item E
+}
+
+// lazyHeap is a min-heap of entries ordered by (key, tie) with lazy
+// deletion: stale entries are dropped when they surface at the top or at
+// the next compaction. The zero value is ready to use.
+type lazyHeap[E lazyItem] struct {
+	es       []lazyEntry[E]
 	lastLive int // live-entry count at the last compaction
 }
 
-func (h *bagHeap) less(i, j int) bool {
-	a, b := h.es[i], h.es[j]
+func (h *lazyHeap[E]) less(i, j int) bool {
+	a, b := &h.es[i], &h.es[j]
 	if a.key != b.key {
 		return a.key < b.key
 	}
 	return a.tie < b.tie
 }
 
-func (h *bagHeap) swap(i, j int) { h.es[i], h.es[j] = h.es[j], h.es[i] }
-
-// push inserts an entry for b with the given keys, stamped with b's current
-// stamp. It compacts first when stale entries dominate the storage.
-func (h *bagHeap) push(b *Bag, key float64, tie int) {
+// push inserts item under (key, tie). It compacts first when stale entries
+// dominate the storage.
+func (h *lazyHeap[E]) push(key float64, tie uint64, item E) {
 	if len(h.es) > 64 && len(h.es) > 2*h.lastLive {
 		h.compact()
 	}
-	h.es = append(h.es, bagEntry{key: key, tie: tie, stamp: b.stamp, b: b})
+	h.es = append(h.es, lazyEntry[E]{key: key, tie: tie, item: item})
 	h.up(len(h.es) - 1)
 }
 
 // peek returns the minimum valid entry without removing it, popping stale
-// entries encountered on the way; ok is false when the heap drains.
-func (h *bagHeap) peek() (bagEntry, bool) {
+// entries encountered on the way; ok is false when the heap drains, and
+// the entry is then the zero value.
+func (h *lazyHeap[E]) peek() (lazyEntry[E], bool) {
 	for len(h.es) > 0 {
-		if e := h.es[0]; e.valid() {
+		if e := h.es[0]; e.item.valid() {
 			return e, true
 		}
 		h.popTop()
 	}
-	return bagEntry{}, false
+	return lazyEntry[E]{}, false
 }
 
-func (h *bagHeap) popTop() {
+func (h *lazyHeap[E]) popTop() {
 	n := len(h.es) - 1
-	if n > 0 {
-		h.swap(0, n)
-	}
-	h.es[n] = bagEntry{}
+	h.es[0] = h.es[n]
+	h.es[n] = lazyEntry[E]{}
 	h.es = h.es[:n]
-	if n > 0 {
-		h.down(0)
-	}
+	h.down(0)
 }
 
 // reset drops all entries (used when a policy re-attaches).
-func (h *bagHeap) reset() {
+func (h *lazyHeap[E]) reset() {
 	h.es = h.es[:0]
 	h.lastLive = 0
 }
 
 // compact removes every stale entry and re-heapifies in place.
-func (h *bagHeap) compact() {
+func (h *lazyHeap[E]) compact() {
 	w := 0
 	for _, e := range h.es {
-		if e.valid() {
+		if e.item.valid() {
 			h.es[w] = e
 			w++
 		}
 	}
-	for i := w; i < len(h.es); i++ {
-		h.es[i] = bagEntry{}
-	}
+	clear(h.es[w:])
 	h.es = h.es[:w]
 	for i := w/2 - 1; i >= 0; i-- {
 		h.down(i)
@@ -133,18 +150,18 @@ func (h *bagHeap) compact() {
 	h.lastLive = w
 }
 
-func (h *bagHeap) up(i int) {
+func (h *lazyHeap[E]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
 			break
 		}
-		h.swap(i, parent)
+		h.es[i], h.es[parent] = h.es[parent], h.es[i]
 		i = parent
 	}
 }
 
-func (h *bagHeap) down(i int) {
+func (h *lazyHeap[E]) down(i int) {
 	n := len(h.es)
 	for {
 		left := 2*i + 1
@@ -158,127 +175,17 @@ func (h *bagHeap) down(i int) {
 		if !h.less(best, i) {
 			break
 		}
-		h.swap(i, best)
+		h.es[i], h.es[best] = h.es[best], h.es[i]
 		i = best
 	}
 }
 
-// idleEntry is one lazily-invalidated entry of the LongIdle task index.
-type idleEntry struct {
-	key    float64 // frozen idle key (max-order)
-	bagID  int
-	taskID int
-	epoch  uint32 // t.pendingEpoch at push time
-	t      *Task
-}
-
-func (e idleEntry) valid() bool {
-	return e.t.State == TaskPending && e.t.pendingEpoch == e.epoch
-}
-
-// idleIdx is a global max-heap over pending tasks ordered by (idle key
-// descending, bag ID ascending, task ID ascending) — exactly the order the
-// LongIdle policy's nested scans used to realize. Entries go stale when the
-// task starts (or re-enqueues, bumping its epoch) and are dropped lazily.
-type idleIdx struct {
-	es       []idleEntry
-	lastLive int
-}
-
-func (h *idleIdx) less(i, j int) bool {
-	a, b := h.es[i], h.es[j]
-	if a.key != b.key {
-		return a.key > b.key
-	}
-	if a.bagID != b.bagID {
-		return a.bagID < b.bagID
-	}
-	return a.taskID < b.taskID
-}
-
-func (h *idleIdx) swap(i, j int) { h.es[i], h.es[j] = h.es[j], h.es[i] }
-
-// push indexes t under its frozen heapKey and current pending epoch.
-func (h *idleIdx) push(t *Task) {
-	if len(h.es) > 64 && len(h.es) > 2*h.lastLive {
-		h.compact()
-	}
-	h.es = append(h.es, idleEntry{key: t.heapKey, bagID: t.Bag.ID, taskID: t.ID, epoch: t.pendingEpoch, t: t})
-	h.up(len(h.es) - 1)
-}
-
-// peek returns the longest-idle pending task, or nil when none exists.
-func (h *idleIdx) peek() *Task {
-	for len(h.es) > 0 {
-		if e := h.es[0]; e.valid() {
-			return e.t
-		}
-		h.popTop()
-	}
-	return nil
-}
-
-func (h *idleIdx) popTop() {
-	n := len(h.es) - 1
-	if n > 0 {
-		h.swap(0, n)
-	}
-	h.es[n] = idleEntry{}
-	h.es = h.es[:n]
-	if n > 0 {
-		h.down(0)
-	}
-}
-
-func (h *idleIdx) reset() {
-	h.es = h.es[:0]
-	h.lastLive = 0
-}
-
-func (h *idleIdx) compact() {
-	w := 0
-	for _, e := range h.es {
-		if e.valid() {
-			h.es[w] = e
-			w++
-		}
-	}
-	for i := w; i < len(h.es); i++ {
-		h.es[i] = idleEntry{}
-	}
-	h.es = h.es[:w]
-	for i := w/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	h.lastLive = w
-}
-
-func (h *idleIdx) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *idleIdx) down(i int) {
-	n := len(h.es)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		best := left
-		if right := left + 1; right < n && h.less(right, left) {
-			best = right
-		}
-		if !h.less(best, i) {
-			break
-		}
-		h.swap(i, best)
-		i = best
-	}
+// pushIdle indexes pending task t in LongIdle's order: frozen idle key
+// descending, then bag ID, then task ID, both ascending. The key is
+// negated into min-order and the IDs packed into the tie; bag and task IDs
+// are non-negative and below 2^32, so the packed order equals the
+// lexicographic (bag ID, task ID) order.
+func pushIdle(h *lazyHeap[taskRef], t *Task) {
+	tie := uint64(t.Bag.ID)<<32 | uint64(uint32(t.ID))
+	h.push(-t.heapKey, tie, taskRef{epoch: t.pendingEpoch, t: t})
 }

@@ -121,13 +121,13 @@ func TestStaleEntryNeverSelectedAfterReuse(t *testing.T) {
 			var aTask *Task
 			// The entries A's life left in each heap, in the order first seen.
 			type heapEntry struct {
-				h *bagHeap
-				e bagEntry
+				h *lazyHeap[bagRef]
+				e lazyEntry[bagRef]
 			}
 			var oldBags []heapEntry
-			var oldIdle []idleEntry
+			var oldIdle []lazyEntry[taskRef]
 			seenBag := map[heapEntry]bool{}
-			seenIdle := map[idleEntry]bool{}
+			seenIdle := map[lazyEntry[taskRef]]bool{}
 			eng.ScheduleAt(0, func(*des.Engine) {
 				a = s.Submit(1000, []float64{100}) // runs alone until t=10
 				aTask = a.Tasks[0]
@@ -153,14 +153,14 @@ func TestStaleEntryNeverSelectedAfterReuse(t *testing.T) {
 					bags, idle := indexHeaps(s.policy)
 					for _, h := range bags {
 						for _, e := range h.es {
-							if he := (heapEntry{h, e}); e.b == a && !seenBag[he] {
+							if he := (heapEntry{h, e}); e.item.b == a && !seenBag[he] {
 								seenBag[he] = true
 								oldBags = append(oldBags, he)
 							}
 						}
 					}
 					for _, e := range idle.es {
-						if e.t == aTask && !seenIdle[e] {
+						if e.item.t == aTask && !seenIdle[e] {
 							seenIdle[e] = true
 							oldIdle = append(oldIdle, e)
 						}
@@ -181,17 +181,17 @@ func TestStaleEntryNeverSelectedAfterReuse(t *testing.T) {
 
 // indexHeaps returns the lazy heaps of an indexed policy; idle is an
 // empty stand-in for the policies without a task index.
-func indexHeaps(p Policy) (bags []*bagHeap, idle *idleIdx) {
-	idle = new(idleIdx)
+func indexHeaps(p Policy) (bags []*lazyHeap[bagRef], idle *lazyHeap[taskRef]) {
+	idle = new(lazyHeap[taskRef])
 	switch p := p.(type) {
 	case *fcfsShare:
-		bags = []*bagHeap{&p.idx.pend, &p.idx.repl}
+		bags = []*lazyHeap[bagRef]{&p.idx.pend, &p.idx.repl}
 	case *fairShare:
-		bags = []*bagHeap{&p.idx.pend, &p.idx.repl}
+		bags = []*lazyHeap[bagRef]{&p.idx.pend, &p.idx.repl}
 	case *sjfKB:
-		bags = []*bagHeap{&p.idx.pend, &p.idx.repl}
+		bags = []*lazyHeap[bagRef]{&p.idx.pend, &p.idx.repl}
 	case *longIdle:
-		bags, idle = []*bagHeap{&p.repl}, &p.idle
+		bags, idle = []*lazyHeap[bagRef]{&p.repl}, &p.idle
 	}
 	return bags, idle
 }

@@ -136,8 +136,8 @@ func NewPolicy(k PolicyKind, str *rng.Stream) Policy {
 // Their union is exactly the schedulable set under the base threshold.
 type dualIndex struct {
 	base int
-	pend bagHeap
-	repl bagHeap
+	pend lazyHeap[bagRef]
+	repl lazyHeap[bagRef]
 }
 
 func (d *dualIndex) attachTo(s *Scheduler) {
@@ -148,12 +148,12 @@ func (d *dualIndex) attachTo(s *Scheduler) {
 
 // publish re-indexes b under the given selection keys; called from
 // bagChanged after b's stamp was bumped.
-func (d *dualIndex) publish(b *Bag, key float64, tie int) {
+func (d *dualIndex) publish(b *Bag, key float64, tie uint64) {
 	if b.HasPending() {
-		d.pend.push(b, key, tie)
+		d.pend.push(key, tie, bagRef{b.stamp, b})
 	}
 	if b.minRunReplicas() < d.base {
-		d.repl.push(b, key, tie)
+		d.repl.push(key, tie, bagRef{b.stamp, b})
 	}
 }
 
@@ -162,20 +162,20 @@ func (d *dualIndex) publish(b *Bag, key float64, tie int) {
 //
 //botlint:hotpath
 func (d *dualIndex) selectMin(thr int) *Bag {
-	pe, pok := d.pend.peek() // pe.b is nil when !pok
+	pe, pok := d.pend.peek() // pe.item.b is nil when !pok
 	if thr == 1 {
-		return pe.b
+		return pe.item.b
 	}
 	re, rok := d.repl.peek()
 	switch {
 	case !rok:
-		return pe.b
+		return pe.item.b
 	case !pok:
-		return re.b
+		return re.item.b
 	case pe.key < re.key || (pe.key == re.key && pe.tie <= re.tie):
-		return pe.b
+		return pe.item.b
 	}
-	return re.b
+	return re.item.b
 }
 
 // fcfsExcl dedicates the grid to the oldest incomplete bag. Its unlimited
@@ -246,7 +246,7 @@ func (p *fcfsShare) SelectBag(_ *Scheduler, threshold int) *Bag {
 type roundRobin struct {
 	noReplicaFirst bool
 	lastID         int // bag ID served most recently
-	starved        bagHeap
+	starved        lazyHeap[bagRef]
 }
 
 func (p *roundRobin) Name() string {
@@ -267,7 +267,7 @@ func (p *roundRobin) attach(s *Scheduler) {
 
 func (p *roundRobin) bagChanged(b *Bag) {
 	if p.noReplicaFirst && b.running == 0 && !b.Complete() {
-		p.starved.push(b, float64(b.ID), 0)
+		p.starved.push(float64(b.ID), 0, bagRef{b.stamp, b})
 	}
 }
 
@@ -281,8 +281,8 @@ func (p *roundRobin) SelectBag(s *Scheduler, threshold int) *Bag {
 	}
 	if p.noReplicaFirst {
 		// Serve starved bags (no running instance) first, oldest first.
-		if e, ok := p.starved.peek(); ok && e.b.Schedulable(threshold) {
-			return e.b
+		if e, ok := p.starved.peek(); ok && e.item.b.Schedulable(threshold) {
+			return e.item.b
 		}
 	}
 	// Resume the circular order after the most recently served bag. Bags
@@ -306,15 +306,15 @@ func (p *roundRobin) SelectBag(s *Scheduler, threshold int) *Bag {
 // longest; when no pending task exists anywhere it falls back to
 // FCFS-Share's replication order.
 //
-// The primary choice is the top of a global lazy max-heap over pending
-// tasks keyed (frozen idle key desc, bag ID asc, task ID asc) — idle-time
-// differences between pending tasks are time-invariant, so the frozen keys
-// rank tasks by live IdleTime at any instant. The fallback is a lazy
-// min-ID heap over bags with a replicable running task.
+// The primary choice is the top of a global lazy heap over pending tasks
+// ordered (frozen idle key desc, bag ID asc, task ID asc; see pushIdle) —
+// idle-time differences between pending tasks are time-invariant, so the
+// frozen keys rank tasks by live IdleTime at any instant. The fallback is
+// a lazy min-ID heap over bags with a replicable running task.
 type longIdle struct {
 	base int
-	idle idleIdx
-	repl bagHeap
+	idle lazyHeap[taskRef]
+	repl lazyHeap[bagRef]
 }
 
 func (*longIdle) Name() string { return LongIdle.String() }
@@ -329,7 +329,7 @@ func (p *longIdle) attach(s *Scheduler) {
 		p.bagChanged(b)
 		for _, t := range b.Tasks {
 			if t.State == TaskPending {
-				p.idle.push(t)
+				pushIdle(&p.idle, t)
 			}
 		}
 	}
@@ -337,27 +337,27 @@ func (p *longIdle) attach(s *Scheduler) {
 
 func (p *longIdle) bagChanged(b *Bag) {
 	if b.minRunReplicas() < p.base {
-		p.repl.push(b, float64(b.ID), 0)
+		p.repl.push(float64(b.ID), 0, bagRef{b.stamp, b})
 	}
 }
 
-func (p *longIdle) taskQueued(t *Task) { p.idle.push(t) }
+func (p *longIdle) taskQueued(t *Task) { pushIdle(&p.idle, t) }
 
 //botlint:hotpath
 func (p *longIdle) SelectBag(_ *Scheduler, threshold int) *Bag {
-	if t := p.idle.peek(); t != nil {
+	if e, ok := p.idle.peek(); ok {
 		// Ties go to the older bag (lower ID), matching the paper's
 		// observation that LongIdle behaves like FCFS-Share while the
 		// oldest bag still has replica-less tasks.
-		return t.Bag
+		return e.item.t.Bag
 	}
 	// No pending task anywhere: replicate in FCFS order. Below the base
 	// threshold, i.e. at 1, every running task already has its replica.
 	if threshold != p.base {
 		return nil
 	}
-	e, _ := p.repl.peek() // e.b is nil when no bag is replicable
-	return e.b
+	e, _ := p.repl.peek() // e.item.b is nil when no bag is replicable
+	return e.item.b
 }
 
 // randomPolicy picks uniformly among schedulable bags. It keeps the linear
@@ -405,7 +405,7 @@ func (p *fairShare) attach(s *Scheduler) {
 	}
 }
 
-func (p *fairShare) bagChanged(b *Bag) { p.idx.publish(b, float64(b.running), b.ID) }
+func (p *fairShare) bagChanged(b *Bag) { p.idx.publish(b, float64(b.running), uint64(b.ID)) }
 
 func (p *fairShare) taskQueued(*Task) {}
 
@@ -433,7 +433,7 @@ func (p *sjfKB) attach(s *Scheduler) {
 	}
 }
 
-func (p *sjfKB) bagChanged(b *Bag) { p.idx.publish(b, b.RemainingWork(), b.ID) }
+func (p *sjfKB) bagChanged(b *Bag) { p.idx.publish(b, b.RemainingWork(), uint64(b.ID)) }
 
 func (p *sjfKB) taskQueued(*Task) {}
 

@@ -90,11 +90,10 @@ func (s *Scheduler) replaySubmit(m *Mutation) error {
 
 // replayTask resolves the bag and task a mutation names.
 func (s *Scheduler) replayTask(m *Mutation, what string) (*Bag, *Task, error) {
-	i := s.bagIndex(m.Bag)
-	if i < 0 {
+	b := s.Bag(m.Bag)
+	if b == nil {
 		return nil, nil, fmt.Errorf("core: replay: %s task %d/%d of unknown bag", what, m.Bag, m.Task)
 	}
-	b := s.bags[i]
 	if m.Task < 0 || m.Task >= len(b.Tasks) {
 		return nil, nil, fmt.Errorf("core: replay: %s task %d/%d out of range", what, m.Bag, m.Task)
 	}
@@ -197,7 +196,7 @@ func (s *Scheduler) replayBagDone(m *Mutation) error {
 		s.unconfirmed = s.unconfirmed[:last]
 		return nil
 	}
-	if s.bagIndex(m.Bag) >= 0 {
+	if s.Bag(m.Bag) != nil {
 		return fmt.Errorf("core: replay: bag %d completed before its last task", m.Bag)
 	}
 	return fmt.Errorf("core: replay: completion of unknown bag %d", m.Bag)

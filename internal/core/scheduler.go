@@ -473,6 +473,15 @@ func (s *Scheduler) noteQueued(t *Task) {
 // scheduler; callers must not mutate it.
 func (s *Scheduler) Bags() []*Bag { return s.bags }
 
+// Bag returns the active bag with the given ID, or nil when the bag is
+// unknown or already completed.
+func (s *Scheduler) Bag(id int) *Bag {
+	if i := s.bagIndex(id); i >= 0 {
+		return s.bags[i]
+	}
+	return nil
+}
+
 // Now returns the current simulation time.
 func (s *Scheduler) Now() float64 { return s.clock.Now() }
 

@@ -712,7 +712,7 @@ func TestInvariantsUnderChaos(t *testing.T) {
 	for _, kind := range Kinds {
 		for _, suspend := range []bool{false, true} {
 			t.Run(chaosName(kind, suspend), func(t *testing.T) {
-				chaos(t, kind, suspend, false, 8, 5000)
+				chaos(t, kind, 3, suspend, false, 8, 5000)
 			})
 		}
 	}
@@ -725,7 +725,7 @@ func TestInvariantsUnderChaosRecycled(t *testing.T) {
 	for _, kind := range Kinds {
 		for _, suspend := range []bool{false, true} {
 			t.Run(chaosName(kind, suspend), func(t *testing.T) {
-				reused := chaos(t, kind, suspend, true, 24, 5e4)
+				reused := chaos(t, kind, 3, suspend, true, 24, 5e4)
 				t.Logf("%d of 24 submissions reused storage", reused)
 				if reused == 0 {
 					t.Fatal("no submission reused a completed bag's storage")
@@ -733,6 +733,25 @@ func TestInvariantsUnderChaosRecycled(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzIndexVsScan is the chaos driver with the fuzzer choosing the
+// seeds, the policy, the bag count, the arrival spread, suspension and
+// recycling: the scheduler's invariants, and every indexed policy's
+// selection against the linear scan of its rule, are checked after every
+// event.
+func FuzzIndexVsScan(f *testing.F) {
+	f.Add(uint64(3), uint8(LongIdle), false, false, uint8(8), 5000.0)
+	f.Add(uint64(3), uint8(FairShare), true, true, uint8(24), 5e4)
+	f.Add(uint64(11), uint8(SJFKB), false, true, uint8(16), 2e4)
+	f.Add(uint64(40), uint8(FCFSShare), true, false, uint8(3), 0.0)
+	f.Fuzz(func(t *testing.T, seed uint64, kind uint8, suspend, recycle bool, bags uint8, spread float64) {
+		spread = math.Mod(math.Abs(spread), 1e5) // bound the simulated time
+		if math.IsNaN(spread) {
+			spread = 0
+		}
+		chaos(t, Kinds[int(kind)%len(Kinds)], seed, suspend, recycle, 1+int(bags)%24, spread)
+	})
 }
 
 func chaosName(kind PolicyKind, suspend bool) string {
@@ -745,22 +764,23 @@ func chaosName(kind PolicyKind, suspend bool) string {
 // chaos submits bags of random tasks at uniform times in [0, spread) to a
 // 10-machine LowAvail grid under full availability churn, and checks the
 // scheduler's invariants and index after every event until all bags
-// complete. It returns how many submissions got storage a completed bag
-// had used before.
-func chaos(t *testing.T, kind PolicyKind, suspend, recycle bool, bags int, spread float64) (reused int) {
+// complete. Its five random streams (grid, checkpoint server, policy,
+// availability, workload) are seeded seed to seed+4. It returns how many
+// submissions got storage a completed bag had used before.
+func chaos(t *testing.T, kind PolicyKind, seed uint64, suspend, recycle bool, bags int, spread float64) (reused int) {
 	t.Helper()
 	gcfg := grid.DefaultConfig(grid.Hom, grid.LowAvail)
 	gcfg.TotalPower = 100 // 10 machines
 	eng := des.New()
-	g := grid.Build(gcfg, rng.New(3))
-	ck := checkpoint.NewServer(checkpoint.DefaultConfig(), rng.New(4))
+	g := grid.Build(gcfg, rng.New(seed))
+	ck := checkpoint.NewServer(checkpoint.DefaultConfig(), rng.New(seed+1))
 	sc := defaultSC()
 	sc.SuspendOnFailure = suspend
-	s := NewScheduler(eng, g, ck, NewPolicy(kind, rng.New(5)), sc, nil)
+	s := NewScheduler(eng, g, ck, NewPolicy(kind, rng.New(seed+2)), sc, nil)
 	s.recycle = recycle
-	g.Start(eng, rng.New(6), s)
+	g.Start(eng, rng.New(seed+3), s)
 	seen := map[*Bag]bool{}
-	works := rng.New(7)
+	works := rng.New(seed + 4)
 	for i := 0; i < bags; i++ {
 		tasks := make([]float64, 5+works.IntN(10))
 		for j := range tasks {

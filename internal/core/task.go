@@ -136,7 +136,7 @@ type Bag struct {
 // and run-heap capacity, and a recycled task its Replicas capacity. The
 // bag's stamp and each task's pending epoch carry over and are never reset:
 // index entries left from the storage's earlier life then stay stale for
-// good (bagEntry.valid, idleEntry.valid).
+// good (bagRef.valid, taskRef.valid).
 //
 //botlint:hotpath
 func (b *Bag) reset(id int, arrival, granularity float64, works []float64) {

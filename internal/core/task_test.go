@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -122,45 +123,69 @@ func TestQuickPendingQueueModel(t *testing.T) {
 	}
 }
 
+// TestIdleIdxOrdering drains LongIdle's task index over four bags whose
+// tasks share five idle keys, so most of the order rests on the tie: idle
+// key descending, then bag ID, then task ID. Bag 70000 needs more than 16
+// bits of the packed tie.
 func TestIdleIdxOrdering(t *testing.T) {
-	b := &Bag{ID: 0}
-	var h idleIdx
 	r := rand.New(rand.NewSource(8))
-	for i := 0; i < 100; i++ {
-		tk := &Task{ID: i, Bag: b, idleSince: r.Float64() * 1000}
-		tk.pendingEpoch = 1
-		tk.heapKey = tk.idleKey()
-		h.push(tk)
+	var want []*Task
+	for _, id := range []int{70000, 2, 0, 1} {
+		b := &Bag{ID: id}
+		for i := 0; i < 25; i++ {
+			tk := &Task{ID: i, Bag: b, idleSince: float64(r.Intn(5)) * 250}
+			tk.pendingEpoch = 1
+			tk.heapKey = tk.idleKey()
+			want = append(want, tk)
+		}
 	}
-	prev := 1e18
-	seen := 0
-	for {
-		top := h.peek()
-		if top == nil {
-			break
+	var h lazyHeap[taskRef]
+	r.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	for _, tk := range want {
+		pushIdle(&h, tk)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.heapKey != b.heapKey {
+			return a.heapKey > b.heapKey
+		}
+		if a.Bag.ID != b.Bag.ID {
+			return a.Bag.ID < b.Bag.ID
+		}
+		return a.ID < b.ID
+	})
+	for i, w := range want {
+		got := peekTask(&h)
+		if got == nil {
+			t.Fatalf("index drained after %d of %d entries", i, len(want))
+		}
+		if got != w {
+			t.Fatalf("entry %d: bag %d task %d (key %g), want bag %d task %d (key %g)",
+				i, got.Bag.ID, got.ID, got.heapKey, w.Bag.ID, w.ID, w.heapKey)
 		}
 		h.popTop()
-		if top.heapKey > prev {
-			t.Fatal("index not ordered by descending idle key")
-		}
-		prev = top.heapKey
-		seen++
 	}
-	if seen != 100 {
-		t.Fatalf("drained %d entries, want 100", seen)
+	if got := peekTask(&h); got != nil {
+		t.Fatalf("index holds task %d after draining %d entries", got.ID, len(want))
 	}
+}
+
+// peekTask returns the task on top of a LongIdle index, or nil.
+func peekTask(h *lazyHeap[taskRef]) *Task {
+	e, _ := h.peek() // e.item.t is nil when the index is empty
+	return e.item.t
 }
 
 func TestIdleIdxLazyDeletion(t *testing.T) {
 	bag := newBag(0, 0, 1000, []float64{100, 100, 100})
-	var h idleIdx
+	var h lazyHeap[taskRef]
 	for _, tk := range bag.Tasks {
-		h.push(tk)
+		pushIdle(&h, tk)
 	}
 	// Pop one task via the queue; its index entry becomes stale.
 	tk := bag.popPending()
 	bag.markRunning(tk)
-	top := h.peek()
+	top := peekTask(&h)
 	if top == tk {
 		t.Fatal("peek returned a running task")
 	}
@@ -173,11 +198,11 @@ func TestIdleIdxLazyDeletion(t *testing.T) {
 	bag.markRunning(t2)
 	bag.unmarkRunning(t2)
 	bag.enqueuePending(t2, true)
-	if got := h.peek(); got == nil || got == t2 {
+	if got := peekTask(&h); got == nil || got == t2 {
 		t.Fatalf("stale epoch entry surfaced: %v", got)
 	}
-	h.push(t2)
-	if got := h.peek(); got == nil || got.State != TaskPending {
+	pushIdle(&h, t2)
+	if got := peekTask(&h); got == nil || got.State != TaskPending {
 		t.Fatalf("peek after re-push inconsistent: %v", got)
 	}
 }

@@ -50,17 +50,6 @@ func WriteManifest(dir string, m Manifest) error {
 	return WriteFileAtomic(dir, ManifestName, ManifestName+".tmp", append(data, '\n'))
 }
 
-// RemoveManifest deletes dir's layout manifest, returning the directory to
-// the pre-manifest (implicitly single-shard) state. Tests use it to model
-// legacy directories; a missing manifest is not an error.
-func RemoveManifest(dir string) error {
-	err := os.Remove(filepath.Join(dir, ManifestName))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
 // ReadManifest reads dir's layout manifest. ok is false when none exists
 // (a pre-manifest data directory or an empty one).
 func ReadManifest(dir string) (m Manifest, ok bool, err error) {

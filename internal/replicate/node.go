@@ -221,11 +221,15 @@ func (n *Node) ReplicationStatus() Status {
 	if !n.lastFailover.IsZero() {
 		st.LastFailoverUnix = float64(n.lastFailover.UnixNano()) / 1e9
 	}
+	if n.fatal != nil {
+		st.Fatal = n.fatal.Error()
+	}
 	n.mu.Unlock()
 	if rep != nil {
 		rst := rep.Status()
 		rst.Elections = st.Elections
 		rst.LastFailoverUnix = st.LastFailoverUnix
+		rst.Fatal = st.Fatal
 		return rst
 	}
 	return st

@@ -92,6 +92,26 @@ func TestFollowerAppendFailureIsFatal(t *testing.T) {
 	if role != RoleFollower || promoted {
 		t.Fatalf("after the failed append the node is %v (promoted %v); want a follower", role, promoted)
 	}
+	// The status /v1/stats and /metrics serve shows the error, on the
+	// follower path and on the leader path.
+	if st := n.ReplicationStatus(); st.Fatal == "" || st.Fatal != n.Err().Error() {
+		t.Fatalf("follower status reports fatal %q, node error %v", st.Fatal, n.Err())
+	}
+	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := newReplica(n.cfg, 1, jnl, 0)
+	defer rep.Close()
+	n.mu.Lock()
+	n.rep = rep
+	n.mu.Unlock()
+	if st := n.ReplicationStatus(); st.Role != RoleLeader.String() || st.Fatal != n.Err().Error() {
+		t.Fatalf("leader status is %s with fatal %q, node error %v", st.Role, st.Fatal, n.Err())
+	}
+	n.mu.Lock()
+	n.rep = nil
+	n.mu.Unlock()
 	if err := n.Stop(); err != nil && !errors.Is(err, journal.ErrClosed) {
 		t.Fatal(err)
 	}

@@ -207,6 +207,9 @@ type Status struct {
 	// the initial election (0: none).
 	Elections        int     `json:"elections"`
 	LastFailoverUnix float64 `json:"last_failover_unix,omitempty"`
+	// Fatal is the error that stopped this node from campaigning or
+	// leading again ("" while healthy); see Node.Err.
+	Fatal string `json:"fatal,omitempty"`
 }
 
 // Term-state persistence: the TERM file holds the node's current term, its

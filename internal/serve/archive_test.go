@@ -111,7 +111,7 @@ func archivedStatuses(t *testing.T, s *Server, c *Client) []BagStatus {
 	t.Helper()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		live := len(sh.bags)
+		live := len(sh.sched.Bags())
 		sh.mu.Unlock()
 		if live != 0 {
 			t.Fatalf("shard %d keeps %d finished bags live", sh.idx, live)

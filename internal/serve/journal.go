@@ -221,14 +221,11 @@ func (sh *shard) resume(jnl Log, now float64) error {
 	if err := sh.sched.EndReplay(); err != nil {
 		return err
 	}
-	for _, b := range sh.sched.Bags() {
-		sh.bags[b.ID] = b
-	}
 	sh.jnl = jnl
 	sh.sched.SetMutationSink(sh.journalMutation)
 	r := sh.recov
 	r.Fresh = r.Fresh && sh.lastLSN == 0
-	r.LastLSN, r.Bags, r.CompletedBags = sh.lastLSN, len(sh.bags), len(sh.completed)
+	r.LastLSN, r.Bags, r.CompletedBags = sh.lastLSN, len(sh.sched.Bags()), len(sh.completed)
 	r.Workers, r.Replicas = len(sh.workers), sh.sched.RunningReplicas()
 	return nil
 }

@@ -363,7 +363,6 @@ func (s *Server) newShard(i, n int, rec *journal.Recovered) (*shard, error) {
 	defer sh.mu.Unlock()
 	sh.g = g
 	sh.workers = make(map[string]*workerState)
-	sh.bags = make(map[int]*core.Bag)
 	sh.archived = make(map[int]int)
 	if rec == nil {
 		now := s.clock.Now()

@@ -66,8 +66,6 @@ type shard struct {
 	//botlint:guarded-by mu
 	slots []*workerState // workers by slot (machine ID), i.e. registration order
 	//botlint:guarded-by mu
-	bags map[int]*core.Bag // live bags by local ID; archive drops a bag when it finishes
-	//botlint:guarded-by mu
 	met counters
 	//botlint:guarded-by mu
 	lastLSN uint64 // LSN of the newest record covering this shard's state
@@ -87,7 +85,6 @@ func (sh *shard) globalBag(local int) int { return ring.GlobalBag(local, sh.idx,
 func (sh *shard) submit(granularity float64, works []float64) (wire.SubmitResult, wire.Pending) {
 	sh.mu.Lock()
 	b := sh.sched.Submit(granularity, works)
-	sh.bags[b.ID] = b
 	sh.met.Submits++
 	wait := wire.Pending{Shard: sh.idx, LSN: sh.lastLSN}
 	sh.mu.Unlock()
@@ -245,8 +242,8 @@ func (sh *shard) bagStatusByID(local int) (BagStatus, bool) {
 	if i, ok := sh.archived[local]; ok {
 		return sh.completedStatus(sh.completed[i]), true
 	}
-	b, ok := sh.bags[local]
-	if !ok {
+	b := sh.sched.Bag(local)
+	if b == nil {
 		return BagStatus{}, false
 	}
 	return sh.liveStatus(b), true
@@ -298,7 +295,6 @@ func (sh *shard) archive(b *core.Bag) {
 		DoneAt:      b.DoneAt,
 		Tasks:       len(b.Tasks),
 	})
-	delete(sh.bags, b.ID)
 }
 
 // expireLeases declares every worker silent for longer than the lease
@@ -419,11 +415,12 @@ func (sh *shard) partial(withBags bool) shardPartial {
 	}
 	if withBags {
 		// Unordered: the router sorts the merged list by global ID.
-		p.bags = make([]BagStatus, 0, len(sh.completed)+len(sh.bags))
+		live := sh.sched.Bags()
+		p.bags = make([]BagStatus, 0, len(sh.completed)+len(live))
 		for _, cb := range sh.completed {
 			p.bags = append(p.bags, sh.completedStatus(cb))
 		}
-		for _, b := range sh.bags {
+		for _, b := range live {
 			p.bags = append(p.bags, sh.liveStatus(b))
 		}
 	}

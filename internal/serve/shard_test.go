@@ -3,6 +3,8 @@ package serve
 import (
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -268,7 +270,7 @@ func TestShardCountMismatchRefused(t *testing.T) {
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.RemoveManifest(legacy); err != nil {
+	if err := os.Remove(filepath.Join(legacy, journal.ManifestName)); err != nil {
 		t.Fatal(err)
 	}
 	lc.Shards = 2
