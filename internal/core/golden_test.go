@@ -47,8 +47,17 @@ func recordOf(name string, res Result) goldenRecord {
 		ReplicasKilled:      res.ReplicasKilled,
 		CheckpointSaves:     res.CheckpointSaves,
 		CheckpointRetrieves: res.CheckpointRetrieves,
-		Turnarounds:         res.Turnarounds(),
+		Turnarounds:         turnarounds(res),
 	}
+}
+
+// turnarounds returns res's post-warmup turnaround samples.
+func turnarounds(res Result) []float64 {
+	out := make([]float64, len(res.Bags))
+	for i, b := range res.Bags {
+		out[i] = b.Turnaround
+	}
+	return out
 }
 
 // goldenConfigs covers every policy plus the scheduler's behavioral knobs:

@@ -187,5 +187,5 @@ func (h *lazyHeap[E]) down(i int) {
 // lexicographic (bag ID, task ID) order.
 func pushIdle(h *lazyHeap[taskRef], t *Task) {
 	tie := uint64(t.Bag.ID)<<32 | uint64(uint32(t.ID))
-	h.push(-t.heapKey, tie, taskRef{epoch: t.pendingEpoch, t: t})
+	h.push(-t.idleKey(), tie, taskRef{epoch: t.pendingEpoch, t: t})
 }

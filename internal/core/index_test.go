@@ -71,8 +71,8 @@ func longIdleScan(s *Scheduler, threshold int) *Bag {
 	bestKey := 0.0
 	for _, b := range s.bags {
 		for _, t := range b.Tasks {
-			if t.State == TaskPending && (best == nil || t.heapKey > bestKey) {
-				best, bestKey = b, t.heapKey
+			if t.State == TaskPending && (best == nil || t.idleKey() > bestKey) {
+				best, bestKey = b, t.idleKey()
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func (s *Scheduler) Replay(m *Mutation) error {
 // MutBagCompleted arrived (a log may be cut between the two).
 func (s *Scheduler) EndReplay() error {
 	s.replaying, s.unconfirmed, s.replicaPool = false, nil, nil
-	s.endRecycling()
+	s.recycle, s.bagPool, s.taskPool, s.bagSlots = false, nil, nil, 0
 	if err := s.settle(); err != nil {
 		return fmt.Errorf("core: replay: %w", err)
 	}
@@ -170,7 +170,7 @@ func (s *Scheduler) replayComplete(m *Mutation) error {
 		s.mstate[r.Machine.ID].replica = nil
 		s.freeReplica(r)
 	}
-	t.Replicas = reps[:0]
+	t.Replicas = pooledReplicas(reps)
 	b.running -= len(reps)
 	s.totalRunning -= len(reps)
 	s.tasksCompleted++

@@ -213,7 +213,6 @@ func RestoreLiveScheduler(clock Clock, g *grid.Grid, p Policy, cfg SchedConfig, 
 			t := b.Tasks[id]
 			b.pending.pushBack(t)
 			t.pendingEpoch++ // also marks t queued
-			t.heapKey = t.idleKey()
 		}
 		s.pendingTotal += len(bs.Pending)
 		if b.Complete() {

@@ -163,25 +163,17 @@ func (r Result) MeanTurnaround() float64 {
 	return sum / float64(len(r.Bags))
 }
 
-// Turnarounds returns the post-warmup turnaround samples.
-func (r Result) Turnarounds() []float64 {
-	out := make([]float64, len(r.Bags))
-	for i, b := range r.Bags {
-		out[i] = b.Turnaround
-	}
-	return out
-}
-
 // Runner executes simulations on one reused world. What a replication
 // builds in proportion to the grid stays warm for the next: the event
 // engine's arena, queue-tier capacities and rung free-list, the grid and
 // its Machine structs, the scheduler's per-machine state, free stack and
-// replica pool, and the checkpoint server's transfer pool. A caller that
-// executes many replications back-to-back (a sweep cell, a replication
-// benchmark) pays the allocator's growth cost once rather than once per
-// run. What scales with the workload (bags, tasks, the policy and its
-// indexes) is built afresh by every run, and the scheduler lets go of it
-// when the run ends, so the carried storage holds no workload.
+// replica pool, its bag and task storage up to one task per machine, and
+// the checkpoint server's transfer pool. A caller that executes many
+// replications back-to-back (a sweep cell, a replication benchmark) pays
+// the allocator's growth cost once rather than once per run. The policy
+// and its indexes are built afresh by every run, and bag and task storage
+// past the grid-sized cap is let go when the run ends, so the carried
+// storage scales with the grid, not with the workload.
 //
 // Results are bit-identical to Run: the reused storage carries capacity
 // forward, never state. One consequence reaches observers: a *grid.Machine
@@ -261,7 +253,8 @@ func (r *Runner) run(cfg RunConfig) (Result, error) {
 
 	// Schedule the arrival chain — a replayed trace or a generated
 	// stream. Each arrival submits its bag and books the next one through
-	// the same bound handler; the last one ends the scheduler's recycling.
+	// the same bound handler; the last one caps the scheduler's bag and
+	// task pools at grid size.
 	var horizon float64
 	var next func() *workload.BoT
 	if len(cfg.Bots) > 0 {
@@ -303,7 +296,7 @@ func (r *Runner) run(cfg RunConfig) (Result, error) {
 	arrive = func(*des.Engine) {
 		sched.Submit(b.Granularity, b.TaskWork)
 		if sched.Submitted() == numBots {
-			sched.endRecycling()
+			sched.boundPools()
 			return
 		}
 		b = next()

@@ -213,10 +213,6 @@ func TestResultHelpers(t *testing.T) {
 	if r.MeanTurnaround() != 15 {
 		t.Fatalf("mean = %v, want 15", r.MeanTurnaround())
 	}
-	ts := r.Turnarounds()
-	if len(ts) != 2 || ts[0] != 10 || ts[1] != 20 {
-		t.Fatalf("turnarounds = %v", ts)
-	}
 }
 
 func TestRunWithObserver(t *testing.T) {

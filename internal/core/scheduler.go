@@ -238,14 +238,20 @@ type Scheduler struct {
 	// (see retire).
 	replicaPool []*Replica
 
-	// recycle, set by run until its last arrival is submitted and by
-	// Replay until EndReplay, keeps a completed bag's storage for the next
-	// Submit: the Bag on bagPool, its Task structs on taskPool. Only those
-	// two turn it on, because only they keep the *Bag to the scheduler;
-	// see DESIGN.md, "Bag and task storage lifecycle".
+	// recycle, set by run and by Replay until EndReplay, keeps a completed
+	// bag's storage for the next Submit: the Bag on bagPool, its Task
+	// structs on taskPool. Only those two turn it on, because only they
+	// keep the *Bag to the scheduler; see DESIGN.md, "Bag and task storage
+	// lifecycle". bagSlots is the room for tasks the pooled bags' task
+	// lists have, Σ cap(Tasks) over bagPool. bounded, set once a run's
+	// last arrival is in, caps both taskPool's length and bagSlots at the
+	// grid's machine count, so that what the pools pass to the next
+	// replication (see retire) scales with the grid only.
 	recycle  bool
+	bounded  bool
 	bagPool  []*Bag
 	taskPool []*Task
+	bagSlots int
 
 	// replaying is set from the first Replay until EndReplay; unconfirmed
 	// lists the bags replay completed whose MutBagCompleted has not come.
@@ -286,6 +292,7 @@ func (s *Scheduler) takeBag(n int) *Bag {
 		b = s.bagPool[k-1]
 		s.bagPool[k-1] = nil
 		s.bagPool = s.bagPool[:k-1]
+		s.bagSlots -= cap(b.Tasks)
 	}
 	if b == nil || cap(b.Tasks) < n || len(s.taskPool) < n {
 		return s.growBag(b, n)
@@ -326,25 +333,75 @@ func (s *Scheduler) growBag(b *Bag, n int) *Bag {
 	return b
 }
 
-// freeBag returns a completed bag's storage to the pools when the
-// scheduler recycles. Callers guarantee no reference remains: the bag has
-// left s.bags, its tasks hold no replica and the observers have returned.
+// maxPooledReplicas is the most Replicas slots a pooled task keeps. A bag's
+// tail may run on many replicas (FCFS-Excl puts up to a grid's worth on
+// its last tasks); storage that kept those capacities would ratchet up with
+// every reuse.
+const maxPooledReplicas = 4
+
+// pooledReplicas is what a pooled task keeps of its replica list: the
+// emptied slice, or nothing past maxPooledReplicas slots.
+func pooledReplicas(reps []*Replica) []*Replica {
+	if cap(reps) > maxPooledReplicas {
+		return nil
+	}
+	return reps[:0]
+}
+
+// poolFits reports whether the pools take b's storage: always while the
+// run's arrivals continue, and afterwards only while the pooled tasks and
+// the pooled bags' room for tasks each stay within one per machine.
+func (s *Scheduler) poolFits(b *Bag) bool {
+	n := len(s.grid.Machines)
+	return s.recycle && (!s.bounded ||
+		len(s.taskPool)+len(b.Tasks) <= n && s.bagSlots+cap(b.Tasks) <= n)
+}
+
+// freeBag returns a completed bag's storage to the pools when they take
+// it. Callers guarantee no reference remains: the bag has left s.bags, its
+// tasks hold no replica and the observers have returned.
+//
+//botlint:hotpath
 func (s *Scheduler) freeBag(b *Bag) {
-	if !s.recycle {
+	if !s.poolFits(b) {
 		return
 	}
 	s.taskPool = append(s.taskPool, b.Tasks...)
 	clear(b.Tasks)
 	b.Tasks = b.Tasks[:0]
 	s.bagPool = append(s.bagPool, b)
+	s.bagSlots += cap(b.Tasks)
 }
 
-// endRecycling stops recycling and drops the pools: once the last arrival
-// is submitted no Submit can reuse the storage, and keeping it would only
-// raise the heap.
-func (s *Scheduler) endRecycling() {
-	s.recycle = false
-	s.bagPool, s.taskPool = nil, nil
+// freeActive returns the storage of a bag still active when its run ends,
+// when the pools take it. Nothing refers to it any more, but its tasks
+// still list replicas and its queue and run heap still hold tasks, so they
+// are emptied first.
+//
+//botlint:hotpath
+func (s *Scheduler) freeActive(b *Bag) {
+	if !s.poolFits(b) {
+		return
+	}
+	for _, t := range b.Tasks {
+		t.Replicas = pooledReplicas(t.Replicas)
+	}
+	clear(b.pending.buf)
+	clear(b.runHeap.es)
+	b.runHeap.es = b.runHeap.es[:0]
+	s.freeBag(b)
+}
+
+// boundPools caps the pools at one task per machine once a run's last
+// arrival is in: no Submit of the run takes from them any more, and what
+// they hold passes to the next replication. Pools already past the cap are
+// dropped whole. Trimming them instead would keep tasks that pin the
+// growBag slabs of the bags they let go.
+func (s *Scheduler) boundPools() {
+	s.bounded = true
+	if n := len(s.grid.Machines); len(s.taskPool) > n || s.bagSlots > n {
+		s.bagPool, s.taskPool, s.bagSlots = nil, nil, 0
+	}
 }
 
 // NewScheduler wires a scheduler to an engine, grid and checkpoint server.
@@ -375,6 +432,7 @@ func newScheduler(eng *des.Engine, g *grid.Grid, ck *checkpoint.Server, p Policy
 	}
 	if prev != nil {
 		s.mstate, s.freeStack, s.replicaPool = prev.mstate, prev.freeStack, prev.replicaPool
+		s.bagPool, s.taskPool, s.bagSlots = prev.bagPool, prev.taskPool, prev.bagSlots
 	}
 	s.mstate = slices.Grow(s.mstate, len(g.Machines))[:len(g.Machines)]
 	s.segDoneFn = s.onSegmentDone
@@ -393,18 +451,25 @@ func newScheduler(eng *des.Engine, g *grid.Grid, ck *checkpoint.Server, p Policy
 // retire ends a simulation scheduler's replication and strips it to the
 // storage whose size follows the grid, for newScheduler to build the next
 // replication's scheduler on: the per-machine state, zeroed and emptied, the
-// emptied free stack, and the replica pool, which takes back the replicas
-// still running. Everything that scales with the workload (bags, tasks, the
-// policy and its indexes) is dropped, so a retired scheduler keeps no
-// workload storage alive between replications.
+// emptied free stack, the replica pool, which takes back the replicas still
+// running, and the bag and task pools, which take back the bags still
+// active within their cap of one task per machine (boundPools). The rest
+// of the workload (the bags the pools do not take, the policy and its
+// indexes) is dropped, so a retired scheduler keeps no more storage alive
+// between replications than the grid's size allows.
 func (s *Scheduler) retire() {
 	for i := range s.mstate {
 		if r := s.mstate[i].replica; r != nil {
 			s.freeReplica(r)
 		}
 	}
+	s.boundPools()
+	for _, b := range s.bags {
+		s.freeActive(b)
+	}
 	clear(s.mstate)
-	*s = Scheduler{mstate: s.mstate[:0], freeStack: s.freeStack[:0], replicaPool: s.replicaPool}
+	*s = Scheduler{mstate: s.mstate[:0], freeStack: s.freeStack[:0], replicaPool: s.replicaPool,
+		bagPool: s.bagPool, taskPool: s.taskPool, bagSlots: s.bagSlots}
 }
 
 // NewLiveScheduler wires a scheduler in live mode: time is read from clock
@@ -461,8 +526,8 @@ func (s *Scheduler) noteBag(b *Bag) {
 }
 
 // noteQueued publishes that t entered its bag's pending queue. It must run
-// after enqueuePending (which freezes t's idle key and bumps its epoch) and
-// is always followed by a noteBag for the owning bag.
+// after enqueuePending (which bumps t's epoch) and is always followed by a
+// noteBag for the owning bag.
 func (s *Scheduler) noteQueued(t *Task) {
 	if s.idx != nil {
 		s.idx.taskQueued(t)
@@ -517,9 +582,6 @@ func (s *Scheduler) Suspensions() int { return s.suspensions }
 // another replica of their task completed first — the "cycles traded for
 // information" overhead of replication-based knowledge-free scheduling.
 func (s *Scheduler) ReplicasKilled() int { return s.replicasKilled }
-
-// CheckpointInterval returns the Young interval in use.
-func (s *Scheduler) CheckpointInterval() float64 { return s.ckptInterval }
 
 // Submit enters a new bag with the given per-task reference durations at
 // the current simulation time and immediately attempts dispatch. With a
@@ -792,7 +854,7 @@ func (s *Scheduler) completeTask(r *Replica) {
 	}
 	k := len(reps)
 	if s.recycle {
-		t.Replicas = reps[:0] // the task's next life reuses the capacity
+		t.Replicas = pooledReplicas(reps) // the task's next life reuses the capacity
 	} else {
 		t.Replicas = nil
 	}

@@ -354,7 +354,7 @@ func TestCheckpointCadenceExact(t *testing.T) {
 	g := grid.NewCustom(grid.DefaultConfig(grid.Hom, grid.LowAvail), []float64{10})
 	ck := checkpoint.NewServer(checkpoint.Config{Enabled: true, TransferLo: 100, TransferHi: 100}, rng.New(1))
 	s := NewScheduler(eng, g, ck, NewPolicy(FCFSShare, nil), SchedConfig{Threshold: 1}, obs)
-	if got := s.CheckpointInterval(); math.Abs(got-600) > 1e-9 {
+	if got := s.ckptInterval; math.Abs(got-600) > 1e-9 {
 		t.Fatalf("checkpoint interval = %v, want 600", got)
 	}
 	b := s.Submit(60000, []float64{60000})

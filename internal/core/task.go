@@ -74,9 +74,6 @@ type Task struct {
 	idleSince float64
 	// pendingEpoch invalidates stale idle-index entries (lazy deletion).
 	pendingEpoch uint32
-	// heapKey is the frozen LongIdle ordering key for the current
-	// pending stretch; see idleKey.
-	heapKey float64
 	// runIdx is the task's position in its bag's running-task heap,
 	// -1 while not running.
 	runIdx int
@@ -93,11 +90,9 @@ func (t *Task) IdleTime(now float64) float64 {
 
 // idleKey is a time-invariant ordering key: among currently pending tasks,
 // IdleTime differences are constant, so comparing idleAccum − idleSince
-// ranks tasks by IdleTime at any instant.
+// ranks tasks by IdleTime at any instant. Neither term changes while a
+// task is pending, so the key is frozen for the whole pending stretch.
 func (t *Task) idleKey() float64 { return t.idleAccum - t.idleSince }
-
-// Remaining returns the reference-seconds of work not yet checkpointed.
-func (t *Task) Remaining() float64 { return t.Work - t.Checkpointed }
 
 // Bag holds one BoT application's tasks and the per-bag queue the central
 // scheduler maintains for it (Section 3.1 of the paper).
@@ -175,7 +170,6 @@ func (b *Bag) reset(id int, arrival, granularity float64, works []float64) {
 func (b *Bag) enqueuePending(t *Task, front bool) {
 	t.State = TaskPending
 	t.pendingEpoch++
-	t.heapKey = t.idleKey()
 	if front {
 		b.pending.pushFront(t)
 	} else {

@@ -135,7 +135,6 @@ func TestIdleIdxOrdering(t *testing.T) {
 		for i := 0; i < 25; i++ {
 			tk := &Task{ID: i, Bag: b, idleSince: float64(r.Intn(5)) * 250}
 			tk.pendingEpoch = 1
-			tk.heapKey = tk.idleKey()
 			want = append(want, tk)
 		}
 	}
@@ -146,8 +145,8 @@ func TestIdleIdxOrdering(t *testing.T) {
 	}
 	sort.Slice(want, func(i, j int) bool {
 		a, b := want[i], want[j]
-		if a.heapKey != b.heapKey {
-			return a.heapKey > b.heapKey
+		if a.idleKey() != b.idleKey() {
+			return a.idleKey() > b.idleKey()
 		}
 		if a.Bag.ID != b.Bag.ID {
 			return a.Bag.ID < b.Bag.ID
@@ -161,7 +160,7 @@ func TestIdleIdxOrdering(t *testing.T) {
 		}
 		if got != w {
 			t.Fatalf("entry %d: bag %d task %d (key %g), want bag %d task %d (key %g)",
-				i, got.Bag.ID, got.ID, got.heapKey, w.Bag.ID, w.ID, w.heapKey)
+				i, got.Bag.ID, got.ID, got.idleKey(), w.Bag.ID, w.ID, w.idleKey())
 		}
 		h.popTop()
 	}
@@ -277,7 +276,7 @@ func TestBagAccessors(t *testing.T) {
 		if tk.IdleTime(100) != 57.5 {
 			t.Fatalf("IdleTime = %v, want 57.5", tk.IdleTime(100))
 		}
-		if tk.Remaining() != tk.Work {
+		if tk.Checkpointed != 0 {
 			t.Fatal("fresh task should have full work remaining")
 		}
 	}
