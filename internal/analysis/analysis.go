@@ -1,23 +1,14 @@
 // Package analysis provides the operational-law and queueing-theoretic
 // baselines behind the paper's workload derivation (§4.2, citing Menasce,
-// Dowdy & Almeida): demands, utilizations, saturation points, analytic
-// waiting-time estimates, and per-bag makespan lower bounds used as
-// simulation sanity checks.
+// Dowdy & Almeida): utilizations, saturation points, an analytic
+// waiting-time estimate, and per-bag makespan lower bounds used as
+// simulation sanity checks. The demand D they take is workload.Demand.
 package analysis
 
 import (
 	"fmt"
 	"math"
 )
-
-// Demand returns D, the grid-seconds of service one BoT requires:
-// application size over effective grid power (Eq. 1's denominator).
-func Demand(appSize, effectivePower float64) float64 {
-	if appSize <= 0 || effectivePower <= 0 {
-		panic(fmt.Sprintf("analysis: invalid demand inputs %v/%v", appSize, effectivePower))
-	}
-	return appSize / effectivePower
-}
 
 // Utilization applies the utilization law U = λ·D.
 func Utilization(lambda, demand float64) float64 { return lambda * demand }
@@ -49,59 +40,6 @@ func MG1Wait(lambda, meanService, scv float64) (float64, error) {
 		return math.Inf(1), nil
 	}
 	return rho * meanService * (1 + scv) / (2 * (1 - rho)), nil
-}
-
-// ErlangC returns the probability that an arriving job waits in an M/M/c
-// queue with offered load a = λ/μ (in Erlangs). It returns 1 when the
-// system is saturated (a >= c).
-func ErlangC(c int, offered float64) float64 {
-	if c <= 0 || offered < 0 {
-		panic(fmt.Sprintf("analysis: invalid Erlang inputs c=%d a=%v", c, offered))
-	}
-	if offered == 0 {
-		return 0
-	}
-	if offered >= float64(c) {
-		return 1
-	}
-	// Compute iteratively in log-free form: term_k = a^k/k!.
-	sum := 0.0
-	term := 1.0
-	for k := 0; k < c; k++ {
-		sum += term
-		term *= offered / float64(k+1)
-	}
-	// term is now a^c/c!.
-	last := term * float64(c) / (float64(c) - offered)
-	return last / (sum + last)
-}
-
-// MMcWait returns the mean waiting time of an M/M/c queue with arrival
-// rate λ and per-server mean service time S. Treating machines as the c
-// servers and tasks as jobs models the fine-grained limit of the grid.
-func MMcWait(lambda, meanService float64, c int) (float64, error) {
-	if lambda <= 0 || meanService <= 0 || c <= 0 {
-		return 0, fmt.Errorf("analysis: invalid M/M/c inputs λ=%v S=%v c=%d", lambda, meanService, c)
-	}
-	offered := lambda * meanService
-	if offered >= float64(c) {
-		return math.Inf(1), nil
-	}
-	pw := ErlangC(c, offered)
-	return pw * meanService / (float64(c) - offered), nil
-}
-
-// UniformSCV returns the squared coefficient of variation of a
-// U[lo,hi] distribution — the paper's task (and hence bag-demand)
-// durations are uniform with ±50 % spread, giving cv² = 1/12 ≈ 0.083 for
-// the per-task view.
-func UniformSCV(lo, hi float64) float64 {
-	if hi <= lo {
-		panic(fmt.Sprintf("analysis: invalid uniform bounds [%v,%v]", lo, hi))
-	}
-	mean := (lo + hi) / 2
-	variance := (hi - lo) * (hi - lo) / 12
-	return variance / (mean * mean)
 }
 
 // MakespanLowerBound returns a lower bound on a bag's makespan on the

@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"botgrid/internal/workload"
 )
 
 func TestOperationalLaws(t *testing.T) {
-	d := Demand(2.5e6, 1000)
+	d := workload.Demand(2.5e6, 1000)
 	if d != 2500 {
 		t.Fatalf("demand = %v, want 2500", d)
 	}
@@ -40,63 +42,6 @@ func TestMG1Wait(t *testing.T) {
 	}
 }
 
-func TestErlangC(t *testing.T) {
-	// c=1 reduces to ρ.
-	for _, rho := range []float64{0.1, 0.5, 0.9} {
-		if got := ErlangC(1, rho); math.Abs(got-rho) > 1e-12 {
-			t.Fatalf("ErlangC(1,%v) = %v, want %v", rho, got, rho)
-		}
-	}
-	// Known value: C(2, 1) = 1/3.
-	if got := ErlangC(2, 1); math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Fatalf("ErlangC(2,1) = %v, want 1/3", got)
-	}
-	if ErlangC(3, 0) != 0 {
-		t.Fatal("zero load should never wait")
-	}
-	if ErlangC(2, 2) != 1 {
-		t.Fatal("saturated system should always wait")
-	}
-	// Monotonic in offered load.
-	prev := -1.0
-	for a := 0.1; a < 4; a += 0.1 {
-		c := ErlangC(4, a)
-		if c < prev {
-			t.Fatal("Erlang C not monotonic")
-		}
-		prev = c
-	}
-}
-
-func TestMMcWait(t *testing.T) {
-	// M/M/1: W = ρS/(1−ρ).
-	w, err := MMcWait(0.5, 1, 1)
-	if err != nil || math.Abs(w-1) > 1e-12 {
-		t.Fatalf("M/M/1 via MMcWait = %v (%v), want 1", w, err)
-	}
-	// More servers at the same load per server wait strictly less.
-	w1, _ := MMcWait(0.9, 1, 1)
-	w10, _ := MMcWait(9, 1, 10)
-	if w10 >= w1 {
-		t.Fatalf("M/M/10 wait %v should beat M/M/1 wait %v at equal per-server load", w10, w1)
-	}
-	ws, _ := MMcWait(2, 1, 2)
-	if !math.IsInf(ws, 1) {
-		t.Fatal("saturated M/M/c should wait forever")
-	}
-}
-
-func TestUniformSCV(t *testing.T) {
-	// U[0.5X, 1.5X]: variance (X)²/12, mean X → cv² = 1/12.
-	if got := UniformSCV(500, 1500); math.Abs(got-1.0/12.0) > 1e-12 {
-		t.Fatalf("cv² = %v, want 1/12", got)
-	}
-	// Degenerate-ish narrow interval → tiny cv².
-	if got := UniformSCV(999, 1001); got > 1e-5 {
-		t.Fatalf("narrow cv² = %v, want ≈0", got)
-	}
-}
-
 func TestMakespanLowerBound(t *testing.T) {
 	// Area bound dominates: 4 tasks of 100 on 2 machines of power 1 → 200.
 	if got := MakespanLowerBound([]float64{100, 100, 100, 100}, []float64{1, 1}); got != 200 {
@@ -114,10 +59,7 @@ func TestMakespanLowerBound(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	cases := []func(){
-		func() { Demand(0, 1) },
 		func() { SaturationLambda(0) },
-		func() { ErlangC(0, 1) },
-		func() { UniformSCV(2, 1) },
 		func() { MakespanLowerBound(nil, []float64{1}) },
 		func() { MakespanLowerBound([]float64{1}, nil) },
 		func() { MakespanLowerBound([]float64{0}, []float64{1}) },

@@ -4,11 +4,12 @@ import (
 	"fmt"
 
 	"botgrid/internal/analysis"
+	"botgrid/internal/workload"
 )
 
 // Deriving the paper's Eq. 1 quantities for the full-scale grid.
-func ExampleDemand() {
-	d := analysis.Demand(2.5e6, 1000) // app size / grid power
+func ExampleSaturationLambda() {
+	d := workload.Demand(2.5e6, 1000) // app size / grid power
 	lambdaSat := analysis.SaturationLambda(d)
 	fmt.Printf("D = %.0f s per bag; saturation at λ = %.1e arrivals/s\n", d, lambdaSat)
 	// Output:

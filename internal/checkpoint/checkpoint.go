@@ -74,9 +74,8 @@ type Server struct {
 	retrieves int
 
 	// Contention state (used only when cfg.Capacity > 0).
-	active   int
-	queue    []*Transfer
-	maxQueue int
+	active int
+	queue  []*Transfer
 
 	// pool recycles Transfer structs: a simulation issues one save or
 	// retrieve per checkpoint interval per replica, and allocating each

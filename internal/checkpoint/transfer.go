@@ -60,7 +60,6 @@ func (s *Server) StartTransfer(e *des.Engine, duration float64, done func(arg an
 		t.begin(e)
 	} else {
 		s.queue = append(s.queue, t)
-		s.maxQueue = max(s.maxQueue, len(s.queue))
 	}
 	return t
 }
@@ -131,15 +130,4 @@ func (s *Server) Queued() int {
 		}
 	}
 	return n
-}
-
-// MaxQueue returns the high-water mark of the wait queue, a contention
-// indicator for the A7 ablation.
-func (s *Server) MaxQueue() int { return s.maxQueue }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -46,9 +46,6 @@ func TestCapacitySerializesTransfers(t *testing.T) {
 			t.Fatalf("transfer %d finished at %v, want %v (FIFO serialization)", i, at, want[i])
 		}
 	}
-	if s.MaxQueue() != 2 {
-		t.Fatalf("max queue = %d, want 2", s.MaxQueue())
-	}
 }
 
 func TestCapacityTwoPipelines(t *testing.T) {
@@ -152,17 +149,15 @@ func TestResetKeepsPoolOnly(t *testing.T) {
 	e.Run() // all three finish; first is the deepest in the pool
 	s.StartTransfer(e, 100, func(any) {}, nil)
 	s.StartTransfer(e, 100, func(any) {}, nil) // queued behind the running one
-	if s.Active() != 1 || s.Queued() != 1 || s.MaxQueue() != 2 {
-		t.Fatalf("before reset: active %d queued %d max queue %d", s.Active(), s.Queued(), s.MaxQueue())
+	if s.Active() != 1 || s.Queued() != 1 {
+		t.Fatalf("before reset: active %d queued %d", s.Active(), s.Queued())
 	}
 
 	e.Reset()
 	cfg := Config{Enabled: true, TransferLo: 50, TransferHi: 60}
 	s.Reset(cfg, rng.New(2))
-	if saves, retrieves := s.Stats(); saves != 0 || retrieves != 0 || s.Active() != 0 ||
-		s.Queued() != 0 || s.MaxQueue() != 0 {
-		t.Fatalf("after reset: stats %d/%d active %d queued %d max queue %d",
-			saves, retrieves, s.Active(), s.Queued(), s.MaxQueue())
+	if saves, retrieves := s.Stats(); saves != 0 || retrieves != 0 || s.Active() != 0 || s.Queued() != 0 {
+		t.Fatalf("after reset: stats %d/%d active %d queued %d", saves, retrieves, s.Active(), s.Queued())
 	}
 	if got, want := s.SaveTime(), NewServer(cfg, rng.New(2)).SaveTime(); got != want {
 		t.Fatalf("after reset the first save takes %v, a new server's %v", got, want)

@@ -167,13 +167,15 @@ func (r Result) MeanTurnaround() float64 {
 // builds in proportion to the grid stays warm for the next: the event
 // engine's arena, queue-tier capacities and rung free-list, the grid and
 // its Machine structs, the scheduler's per-machine state, free stack and
-// replica pool, its bag and task storage up to one task per machine, and
-// the checkpoint server's transfer pool. A caller that executes many
+// replica pool, its bag and task storage up to one task per machine, the
+// checkpoint server's transfer pool, and the task-work buffer a generated
+// stream draws its bags into. A caller that executes many
 // replications back-to-back (a sweep cell, a replication benchmark) pays
 // the allocator's growth cost once rather than once per run. The policy
 // and its indexes are built afresh by every run, and bag and task storage
 // past the grid-sized cap is let go when the run ends, so the carried
-// storage scales with the grid, not with the workload.
+// storage scales with the grid and the largest bag, not with the length
+// of the workload.
 //
 // Results are bit-identical to Run: the reused storage carries capacity
 // forward, never state. One consequence reaches observers: a *grid.Machine
@@ -188,6 +190,9 @@ type Runner struct {
 	// sched is the last run's scheduler, retired to the grid-sized storage
 	// the next run's scheduler is built on.
 	sched *Scheduler
+	// bot is the one BoT a generated stream is drawn into; its TaskWork
+	// keeps the largest bag's capacity for the next run.
+	bot workload.BoT
 }
 
 // Run executes one simulation like the package-level Run, in the warm
@@ -236,7 +241,7 @@ func (r *Runner) run(cfg RunConfig) (Result, error) {
 	sched.OnBagDone = func(b *Bag) {
 		done++
 		if done > cfg.Warmup {
-			res.Bags = append(res.Bags, bagStats(b, totalPower, maxPower))
+			res.Bags = append(res.Bags, b.Stats(totalPower, maxPower))
 		}
 		if done == numBots {
 			eng.Stop()
@@ -284,10 +289,9 @@ func (r *Runner) run(cfg RunConfig) (Result, error) {
 			rng.Root(cfg.Seed, "tasks"), rng.Root(cfg.Seed, "arrivals"))
 		horizon = cfg.HorizonFactor * float64(numBots) / cfg.Workload.Lambda
 		// Submit copies the task works, so one BoT serves the stream.
-		var bot workload.BoT
 		next = func() *workload.BoT {
-			gen.NextInto(&bot)
-			return &bot
+			gen.NextInto(&r.bot)
+			return &r.bot
 		}
 	}
 	sched.recycle = true
@@ -324,7 +328,12 @@ func (r *Runner) run(cfg RunConfig) (Result, error) {
 	return res, nil
 }
 
-func bagStats(b *Bag, totalPower, maxPower float64) BagStats {
+// Stats summarizes a completed bag in the paper's metrics. Its ideal
+// makespan is the bound max(Σwork/totalPower, max work/maxPower) on a
+// grid whose machine powers sum to totalPower and peak at maxPower; a
+// multi-site run passes the whole grid's powers, so its slowdowns compare
+// with a centralized run's.
+func (b *Bag) Stats(totalPower, maxPower float64) BagStats {
 	maxWork := 0.0
 	for _, t := range b.Tasks {
 		if t.Work > maxWork {

@@ -581,9 +581,6 @@ func TestCheckpointServerContention(t *testing.T) {
 	if len(saved) != 2 || saved[0] != 700 || saved[1] != 800 {
 		t.Fatalf("save completions = %v, want [700 800]", saved)
 	}
-	if ck.MaxQueue() != 1 {
-		t.Fatalf("max queue = %d, want 1", ck.MaxQueue())
-	}
 	// The same scenario with unlimited capacity completes both at 700.
 	var saved2 []float64
 	eng2 := des.New()
@@ -615,7 +612,7 @@ func TestWaitingMakespanTurnaroundIdentity(t *testing.T) {
 	submitAt(eng, s, 6, 1000, []float64{1000}, &b)
 	eng.Run()
 	// B waits 105-6=99, runs 100 → turnaround 199.
-	st := bagStats(b, 10, 10)
+	st := b.Stats(10, 10)
 	if st.Waiting != 99 || st.Makespan != 100 || st.Turnaround != 199 {
 		t.Fatalf("waiting/makespan/turnaround = %v/%v/%v, want 99/100/199",
 			st.Waiting, st.Makespan, st.Turnaround)

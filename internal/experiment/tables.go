@@ -143,7 +143,7 @@ func AnalysisTable(scale float64) []AnalysisRow {
 		gc := grid.DefaultConfig(grid.Hom, a)
 		gc.TotalPower *= scale
 		eff := core.EffectivePower(gc, cc)
-		d := analysis.Demand(appSize, eff)
+		d := workload.Demand(appSize, eff)
 		satL := analysis.SaturationLambda(d)
 		for _, u := range []float64{workload.LowIntensity, workload.MediumIntensity, workload.HighIntensity} {
 			l := workload.LambdaForUtilization(u, appSize, eff)

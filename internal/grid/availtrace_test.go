@@ -17,8 +17,8 @@ func TestRecordAndReplayAvailability(t *testing.T) {
 	// Record a stochastic run.
 	src := Build(cfg, rng.New(1))
 	e1 := des.New()
-	var counted countingListener
-	rec := NewAvailRecorder(e1, &counted)
+	counted := newUpTimer(e1, src.NumMachines())
+	rec := NewAvailRecorder(e1, counted)
 	src.Start(e1, rng.New(2), rec)
 	e1.RunUntil(50000)
 	events := rec.Events()
@@ -32,8 +32,8 @@ func TestRecordAndReplayAvailability(t *testing.T) {
 	// Replay into a fresh grid: machine states must match at the end.
 	dst := Build(cfg, rng.New(1))
 	e2 := des.New()
-	var replayed countingListener
-	if err := dst.Replay(e2, events, &replayed); err != nil {
+	replayed := newUpTimer(e2, dst.NumMachines())
+	if err := dst.Replay(e2, events, replayed); err != nil {
 		t.Fatal(err)
 	}
 	e2.RunUntil(50000)
@@ -45,8 +45,8 @@ func TestRecordAndReplayAvailability(t *testing.T) {
 		if src.Machines[i].Up() != dst.Machines[i].Up() {
 			t.Fatalf("machine %d final state differs", i)
 		}
-		a := src.Machines[i].ObservedAvailability(50000)
-		b := dst.Machines[i].ObservedAvailability(50000)
+		a := counted.availability(src.Machines[i])
+		b := replayed.availability(dst.Machines[i])
 		if math.Abs(a-b) > 1e-9 {
 			t.Fatalf("machine %d availability %v vs %v", i, a, b)
 		}

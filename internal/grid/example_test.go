@@ -32,8 +32,8 @@ func ExampleGrid_Replay() {
 		return
 	}
 	eng.RunUntil(300)
-	fmt.Printf("machine 0 up: %v, availability %.2f\n",
-		g.Machines[0].Up(), g.Machines[0].ObservedAvailability(300))
+	fmt.Printf("machine 0 up: %v, failures %d\n",
+		g.Machines[0].Up(), g.Machines[0].Failures())
 	// Output:
-	// machine 0 up: true, availability 0.50
+	// machine 0 up: true, failures 1
 }

@@ -157,7 +157,9 @@ func (c Config) MTBF() float64 {
 	return a / (1 - a) * c.RepairMean
 }
 
-// Machine is a single desktop-grid resource.
+// Machine is a single desktop-grid resource. It holds model state only:
+// a 100k-machine grid writes one Machine per availability event, and
+// TestMachineSize keeps it at 32 bytes.
 type Machine struct {
 	// ID is the machine's index within its grid.
 	ID int
@@ -165,13 +167,8 @@ type Machine struct {
 	// the reference machine (power 1) runs in X/Power seconds here.
 	Power float64
 
-	up bool
-
-	// Lifecycle bookkeeping for availability accounting.
-	upSince   float64
-	totalUp   float64
-	failures  int
-	nextEvent des.EventRef
+	up       bool
+	failures int
 }
 
 // Up reports whether the machine is currently available.
@@ -180,29 +177,17 @@ func (m *Machine) Up() bool { return m.up }
 // Failures returns the number of failures the machine has suffered so far.
 func (m *Machine) Failures() int { return m.failures }
 
-// ObservedAvailability returns the fraction of time in [0, now] the machine
-// has been up.
-func (m *Machine) ObservedAvailability(now float64) float64 {
-	if now <= 0 {
-		return 1
-	}
-	total := m.totalUp
-	if m.up {
-		total += now - m.upSince
-	}
-	return total / now
-}
-
 // ForceFail marks an up machine down at time now without scheduling a
 // repair. It is the failure-injection hook for tests and deterministic
-// experiments; the caller is responsible for notifying its Listener.
+// experiments; the caller is responsible for notifying its Listener. A
+// machine records no times; now is taken so call sites read as timed
+// transitions.
 func (m *Machine) ForceFail(now float64) {
 	if !m.up {
 		panic(fmt.Sprintf("grid: machine %d already down", m.ID))
 	}
 	m.up = false
 	m.failures++
-	m.totalUp += now - m.upSince
 }
 
 // ForceRepair marks a down machine up at time now. See ForceFail.
@@ -211,7 +196,6 @@ func (m *Machine) ForceRepair(now float64) {
 		panic(fmt.Sprintf("grid: machine %d already up", m.ID))
 	}
 	m.up = true
-	m.upSince = now
 }
 
 // Listener receives machine state-change notifications. The scheduler
@@ -306,17 +290,6 @@ func (g *Grid) AvgPower() float64 {
 	return g.TotalPower() / float64(len(g.Machines))
 }
 
-// UpMachines returns the machines currently available.
-func (g *Grid) UpMachines() []*Machine {
-	var up []*Machine
-	for _, m := range g.Machines {
-		if m.up {
-			up = append(up, m)
-		}
-	}
-	return up
-}
-
 // Start launches the availability process of every machine on engine e.
 // Failure inter-times are Weibull(shape, scale-for-MTBF); repair times are
 // truncated normal. Listener l may be nil (useful when only availability
@@ -335,7 +308,6 @@ func (g *Grid) Start(e *des.Engine, str *rng.Stream, l Listener) {
 	p.failFn = p.fail
 	p.repairFn = p.repair
 	for _, m := range g.Machines {
-		m.upSince = e.Now()
 		p.scheduleFailure(e, m)
 	}
 }
@@ -366,36 +338,26 @@ func (p *availProc) scheduleFailure(e *des.Engine, m *Machine) {
 		}
 	}
 	up := p.str.Weibull(p.g.Config.WeibullShape, effScale)
-	m.nextEvent = e.ScheduleFunc(up, p.failFn, m)
+	e.ScheduleFunc(up, p.failFn, m)
 }
 
 func (p *availProc) fail(e *des.Engine, arg any) {
 	m := arg.(*Machine)
 	m.up = false
 	m.failures++
-	m.totalUp += e.Now() - m.upSince
 	if p.l != nil {
 		p.l.MachineFailed(m)
 	}
 	cfg := p.g.Config
 	repair := p.str.TruncNormal(cfg.RepairMean, cfg.RepairSD, cfg.RepairLo, cfg.RepairHi)
-	m.nextEvent = e.ScheduleFunc(repair, p.repairFn, m)
+	e.ScheduleFunc(repair, p.repairFn, m)
 }
 
 func (p *availProc) repair(e *des.Engine, arg any) {
 	m := arg.(*Machine)
 	m.up = true
-	m.upSince = e.Now()
 	if p.l != nil {
 		p.l.MachineRepaired(m)
 	}
 	p.scheduleFailure(e, m)
-}
-
-// Stop cancels all pending availability events, freezing machine state.
-func (g *Grid) Stop(e *des.Engine) {
-	for _, m := range g.Machines {
-		e.Cancel(m.nextEvent)
-		m.nextEvent = des.EventRef{}
-	}
 }

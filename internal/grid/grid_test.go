@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"botgrid/internal/des"
 	"botgrid/internal/rng"
@@ -110,13 +111,41 @@ func TestAvailabilityTargets(t *testing.T) {
 	}
 }
 
-type countingListener struct {
+// upTimer is the test oracle for observed availability, the obvious
+// implementation: it counts failures and repairs and adds up each
+// machine's up-time at the engine's clock. Machines start up at time 0.
+type upTimer struct {
+	e              *des.Engine
+	upSince, upFor []float64
 	fails, repairs int
-	lastFailed     *Machine
 }
 
-func (c *countingListener) MachineFailed(m *Machine)   { c.fails++; c.lastFailed = m }
-func (c *countingListener) MachineRepaired(m *Machine) { c.repairs++ }
+func newUpTimer(e *des.Engine, machines int) *upTimer {
+	return &upTimer{e: e, upSince: make([]float64, machines), upFor: make([]float64, machines)}
+}
+
+func (u *upTimer) MachineFailed(m *Machine) {
+	u.fails++
+	u.upFor[m.ID] += u.e.Now() - u.upSince[m.ID]
+}
+
+func (u *upTimer) MachineRepaired(m *Machine) {
+	u.repairs++
+	u.upSince[m.ID] = u.e.Now()
+}
+
+// availability returns the fraction of [0, now] machine m has been up.
+func (u *upTimer) availability(m *Machine) float64 {
+	now := u.e.Now()
+	if now <= 0 {
+		return 1
+	}
+	up := u.upFor[m.ID]
+	if m.Up() {
+		up += now - u.upSince[m.ID]
+	}
+	return up / now
+}
 
 func TestAvailabilityProcess(t *testing.T) {
 	// Simulate long enough that observed availability approaches the
@@ -128,13 +157,15 @@ func TestAvailabilityProcess(t *testing.T) {
 			cfg := DefaultConfig(Hom, a)
 			g := Build(cfg, rng.New(3))
 			e := des.New()
-			var l countingListener
-			g.Start(e, rng.New(4), &l)
+			l := newUpTimer(e, g.NumMachines())
+			g.Start(e, rng.New(4), l)
 			horizon := 3e6 // ~34 simulated days
 			e.RunUntil(horizon)
 			var sum float64
+			failures := 0
 			for _, m := range g.Machines {
-				sum += m.ObservedAvailability(e.Now())
+				sum += l.availability(m)
+				failures += m.Failures()
 			}
 			got := sum / float64(len(g.Machines))
 			want := a.Target()
@@ -147,6 +178,9 @@ func TestAvailabilityProcess(t *testing.T) {
 			if l.fails < l.repairs {
 				t.Fatalf("repairs (%d) exceed failures (%d)", l.repairs, l.fails)
 			}
+			if failures != l.fails {
+				t.Fatalf("machines count %d failures, the listener saw %d", failures, l.fails)
+			}
 		})
 	}
 }
@@ -154,8 +188,8 @@ func TestAvailabilityProcess(t *testing.T) {
 func TestAlwaysUpSchedulesNothing(t *testing.T) {
 	g := Build(DefaultConfig(Hom, AlwaysUp), rng.New(5))
 	e := des.New()
-	var l countingListener
-	g.Start(e, rng.New(6), &l)
+	l := newUpTimer(e, g.NumMachines())
+	g.Start(e, rng.New(6), l)
 	if e.Len() != 0 {
 		t.Fatalf("AlwaysUp scheduled %d events, want 0", e.Len())
 	}
@@ -164,8 +198,8 @@ func TestAlwaysUpSchedulesNothing(t *testing.T) {
 		t.Fatal("AlwaysUp machines failed")
 	}
 	for _, m := range g.Machines {
-		if m.ObservedAvailability(e.Now()) != 1 {
-			t.Fatal("AlwaysUp availability should be 1")
+		if !m.Up() {
+			t.Fatalf("AlwaysUp machine %d is down", m.ID)
 		}
 	}
 }
@@ -196,19 +230,6 @@ func (s *stateChecker) MachineRepaired(m *Machine) {
 	}
 }
 
-func TestStopCancelsEvents(t *testing.T) {
-	g := Build(DefaultConfig(Hom, LowAvail), rng.New(9))
-	e := des.New()
-	g.Start(e, rng.New(10), nil)
-	if e.Len() != 100 {
-		t.Fatalf("queue length = %d, want 100 failure events", e.Len())
-	}
-	g.Stop(e)
-	if e.Len() != 0 {
-		t.Fatalf("queue length after Stop = %d, want 0", e.Len())
-	}
-}
-
 func TestNilListenerOK(t *testing.T) {
 	g := Build(DefaultConfig(Hom, LowAvail), rng.New(11))
 	e := des.New()
@@ -216,30 +237,6 @@ func TestNilListenerOK(t *testing.T) {
 	e.RunUntil(1e5) // must not panic
 	if e.Now() != 1e5 {
 		t.Fatalf("Now = %v, want 1e5", e.Now())
-	}
-}
-
-func TestUpMachines(t *testing.T) {
-	g := Build(DefaultConfig(Hom, LowAvail), rng.New(13))
-	e := des.New()
-	g.Start(e, rng.New(14), nil)
-	e.RunUntil(5e4)
-	up := g.UpMachines()
-	for _, m := range up {
-		if !m.Up() {
-			t.Fatal("UpMachines returned a down machine")
-		}
-	}
-	// At 50% availability some machines should be down at any instant.
-	if len(up) == g.NumMachines() {
-		t.Fatalf("all %d machines up at t=5e4 under LowAvail; expected some down", len(up))
-	}
-}
-
-func TestObservedAvailabilityEarly(t *testing.T) {
-	m := &Machine{up: true}
-	if m.ObservedAvailability(0) != 1 {
-		t.Fatal("availability at t=0 should be 1")
 	}
 }
 
@@ -295,15 +292,22 @@ func TestForceFailRepair(t *testing.T) {
 	if m.Up() || m.Failures() != 1 {
 		t.Fatal("ForceFail did not mark machine down")
 	}
-	if got := m.ObservedAvailability(200); got != 0.5 {
-		t.Fatalf("availability = %v, want 0.5", got)
-	}
 	m.ForceRepair(200)
-	if !m.Up() {
+	if !m.Up() || m.Failures() != 1 {
 		t.Fatal("ForceRepair did not mark machine up")
 	}
-	if got := m.ObservedAvailability(400); got != 0.75 {
-		t.Fatalf("availability = %v, want 0.75", got)
+	m.ForceFail(300)
+	if m.Up() || m.Failures() != 2 {
+		t.Fatalf("second ForceFail: up %v, %d failures; want down after 2", m.Up(), m.Failures())
+	}
+}
+
+// TestMachineSize: a 100k-machine grid (the sim-churn workload) writes a
+// Machine on every availability event, so Machine keeps model state only,
+// in at most 32 bytes.
+func TestMachineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Machine{}); got > 32 {
+		t.Fatalf("grid.Machine is %d bytes, want at most 32", got)
 	}
 }
 

@@ -170,9 +170,8 @@ type Journal struct {
 	nextLSN   uint64 // LSN the next Append assigns
 	syncedLSN uint64 // all records <= this are flushed (and fsynced unless FsyncOff)
 
-	f        *os.File // active segment; owned by the syncer while it runs
-	segSize  int64
-	segFirst uint64
+	f       *os.File // active segment; owned by the syncer while it runs
+	segSize int64
 
 	err      error // first fatal write error; fails all further appends
 	closed   bool
@@ -284,7 +283,6 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 		dir:        opts.Dir,
 		nextLSN:    next,
 		syncedLSN:  next - 1,
-		segFirst:   next,
 		lastSnapAt: start,
 		loopExit:   make(chan struct{}),
 	}
@@ -321,7 +319,6 @@ func (j *Journal) openActiveSegment(lsn uint64) error {
 	}
 	j.f = f
 	j.segSize = int64(segHeader)
-	j.segFirst = lsn
 	return nil
 }
 
@@ -486,7 +483,6 @@ func (j *Journal) syncLoop() {
 		} else {
 			if rotate {
 				j.segSize = int64(segHeader)
-				j.segFirst = first
 			}
 			j.segSize += int64(len(batch))
 			j.syncedLSN = last

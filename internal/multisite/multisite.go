@@ -131,6 +131,8 @@ func Run(cfg Config) (Result, error) {
 	parts := partition(whole, cfg.Sites, cfg.Grid)
 
 	res := Result{PerSite: make([]int, cfg.Sites)}
+	// Per-bag ideal makespans are taken against the WHOLE grid, so
+	// slowdowns are comparable between architectures.
 	totalPower, maxPower := 0.0, 0.0
 	for _, m := range whole.Machines {
 		totalPower += m.Power
@@ -150,7 +152,7 @@ func Run(cfg Config) (Result, error) {
 			done++
 			res.PerSite[i]++
 			if done > cfg.Warmup {
-				res.Bags = append(res.Bags, siteBagStats(b, totalPower, maxPower))
+				res.Bags = append(res.Bags, b.Stats(totalPower, maxPower))
 			}
 			if done == cfg.NumBoTs {
 				eng.Stop()
@@ -185,36 +187,6 @@ func Run(cfg Config) (Result, error) {
 	res.Saturated = done < cfg.NumBoTs
 	res.SimEnd = eng.Now()
 	return res, nil
-}
-
-// siteBagStats mirrors the centralized per-bag metrics, normalizing the
-// ideal makespan against the WHOLE grid so slowdowns are comparable
-// between architectures.
-func siteBagStats(b *core.Bag, totalPower, maxPower float64) core.BagStats {
-	maxWork := 0.0
-	for _, t := range b.Tasks {
-		if t.Work > maxWork {
-			maxWork = t.Work
-		}
-	}
-	ideal := b.TotalWork() / totalPower
-	if cp := maxWork / maxPower; cp > ideal {
-		ideal = cp
-	}
-	turnaround := b.DoneAt - b.Arrival
-	return core.BagStats{
-		ID:            b.ID,
-		Granularity:   b.Granularity,
-		NumTasks:      len(b.Tasks),
-		Arrival:       b.Arrival,
-		FirstStart:    b.FirstStart,
-		Completed:     b.DoneAt,
-		Waiting:       b.FirstStart - b.Arrival,
-		Makespan:      b.DoneAt - b.FirstStart,
-		Turnaround:    turnaround,
-		IdealMakespan: ideal,
-		Slowdown:      turnaround / ideal,
-	}
 }
 
 // partition splits a built grid's machines round-robin into n site grids.

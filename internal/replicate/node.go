@@ -102,7 +102,6 @@ type Node struct {
 type session struct {
 	conn     net.Conn
 	leaderID string
-	term     uint64
 	ackKick  chan struct{}
 	done     chan struct{}
 }
@@ -115,11 +114,7 @@ func Open(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	jnl, rec, err := journal.Open(journal.Options{
-		Dir:          cfg.Dir,
-		Fsync:        cfg.Fsync,
-		SnapshotMTBF: cfg.SnapshotMTBF,
-	})
+	jnl, rec, err := cfg.openJournal()
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +141,12 @@ func Open(cfg Config) (*Node, error) {
 		lastLSN:    rec.LastLSN,
 		boot:       rec,
 	}, nil
+}
+
+// openJournal opens the node's journal directory with c's settings: at
+// Open, after a demotion and after a snapshot install.
+func (c Config) openJournal() (*journal.Journal, *journal.Recovered, error) {
+	return journal.Open(journal.Options{Dir: c.Dir, Fsync: c.Fsync, SnapshotMTBF: c.SnapshotMTBF})
 }
 
 // Start builds the standby from the journal Open recovered (OnFollow),
@@ -315,11 +316,13 @@ func (n *Node) handleConn(conn net.Conn) {
 // handleVote applies the election rules: refuse stale terms, adopt newer
 // ones, and grant at most one vote per term — only to a candidate whose
 // (appendTerm, lastLSN) is at least ours, so a quorum-durable record is
-// always on the winner's log.
+// always on the winner's log. A fatal node refuses every vote: its log
+// position no longer describes what its standby holds. The flag lasts
+// until the process restarts; a snapshot install does not clear it.
 func (n *Node) handleVote(req voteReqMsg) voteRespMsg {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if req.Term < n.term {
+	if req.Term < n.term || n.fatal != nil {
 		return voteRespMsg{Term: n.term, Granted: false}
 	}
 	if req.Term > n.term {
@@ -573,11 +576,7 @@ func (n *Node) demote(rep *Replica) {
 	if err := rep.Close(); err != nil && !errors.Is(err, journal.ErrClosed) {
 		n.logf("replicate: %s: closing deposed log: %v", n.cfg.NodeID, err)
 	}
-	jnl, rec, err := journal.Open(journal.Options{
-		Dir:          n.cfg.Dir,
-		Fsync:        n.cfg.Fsync,
-		SnapshotMTBF: n.cfg.SnapshotMTBF,
-	})
+	jnl, rec, err := n.cfg.openJournal()
 	if err != nil {
 		n.fail(fmt.Errorf("reopening journal after demotion: %w", err))
 		return
@@ -661,7 +660,6 @@ func (n *Node) runFollowerSession(conn net.Conn, hello helloMsg, buf []byte) {
 	s := &session{
 		conn:     conn,
 		leaderID: hello.LeaderID,
-		term:     hello.Term,
 		ackKick:  make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
@@ -750,11 +748,7 @@ func (n *Node) installSnapshot(s *session, image []byte) error {
 	if err != nil {
 		return err
 	}
-	jnl, rec, err := journal.Open(journal.Options{
-		Dir:          n.cfg.Dir,
-		Fsync:        n.cfg.Fsync,
-		SnapshotMTBF: n.cfg.SnapshotMTBF,
-	})
+	jnl, rec, err := n.cfg.openJournal()
 	if err != nil {
 		return fmt.Errorf("reopening after install: %w", err)
 	}
@@ -776,9 +770,11 @@ func (n *Node) installSnapshot(s *session, image []byte) error {
 // applyEntry applies one replicated record to the standby kept ready for
 // promotion, then appends it to the local journal: an entry the standby
 // refuses never reaches the disk, so it cannot break the next recovery.
-// An append that fails after the standby took the entry is fatal: the
-// standby then holds a record the log lacks, so the node must never
-// promote it.
+// The first entry of a new term persists that term before the standby
+// sees it (rewriting TERM is idempotent, so a retried entry may write it
+// again), which leaves the append as the only step after the standby took
+// the entry. A failed or misnumbered append is fatal: the standby then
+// holds a record the log lacks, so the node must never promote it.
 func (n *Node) applyEntry(s *session, payload []byte) error {
 	term, lsn, rec, err := decodeEntry(payload)
 	if err != nil {
@@ -795,25 +791,25 @@ func (n *Node) applyEntry(s *session, payload []byte) error {
 	if lsn != n.lastLSN+1 {
 		return fmt.Errorf("entry LSN %d, expected %d", lsn, n.lastLSN+1)
 	}
+	if term != n.appendTerm {
+		// First entry of a new leadership: persist the log's term marker
+		// (it changes once per term, not per record).
+		if err := saveTermState(n.cfg.Dir, n.term, n.votedFor, term); err != nil {
+			return fmt.Errorf("persisting append term: %w", err)
+		}
+		n.appendTerm = term
+	}
 	if err := n.cb.OnEntry(lsn, &rec); err != nil {
 		return fmt.Errorf("standby refused entry %d: %w", lsn, err)
 	}
 	got, err := n.jnl.Append(&rec)
+	if err == nil && got != lsn {
+		err = fmt.Errorf("journal assigned LSN %d", got)
+	}
 	if err != nil {
 		err = fmt.Errorf("appending entry %d the standby took: %w", lsn, err)
 		n.failLocked(err)
 		return err
-	}
-	if got != lsn {
-		return fmt.Errorf("journal assigned LSN %d to entry %d", got, lsn)
-	}
-	if term != n.appendTerm {
-		// First entry of a new leadership: persist the log's term marker
-		// (it changes once per term, not per record).
-		n.appendTerm = term
-		if err := saveTermState(n.cfg.Dir, n.term, n.votedFor, n.appendTerm); err != nil {
-			return fmt.Errorf("persisting append term: %w", err)
-		}
 	}
 	n.lastLSN = lsn
 	n.leaderSeen = time.Now()

@@ -90,29 +90,6 @@ func (a *Accumulator) Max() float64 {
 	return a.max
 }
 
-// Merge folds another accumulator into a (parallel reduction). Min/max are
-// combined exactly; mean/variance by Chan et al.'s pairwise update.
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := float64(a.n + b.n)
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/n
-	a.mean += delta * float64(b.n) / n
-	a.n += b.n
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-}
-
 // JainIndex returns Jain's fairness index of the observations:
 // (Σx)² / (n·Σx²), which is 1 when all values are equal and 1/n when one
 // value dominates. The multi-BoT scheduling literature uses it over

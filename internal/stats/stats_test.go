@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -42,50 +41,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	ci := a.CI(0.95)
 	if !math.IsInf(ci.HalfWidth, 1) {
 		t.Fatal("CI with one sample should have infinite half-width")
-	}
-}
-
-func TestMergeMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		var whole, left, right Accumulator
-		n := 1 + r.Intn(100)
-		cut := r.Intn(n + 1)
-		for i := 0; i < n; i++ {
-			x := r.NormFloat64()*10 + 50
-			whole.Add(x)
-			if i < cut {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(&right)
-		if left.N() != whole.N() {
-			t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-		}
-		if !almost(left.Mean(), whole.Mean(), 1e-9) {
-			t.Fatalf("merged mean = %v, want %v", left.Mean(), whole.Mean())
-		}
-		if n >= 2 && !almost(left.Variance(), whole.Variance(), 1e-6) {
-			t.Fatalf("merged variance = %v, want %v", left.Variance(), whole.Variance())
-		}
-		if left.Min() != whole.Min() || left.Max() != whole.Max() {
-			t.Fatal("merged min/max mismatch")
-		}
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	var a, b Accumulator
-	a.Add(1)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Fatalf("N = %d, want 1", a.N())
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Fatal("merge into empty should copy")
 	}
 }
 
@@ -166,37 +121,6 @@ func TestIntervalHelpers(t *testing.T) {
 	}
 	if ci.String() == "" {
 		t.Fatal("String should not be empty")
-	}
-}
-
-func TestQuickMergeAssociative(t *testing.T) {
-	f := func(xs, ys []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := in[:0]
-			for _, x := range in {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		xs, ys = clean(xs), clean(ys)
-		var a, b, whole Accumulator
-		a.AddAll(xs)
-		b.AddAll(ys)
-		whole.AddAll(xs)
-		whole.AddAll(ys)
-		a.Merge(&b)
-		if a.N() != whole.N() {
-			return false
-		}
-		if a.N() == 0 {
-			return true
-		}
-		return almost(a.Mean(), whole.Mean(), 1e-6*(1+math.Abs(whole.Mean())))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

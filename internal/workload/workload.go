@@ -14,7 +14,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"botgrid/internal/rng"
 )
@@ -163,8 +162,8 @@ func (c Config) shape() float64 {
 // Demand returns D, the computing demand of one BoT expressed in seconds of
 // the whole grid's time: appSize / effectivePower.
 func Demand(appSize, effectivePower float64) float64 {
-	if effectivePower <= 0 {
-		panic(fmt.Sprintf("workload: effective power %v must be positive", effectivePower))
+	if appSize <= 0 || effectivePower <= 0 {
+		panic(fmt.Sprintf("workload: invalid demand inputs %v/%v", appSize, effectivePower))
 	}
 	return appSize / effectivePower
 }
@@ -257,11 +256,4 @@ func (g *Generator) Take(n int) []*BoT {
 		out = append(out, g.Next())
 	}
 	return out
-}
-
-// ExpectedTasks returns the expected number of tasks per bag for a
-// granularity under the configured application size (appSize / granularity,
-// rounded up).
-func (c Config) ExpectedTasks(granularity float64) int {
-	return int(math.Ceil(c.AppSize / granularity))
 }

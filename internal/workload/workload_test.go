@@ -63,11 +63,7 @@ func TestTasksPerBagMatchDesign(t *testing.T) {
 	// duration is the granularity, so expected counts are appSize/gran.
 	wants := map[float64]int{1000: 2500, 5000: 500, 25000: 100, 125000: 20}
 	for gran, want := range wants {
-		c := cfg(gran, 1e-3)
-		if got := c.ExpectedTasks(gran); got != want {
-			t.Fatalf("ExpectedTasks(%v) = %d, want %d", gran, got, want)
-		}
-		g := newGen(c, 3)
+		g := newGen(cfg(gran, 1e-3), 3)
 		var sum int
 		const bags = 50
 		for i := 0; i < bags; i++ {
@@ -126,12 +122,16 @@ func TestLambdaPanics(t *testing.T) {
 			LambdaForUtilization(u, 2.5e6, 1000)
 		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive power")
-		}
-	}()
-	Demand(2.5e6, 0)
+	for _, in := range [][2]float64{{2.5e6, 0}, {0, 1000}, {-1, 1000}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for demand inputs %v", in)
+				}
+			}()
+			Demand(in[0], in[1])
+		}()
+	}
 }
 
 func TestValidate(t *testing.T) {
